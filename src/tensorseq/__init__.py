@@ -3,7 +3,7 @@ exact sequences over the rationals and prime fields.
 
 Submodules:
 
-* `fields`, `linalg`: exact scalars and dense row reduction.
+* `fields`, `linalg`: exact scalars and sparse row reduction.
 * `perms`: symmetric-group helpers and transposition factorizations.
 * `tensor`: the graded tensor algebra and its symmetric projection.
 * `exterior`: exterior powers with canonical signs.

@@ -29,14 +29,12 @@ from typing import Iterable, Mapping, Sequence
 
 from . import perms
 from .certificates import Certificate, CheckResult
-from .errors import SizeCapError
+from .errors import DEFAULT_SIZE_CAP, SizeCapError
 from .fields import Field, Scalar
-from .linalg import echelon_rows, kernel_basis, residue_list, transpose
+from .linalg import Row, contained, echelon_rows, kernel_basis, residue_list, transpose
 from .tensor import (Space, TensorElement, Word, _SparseElement, all_words,
                      check_word, dim_sym, dim_tensor, perm_action,
                      symmetrize_matrix)
-
-DEFAULT_SIZE_CAP = 20_000
 
 BimodTerm = tuple  # (left word, (a, b), right word)
 
@@ -192,15 +190,17 @@ def relation_generators(space: Space, n: int) -> list[BimodElement]:
 @dataclass(frozen=True, eq=False)
 class QuotientContext:
     """Cached coordinates for one (space, degree): the canonical term
-    enumeration and the row-echelon basis of the relation span."""
+    enumeration and the sparse RREF of the relation span, with its
+    pivot column -> row index for residues."""
 
     space: Space
     degree: int
     terms: tuple[BimodTerm, ...]
     index: dict
-    rel_rows: tuple[tuple, ...]
+    rel_rows: tuple[Row, ...]
     rel_pivots: tuple[int, ...]
     free_cols: tuple[int, ...]
+    rel_basis: dict
 
     @property
     def ambient_dim(self) -> int:
@@ -225,31 +225,20 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
         raise SizeCapError(amb, cap)
     terms = tuple(all_bimod_terms(space.dim, n))
     index = {t: i for i, t in enumerate(terms)}
-    zero = space.field.zero
-    rows = []
-    seen = set()
-    for g in relation_generators(space, n):
-        vec = [zero] * amb
-        for k, c in g.terms.items():
-            vec[index[k]] = c
-        key = tuple(vec)
-        if key not in seen:
-            seen.add(key)
-            rows.append(vec)
+    rows = list(dict.fromkeys(tuple(sorted((index[k], c) for k, c in g.terms.items()))
+                              for g in relation_generators(space, n)))
     rel_rows, pivots = echelon_rows(space.field, rows)
     pivot_set = set(pivots)
     free = tuple(c for c in range(amb) if c not in pivot_set)
-    return QuotientContext(space, n, terms, index,
-                           tuple(tuple(r) for r in rel_rows), tuple(pivots), free)
+    return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots), free,
+                           dict(zip(pivots, rel_rows)))
 
 
-def coords_of(ctx: QuotientContext, x: BimodElement) -> list:
+def coords_of(ctx: QuotientContext, x: BimodElement) -> Row:
+    """Sparse coordinates of x on the canonical term basis."""
     if x.space != ctx.space or x.degree != ctx.degree:
         raise ValueError("element does not match the context")
-    vec = [ctx.space.field.zero] * ctx.ambient_dim
-    for k, c in x.terms.items():
-        vec[ctx.index[k]] = c
-    return vec
+    return tuple(sorted((ctx.index[k], c) for k, c in x.terms.items()))
 
 
 def element_of(ctx: QuotientContext, vec: Sequence) -> BimodElement:
@@ -263,8 +252,11 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> tuple:
     """Canonical coordinates of the class of x: the residue of its
     coordinate vector against the relation row basis.  Zero iff x lies
     in the relation span; equal vectors iff equal classes."""
-    vec = coords_of(ctx, x)
-    return tuple(residue_list(ctx.space.field, vec, ctx.rel_rows, ctx.rel_pivots))
+    field = ctx.space.field
+    vec = [field.zero] * ctx.ambient_dim
+    for c, v in residue_list(field, coords_of(ctx, x), ctx.rel_basis):
+        vec[c] = v
+    return tuple(vec)
 
 
 def expand_wedge(x: BimodElement) -> TensorElement:
@@ -324,19 +316,12 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
     return normal_form(ctx, acc)
 
 
-def _expansion_row(field: Field, word_index: dict, term: BimodTerm, width: int) -> list:
+def _expansion_row(field: Field, word_index: dict, term: BimodTerm) -> Row:
+    """Sparse tensor coordinates of the expansion of one basis term; a < b,
+    so the word l.a.b.r precedes l.b.a.r."""
     left, (a, b), right = term
-    row = [field.zero] * width
-    row[word_index[left + (a, b) + right]] = field.one
-    row[word_index[left + (b, a) + right]] = field.neg(field.one)
-    return row
-
-
-def _contained(field: Field, rows, pivots, vectors) -> bool:
-    for v in vectors:
-        if any(residue_list(field, list(v), rows, pivots)):
-            return False
-    return True
+    return ((word_index[left + (a, b) + right], field.one),
+            (word_index[left + (b, a) + right], field.neg(field.one)))
 
 
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:
@@ -355,19 +340,18 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
 
     checks = []
 
-    inj_rows = [_expansion_row(field, word_index, ctx.terms[c], t_dim)
-                for c in ctx.free_cols]
-    inj_rank = len(echelon_rows(field, inj_rows)[0])
+    inj_rows = [_expansion_row(field, word_index, ctx.terms[c]) for c in ctx.free_cols]
+    inj_rank = len(echelon_rows(field, inj_rows)[1])
     checks.append(CheckResult(
         "injective_rank", inj_rank == q_dim,
         f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"))
 
-    image_rows = [_expansion_row(field, word_index, term, t_dim) for term in ctx.terms]
+    image_rows = [_expansion_row(field, word_index, term) for term in ctx.terms]
     img_rows, img_piv = echelon_rows(field, image_rows)
     ker = kernel_basis(transpose(symmetrize_matrix(space, n)))
-    ker_rows, ker_piv = echelon_rows(field, [list(v) for v in ker])
-    img_in_ker = _contained(field, ker_rows, ker_piv, img_rows)
-    ker_in_img = _contained(field, img_rows, img_piv, ker_rows)
+    ker_rows, ker_piv = echelon_rows(field, ker)
+    img_in_ker = contained(field, ker_rows, ker_piv, img_rows)
+    ker_in_img = contained(field, img_rows, img_piv, ker_rows)
     checks.append(CheckResult(
         "image_equals_kernel", img_in_ker and ker_in_img,
         f"image rank {len(img_rows)}, kernel rank {len(ker_rows)}, "

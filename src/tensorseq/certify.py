@@ -17,10 +17,8 @@ from math import comb
 
 from . import bimodule, evensym, exterior, tensor
 from .certificates import Certificate, CheckResult
-from .errors import SizeCapError
+from .errors import DEFAULT_SIZE_CAP, SizeCapError
 from .fields import Field
-
-DEFAULT_SIZE_CAP = bimodule.DEFAULT_SIZE_CAP
 
 SEQUENCES = {
     "m": ("M->T->S",),
@@ -109,9 +107,8 @@ def verify_degree2_agreement(space: tensor.Space) -> Certificate:
         f"quotient dim {ctx.quotient_dim}, wedge dim {lam2}"))
 
     word_index = {w: i for i, w in enumerate(tensor.all_words(m, 2))}
-    expansion_rows = tuple(
-        tuple(bimodule._expansion_row(field, word_index, term, m * m))
-        for term in ctx.terms)
+    expansion_rows = tuple(bimodule._expansion_row(field, word_index, term)
+                           for term in ctx.terms)
     wedge_rows = exterior.wedge_to_tensor_matrix(space).rows
     checks.append(CheckResult(
         "expansion_matrix_matches_wedge", expansion_rows == wedge_rows,

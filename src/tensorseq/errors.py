@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and limits shared across the package."""
+
+DEFAULT_SIZE_CAP = 20_000
 
 
 class SizeCapError(ValueError):

@@ -20,14 +20,12 @@ from typing import Mapping
 
 from . import perms
 from .certificates import Certificate, CheckResult
-from .errors import SizeCapError
+from .errors import DEFAULT_SIZE_CAP, SizeCapError
 from .exterior import ExtElement, all_wedge_words, dim_wedge
-from .fields import Scalar
-from .linalg import Matrix, echelon_rows, kernel_basis, residue_list, transpose
+from .fields import Field, Scalar
+from .linalg import Matrix, Row, contained, echelon_rows, kernel_basis, transpose
 from .tensor import (Space, SymElement, Word, _SparseElement, all_monomials,
                      all_words, check_word, coeff_to_json, dim_sym, dim_tensor)
-
-DEFAULT_SIZE_CAP = 20_000
 
 
 @dataclass(frozen=True, order=True)
@@ -206,15 +204,10 @@ def _basis_index(m: int, n: int) -> dict:
 
 def to_sym_matrix(space: Space, n: int) -> Matrix:
     """Rows = basis classes (canonical order), columns = monomials."""
-    field = space.field
     mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
-    width = len(mono_index)
-    rows = []
-    for k in basis_words(space.dim, n):
-        row = [field.zero] * width
-        row[mono_index[k.word]] = field.one
-        rows.append(tuple(row))
-    return Matrix(field, width, tuple(rows))
+    one = space.field.one
+    rows = tuple(((mono_index[k.word], one),) for k in basis_words(space.dim, n))
+    return Matrix(space.field, len(mono_index), rows)
 
 
 def wedge_embed_matrix(space: Space, n: int) -> Matrix:
@@ -223,41 +216,37 @@ def wedge_embed_matrix(space: Space, n: int) -> Matrix:
         raise ValueError("need degree >= 2")
     field = space.field
     index = _basis_index(space.dim, n)
-    width = len(index)
-    rows = []
-    for w in all_wedge_words(space.dim, n):
-        row = [field.zero] * width
-        row[index[OrbitWord(w, False)]] = field.one
-        row[index[OrbitWord(w, True)]] = field.neg(field.one)
-        rows.append(tuple(row))
-    return Matrix(field, width, tuple(rows))
+    one, neg_one = field.one, field.neg(field.one)
+    # plain classes precede twisted ones in the basis order
+    rows = tuple(((index[OrbitWord(w, False)], one), (index[OrbitWord(w, True)], neg_one))
+                 for w in all_wedge_words(space.dim, n))
+    return Matrix(field, len(index), rows)
 
 
 def normal_form_matrix(space: Space, n: int) -> Matrix:
     """Matrix of word -> class on the tensor basis: rows = words (lex),
     columns = basis classes."""
-    field = space.field
     index = _basis_index(space.dim, n)
-    width = len(index)
-    rows = []
-    for w in all_words(space.dim, n):
-        row = [field.zero] * width
-        row[index[normal_form(w)]] = field.one
-        rows.append(tuple(row))
-    return Matrix(field, width, tuple(rows))
+    one = space.field.one
+    rows = tuple(((index[normal_form(w)], one),) for w in all_words(space.dim, n))
+    return Matrix(space.field, len(index), rows)
 
 
-def cyclic_ideal_rows(space: Space, n: int) -> list[list]:
+def _difference_row(field: Field, i: int, j: int) -> Row:
+    """Sparse e_i - e_j for i != j."""
+    one, neg_one = field.one, field.neg(field.one)
+    return ((i, one), (j, neg_one)) if i < j else ((j, neg_one), (i, one))
+
+
+def cyclic_ideal_rows(space: Space, n: int) -> list[Row]:
     """Degree-n span of the defining ideal, in tensor coordinates: all
     two-sided word translates of xyz - yzx over basis letters."""
     m = space.dim
     field = space.field
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
-    width = len(word_index)
     rows = []
     if n < 3:
         return rows
-    one, neg_one = field.one, field.neg(field.one)
     for p in range(n - 2):
         q = n - 3 - p
         for left in all_words(m, p):
@@ -267,42 +256,26 @@ def cyclic_ideal_rows(space: Space, n: int) -> list[list]:
                         for z in range(1, m + 1):
                             w1 = left + (x, y, z) + right
                             w2 = left + (y, z, x) + right
-                            if w1 == w2:
-                                continue
-                            row = [field.zero] * width
-                            row[word_index[w1]] = one
-                            row[word_index[w2]] = neg_one
-                            rows.append(row)
+                            if w1 != w2:
+                                rows.append(_difference_row(
+                                    field, word_index[w1], word_index[w2]))
     return rows
 
 
-def even_orbit_rows(space: Space, n: int) -> list[list]:
+def even_orbit_rows(space: Space, n: int) -> list[Row]:
     """Span of w - (even permutation of w) over all words, in tensor
     coordinates."""
     m = space.dim
     field = space.field
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
-    width = len(word_index)
-    one, neg_one = field.one, field.neg(field.one)
     rows = []
     evens = [s for s in perms.alternating_perms(n) if s != perms.identity_perm(n)]
     for w in all_words(m, n):
         for s in evens:
             w2 = perms.apply_to_positions(s, w)
-            if w2 == w:
-                continue
-            row = [field.zero] * width
-            row[word_index[w]] = one
-            row[word_index[w2]] = neg_one
-            rows.append(row)
+            if w2 != w:
+                rows.append(_difference_row(field, word_index[w], word_index[w2]))
     return rows
-
-
-def _contained(field, rows, pivots, vectors) -> bool:
-    for v in vectors:
-        if any(residue_list(field, list(v), rows, pivots)):
-            return False
-    return True
 
 
 def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> Certificate:
@@ -320,16 +293,16 @@ def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> C
     ideal_rows, ideal_piv = echelon_rows(field, cyclic_ideal_rows(space, n))
     orbit_rows, orbit_piv = echelon_rows(field, even_orbit_rows(space, n))
     nf_kernel = kernel_basis(transpose(normal_form_matrix(space, n)))
-    nf_rows, nf_piv = echelon_rows(field, [list(v) for v in nf_kernel])
+    nf_rows, nf_piv = echelon_rows(field, nf_kernel)
 
     checks = []
-    same_io = (_contained(field, ideal_rows, ideal_piv, orbit_rows)
-               and _contained(field, orbit_rows, orbit_piv, ideal_rows))
+    same_io = (contained(field, ideal_rows, ideal_piv, orbit_rows)
+               and contained(field, orbit_rows, orbit_piv, ideal_rows))
     checks.append(CheckResult(
         "ideal_equals_orbit_span", same_io,
         f"ideal rank {len(ideal_rows)}, orbit rank {len(orbit_rows)}"))
-    same_nf = (_contained(field, ideal_rows, ideal_piv, nf_rows)
-               and _contained(field, nf_rows, nf_piv, ideal_rows))
+    same_nf = (contained(field, ideal_rows, ideal_piv, nf_rows)
+               and contained(field, nf_rows, nf_piv, ideal_rows))
     checks.append(CheckResult(
         "normal_form_kernel_matches", same_nf,
         f"normal-form kernel rank {len(nf_rows)}, ideal rank {len(ideal_rows)}"))
@@ -363,21 +336,20 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
 
     checks = []
 
-    emb_rows, emb_piv = echelon_rows(field, [list(r) for r in wedge_embed_matrix(space, n).rows])
+    emb_rows, emb_piv = echelon_rows(field, wedge_embed_matrix(space, n).rows)
     checks.append(CheckResult(
         "injective_rank", len(emb_rows) == lam_dim,
         f"rank of wedge embedding = {len(emb_rows)}, wedge dim = {lam_dim}"))
 
     sym_m = to_sym_matrix(space, n)
-    sym_rows, _ = echelon_rows(field, [list(r) for r in sym_m.rows])
+    sym_rows, _ = echelon_rows(field, sym_m.rows)
     checks.append(CheckResult(
         "surjective_rank", len(sym_rows) == s_dim,
         f"rank of projection = {len(sym_rows)}, symmetric dim = {s_dim}"))
 
-    ker = kernel_basis(transpose(sym_m))
-    ker_rows, ker_piv = echelon_rows(field, [list(v) for v in ker])
-    img_in_ker = _contained(field, ker_rows, ker_piv, emb_rows)
-    ker_in_img = _contained(field, emb_rows, emb_piv, ker_rows)
+    ker_rows, ker_piv = echelon_rows(field, kernel_basis(transpose(sym_m)))
+    img_in_ker = contained(field, ker_rows, ker_piv, emb_rows)
+    ker_in_img = contained(field, emb_rows, emb_piv, ker_rows)
     checks.append(CheckResult(
         "image_equals_kernel", img_in_ker and ker_in_img,
         f"image rank {len(emb_rows)}, kernel rank {len(ker_rows)}, "

@@ -105,13 +105,11 @@ def wedge_to_tensor_matrix(space: Space) -> linalg.Matrix:
     field = space.field
     word_index = {(i, j): (i - 1) * m + (j - 1)
                   for i in range(1, m + 1) for j in range(1, m + 1)}
-    rows = []
-    for (i, j) in all_wedge_words(m, 2):
-        row = [field.zero] * (m * m)
-        row[word_index[(i, j)]] = field.one
-        row[word_index[(j, i)]] = field.neg(field.one)
-        rows.append(tuple(row))
-    return linalg.Matrix(field, m * m, tuple(rows))
+    one, neg_one = field.one, field.neg(field.one)
+    # i < j, so the word (i, j) precedes (j, i)
+    rows = tuple(((word_index[(i, j)], one), (word_index[(j, i)], neg_one))
+                 for (i, j) in all_wedge_words(m, 2))
+    return linalg.Matrix(field, m * m, rows)
 
 
 def element_to_json(a: ExtElement) -> dict:

@@ -1,31 +1,48 @@
-"""Exact dense row-reduction over Q and F_p.
+"""Exact sparse row reduction over Q and F_p.
 
-Matrices are tuples of dense row tuples holding raw scalars.  The
-elimination kernel mutates row lists in place and branches once on the
-characteristic so the inner loops stay free of per-entry dispatch.
-Pivoting picks the first nonzero entry left to right; with exact
-arithmetic there is nothing to gain from magnitude pivoting and the
-result is deterministic.
+A row is a tuple of (column, value) pairs sorted by column that holds
+only nonzero field scalars; a `Matrix` pairs such rows with a field and
+a width.  The relation, expansion and symmetrization matrices of this
+package have one to six entries per row, and their reduced row-echelon
+forms stay well under one percent dense, so nothing here ever builds a
+dense row.
+
+`echelon_rows` builds the fully reduced row-echelon form (RREF: unit
+pivots, zeros in every other pivot column) one row at a time, in the
+manner of the sparse eliminations of Faugere-Lachartre (PASCO 2010) and
+Bouillaguet-Delaplace (CASC 2016):
+
+* an incoming row is reduced in one pass over those of its entries that
+  sit in pivot columns, because subtracting a fully reduced basis row
+  changes no other pivot column;
+* its first remaining column becomes its pivot, and a column -> rows
+  index finds the basis rows holding that column, so only they are
+  cleared.
+
+Every pivot chosen this way is the leading column of a vector in the row
+space, so the result is the unique RREF of the span, whatever the order
+of the input rows.  Arithmetic is exact and branches once on the
+characteristic, so the inner loops carry no per-entry dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field
 
-Vector = tuple
+Row = tuple  # ((col, value), ...), sorted by col, values nonzero
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """A dense matrix over a single field; all rows have length `ncols`."""
+    """A sparse matrix over one field: `rows` of (col, value) pairs with
+    every col in range(ncols)."""
 
     field: Field
     ncols: int
-    rows: tuple[Vector, ...]
+    rows: tuple[Row, ...]
 
     @property
     def nrows(self) -> int:
@@ -33,219 +50,134 @@ class Matrix:
 
 
 def matrix(field: Field, rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
-    """Build a Matrix, normalizing every entry into the field."""
+    """Build a Matrix from dense rows, normalizing every entry into the field."""
     norm = field.normalize
-    out = tuple(tuple(norm(x) for x in row) for row in rows)
-    if out:
-        width = len(out[0])
-        for row in out:
-            if len(row) != width:
-                raise ValueError("rows have unequal lengths")
-    else:
-        width = 0
-    if ncols is None:
-        ncols = width
-    elif out and width != ncols:
-        raise ValueError(f"rows have {width} columns, expected {ncols}")
-    return Matrix(field, ncols, out)
-
-
-def from_entries(field: Field, nrows: int, ncols: int,
-                 entries: Iterable[tuple[int, int, Scalar]]) -> Matrix:
-    """Sparse construction helper: build from (row, col, value) triples."""
-    zero = field.zero
-    data = [[zero] * ncols for _ in range(nrows)]
-    add = field.add
-    for r, c, v in entries:
-        data[r][c] = add(data[r][c], field.normalize(v))
-    return Matrix(field, ncols, tuple(tuple(row) for row in data))
+    out = []
+    width = ncols
+    for row in rows:
+        vals = [norm(x) for x in row]
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise ValueError(f"row has {len(vals)} entries, expected {width}")
+        out.append(tuple((c, x) for c, x in enumerate(vals) if x))
+    return Matrix(field, width or 0, tuple(out))
 
 
 def transpose(m: Matrix) -> Matrix:
-    zero = m.field.zero
-    cols = [[zero] * m.nrows for _ in range(m.ncols)]
+    cols: list[list] = [[] for _ in range(m.ncols)]
     for r, row in enumerate(m.rows):
-        for c, v in enumerate(row):
-            if v:
-                cols[c][r] = v
+        for c, x in row:
+            cols[c].append((r, x))
     return Matrix(m.field, m.nrows, tuple(tuple(col) for col in cols))
 
 
-def echelon_rows(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduce row lists in place to RREF; return (nonzero rows, pivot columns).
-
-    Rows are consumed: the input list is reordered and overwritten.  Each
-    returned row has a leading 1 at its pivot column and zeros in every
-    other pivot column.
-    """
-    char = field.char
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            if char:
-                inv = pow(pv, char - 2, char)
-                prow[c:] = [(x * inv) % char for x in prow[c:]]
+def _subtract(p: int, v: dict, f, row: Iterable[tuple]) -> None:
+    """v -= f * row in place over F_p (p > 0) or Q (p == 0); zeros are dropped."""
+    get = v.get
+    if p:
+        for j, x in row:
+            s = (get(j, 0) - f * x) % p
+            if s:
+                v[j] = s
             else:
-                inv = 1 / Fraction(pv)
-                prow[c:] = [x * inv for x in prow[c:]]
-        tail = prow[c:]
-        if char:
-            for i in range(r + 1, nrows):
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    ri[c:] = [a if not b else (a - f * b) % char
-                              for a, b in zip(ri[c:], tail)]
-        else:
-            for i in range(r + 1, nrows):
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    ri[c:] = [a if not b else a - f * b
-                              for a, b in zip(ri[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    rank = r
-    # back-substitution: clear entries above each pivot
-    for r in range(rank - 1, 0, -1):
-        c = pivots[r]
-        tail = rows[r][c:]
-        if char:
-            for i in range(r):
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    ri[c:] = [a if not b else (a - f * b) % char
-                              for a, b in zip(ri[c:], tail)]
-        else:
-            for i in range(r):
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    ri[c:] = [a if not b else a - f * b
-                              for a, b in zip(ri[c:], tail)]
-    return rows[:rank], pivots
+                del v[j]
+    else:
+        for j, x in row:
+            y = get(j)
+            s = -f * x if y is None else y - f * x
+            if s:
+                v[j] = s
+            else:
+                del v[j]
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row-echelon form: (rref matrix, pivot columns, rank).
+def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Row], list[int]]:
+    """RREF of the span of sparse `rows`: (nonzero rows, pivot columns),
+    both in increasing pivot order.
 
-    The returned matrix keeps the input's shape, with zero rows at the
-    bottom; its row space equals the input's.
+    Each returned row starts with (pivot, 1) and has no entry in any
+    other pivot column.
+
+    >>> from tensorseq.fields import GF
+    >>> echelon_rows(GF(5), [((0, 2), (2, 4)), ((0, 1), (1, 1))])
+    ([((0, 1), (2, 2)), ((1, 1), (2, 3))], [0, 1])
     """
-    work = [list(row) for row in m.rows]
-    kept, pivots = echelon_rows(m.field, work)
-    rank = len(kept)
-    zero_row = (m.field.zero,) * m.ncols
-    rows = tuple(tuple(r) for r in kept) + (zero_row,) * (m.nrows - rank)
-    return Matrix(m.field, m.ncols, rows), tuple(pivots), rank
+    p = field.char
+    basis: dict[int, dict] = {}     # pivot column -> row
+    holders: dict[int, set] = {}    # non-pivot column -> pivots of the rows holding it
+    for row in rows:
+        v = dict(row)
+        for c in [c for c in v if c in basis]:
+            _subtract(p, v, v[c], basis[c].items())
+        if not v:
+            continue
+        c = min(v)
+        pv = v.pop(c)
+        if pv != 1:
+            inv = field.inv(pv)
+            v = {j: x * inv % p for j, x in v.items()} if p else \
+                {j: x * inv for j, x in v.items()}
+        for j in v:
+            holders.setdefault(j, set()).add(c)
+        # r -= r[c] * (new row), inlined so that `holders` is touched
+        # only where an entry of r appears or cancels
+        for q in holders.pop(c, ()):
+            r = basis[q]
+            f = r.pop(c)
+            for j, x in v.items():
+                y = r.get(j)
+                if y is None:
+                    r[j] = (-f * x) % p if p else -f * x
+                    holders[j].add(q)
+                else:
+                    s = (y - f * x) % p if p else y - f * x
+                    if s:
+                        r[j] = s
+                    else:
+                        del r[j]
+                        holders[j].discard(q)
+        basis[c] = {c: field.one, **v}
+    pivots = sorted(basis)
+    return [tuple(sorted(basis[c].items())) for c in pivots], pivots
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(echelon_rows(m.field, m.rows)[1])
 
 
-def _pivot_of(row: Sequence) -> int:
-    for c, v in enumerate(row):
-        if v:
-            return c
-    return -1
+def residue_list(field: Field, vec: Iterable[tuple], basis: Mapping[int, Row]) -> list:
+    """Residue of the sparse `vec` modulo the row space of an RREF, given
+    as its pivot column -> row index: sorted (col, value) pairs, empty
+    iff `vec` lies in the span.  Equal residues mean equal classes.
 
-
-def residue_list(field: Field, vec: list, rows: Sequence[Sequence],
-                 pivots: Sequence[int]) -> list:
-    """Eliminate `vec` (in place) against echelon rows with unit pivots."""
-    char = field.char
-    if char:
-        for r, c in enumerate(pivots):
-            f = vec[c]
-            if f:
-                row = rows[r]
-                vec[c:] = [a if not b else (a - f * b) % char
-                           for a, b in zip(vec[c:], row[c:])]
-    else:
-        for r, c in enumerate(pivots):
-            f = vec[c]
-            if f:
-                row = rows[r]
-                vec[c:] = [a if not b else a - f * b
-                           for a, b in zip(vec[c:], row[c:])]
-    return vec
-
-
-def residue(vec: Sequence, basis: Matrix) -> Vector:
-    """Canonical representative of `vec` modulo the row space of `basis`.
-
-    `basis` must be in (reduced) row-echelon form.  The result is zero
-    iff `vec` lies in the row space, and residue is idempotent.
+    One pass over the pivot entries of `vec` suffices, because each
+    subtracted row is zero in every other pivot column.
     """
-    if len(vec) != basis.ncols:
-        raise ValueError(f"vector has {len(vec)} entries, matrix has {basis.ncols} columns")
-    field = basis.field
-    out = [field.normalize(x) for x in vec]
-    div = field.div
-    sub = field.sub
-    mul = field.mul
-    for row in basis.rows:
-        c = _pivot_of(row)
-        if c < 0:
-            continue
-        f = out[c]
-        if f:
-            factor = f if row[c] == 1 else div(f, row[c])
-            for j in range(c, basis.ncols):
-                if row[j]:
-                    out[j] = sub(out[j], mul(factor, row[j]))
-    return tuple(out)
+    v = dict(vec)
+    p = field.char
+    for c in [c for c in v if c in basis]:
+        _subtract(p, v, v[c], basis[c])
+    return sorted(v.items())
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right null space {v : m @ v = 0}; ncols - rank vectors."""
-    red, pivots, rk = rref(m)
-    field = m.field
-    zero = field.zero
-    neg = field.neg
+def contained(field: Field, rows: Sequence[Row], pivots: Sequence[int],
+              vectors: Iterable[Iterable[tuple]]) -> bool:
+    """True iff every sparse vector lies in the span of the RREF (rows, pivots)."""
+    basis = dict(zip(pivots, rows))
+    return not any(residue_list(field, v, basis) for v in vectors)
+
+
+def kernel_basis(m: Matrix) -> list[Row]:
+    """Basis of the right null space {v : m @ v = 0}, one sparse vector
+    per free column in increasing order; ncols - rank vectors."""
+    rows, pivots = echelon_rows(m.field, m.rows)
+    neg = m.field.neg
     pivot_set = set(pivots)
-    out = []
-    for j in range(m.ncols):
-        if j in pivot_set:
-            continue
-        v = [zero] * m.ncols
-        v[j] = field.one
-        for r, c in enumerate(pivots):
-            x = red.rows[r][j]
-            if x:
-                v[c] = neg(x)
-        out.append(tuple(v))
-    return out
-
-
-def row_space_contains(basis: Matrix, vectors: Iterable[Sequence]) -> bool:
-    """True iff every vector's residue against the RREF `basis` vanishes."""
-    return all(not any(residue(v, basis)) for v in vectors)
-
-
-def mutual_residues_vanish(a: Matrix, b: Matrix) -> bool:
-    """Row spaces of two RREF matrices coincide (mutual containment)."""
-    if a.field != b.field:
-        raise ValueError("matrices live over different fields")
-    if a.ncols != b.ncols:
-        raise ValueError("matrices have different widths")
-    return row_space_contains(a, (r for r in b.rows if any(r))) and \
-        row_space_contains(b, (r for r in a.rows if any(r)))
+    entries: dict[int, list] = {j: [] for j in range(m.ncols) if j not in pivot_set}
+    for c, row in zip(pivots, rows):
+        for j, x in row[1:]:
+            entries[j].append((c, neg(x)))
+    one = m.field.one
+    # each pivot c feeding column j lies left of j, so the pairs stay sorted
+    return [tuple(e) + ((j, one),) for j, e in entries.items()]

@@ -10,6 +10,7 @@ by the commutators uv - vu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from itertools import product as _iproduct
 from math import comb
 from typing import Iterator, Mapping
@@ -47,7 +48,7 @@ def all_words(m: int, n: int) -> Iterator[Word]:
 
 def all_monomials(m: int, n: int) -> Iterator[Word]:
     """All weakly increasing length-n words, lexicographically."""
-    return (w for w in all_words(m, n) if all(w[i] <= w[i + 1] for i in range(n - 1)))
+    return combinations_with_replacement(range(1, m + 1), n)
 
 
 class _SparseElement:
@@ -264,18 +265,12 @@ def dim_sym(m: int, n: int) -> int:
 
 def symmetrize_matrix(space: Space, n: int) -> linalg.Matrix:
     """Matrix of the degree-n projection, one row per word (lex order),
-    columns indexed by monomials (lex order)."""
+    columns indexed by monomials (lex order); its transpose has one row
+    per monomial, holding the words that sort to it."""
     mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
-    field = space.field
-    one = field.one
-    zero = field.zero
-    rows = []
-    width = len(mono_index)
-    for w in all_words(space.dim, n):
-        row = [zero] * width
-        row[mono_index[tuple(sorted(w))]] = one
-        rows.append(tuple(row))
-    return linalg.Matrix(field, width, tuple(rows))
+    one = space.field.one
+    rows = tuple(((mono_index[tuple(sorted(w))], one),) for w in all_words(space.dim, n))
+    return linalg.Matrix(space.field, len(mono_index), rows)
 
 
 def coeff_to_json(field: Field, c) -> str | int:

@@ -2,24 +2,48 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorseq import linalg
+from tensorseq import bimodule, linalg, tensor
 from tensorseq.fields import GF, QQ
+
+
+def _sparse(field, v):
+    """Sparse row of a dense vector."""
+    return linalg.matrix(field, [v]).rows[0]
+
+
+def _dense(field, row, ncols):
+    out = [field.zero] * ncols
+    for c, x in row:
+        out[c] = x
+    return tuple(out)
+
+
+def _basis(field, rows):
+    """Pivot column -> row index of the RREF of dense rows."""
+    red, pivots = linalg.echelon_rows(field, linalg.matrix(field, rows).rows)
+    return dict(zip(pivots, red))
+
+
+def _residue(field, v, basis, ncols):
+    return _dense(field, linalg.residue_list(field, _sparse(field, v), basis), ncols)
 
 
 def test_rref_identity():
     m = linalg.matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    red, pivots, rank = linalg.rref(m)
-    assert red.rows == m.rows
-    assert pivots == (0, 1, 2)
-    assert rank == 3
+    red, pivots = linalg.echelon_rows(QQ, m.rows)
+    assert tuple(red) == m.rows
+    assert pivots == [0, 1, 2]
+    assert len(red) == 3
 
 
 def test_rref_dependent_rows():
     m = linalg.matrix(QQ, [[1, 2], [2, 4]])
-    red, pivots, rank = linalg.rref(m)
-    assert rank == 1
-    assert red.rows[1] == (Fraction(0), Fraction(0))
+    red, pivots = linalg.echelon_rows(QQ, m.rows)
+    assert len(red) == 1
+    assert red == [((0, Fraction(1)), (1, Fraction(2)))]  # the zero row is dropped
 
 
 def test_rref_characteristic_two_collapse():
@@ -29,10 +53,10 @@ def test_rref_characteristic_two_collapse():
 
 def test_rref_normalizes_pivots():
     m = linalg.matrix(QQ, [[0, 2, 4], [3, 3, 3]])
-    red, pivots, rank = linalg.rref(m)
-    assert pivots == (0, 1) and rank == 2
-    for r, c in enumerate(pivots):
-        assert red.rows[r][c] == 1
+    red, pivots = linalg.echelon_rows(QQ, m.rows)
+    assert pivots == [0, 1] and len(red) == 2
+    for row, c in zip(red, pivots):
+        assert row[0] == (c, 1)
 
 
 def test_ragged_rows_rejected():
@@ -41,22 +65,21 @@ def test_ragged_rows_rejected():
 
 
 def test_residue_in_row_space_is_zero():
-    basis, _, _ = linalg.rref(linalg.matrix(QQ, [[1, 2, 3], [0, 1, 1]]))
+    basis = _basis(QQ, [[1, 2, 3], [0, 1, 1]])
     v = [1, 3, 4]  # row0 + row1
-    assert not any(linalg.residue(v, basis))
+    assert linalg.residue_list(QQ, _sparse(QQ, v), basis) == []
 
 
 def test_residue_empty_basis():
-    basis = linalg.matrix(QQ, [], ncols=3)
-    assert linalg.residue([1, 0, 0], basis) == (Fraction(1), Fraction(0), Fraction(0))
+    assert _residue(QQ, [1, 0, 0], {}, 3) == (Fraction(1), Fraction(0), Fraction(0))
 
 
 def test_residue_idempotent_and_dimension_check():
-    basis, _, _ = linalg.rref(linalg.matrix(QQ, [[1, 1, 0], [0, 0, 1]]))
-    r1 = linalg.residue([2, 5, 7], basis)
-    assert linalg.residue(r1, basis) == r1
+    basis = _basis(QQ, [[1, 1, 0], [0, 0, 1]])
+    r1 = linalg.residue_list(QQ, _sparse(QQ, [2, 5, 7]), basis)
+    assert linalg.residue_list(QQ, r1, basis) == r1
     with pytest.raises(ValueError):
-        linalg.residue([1, 2], basis)
+        linalg.matrix(QQ, [[1, 2]], ncols=3)
 
 
 def test_kernel_identity_empty():
@@ -68,7 +91,18 @@ def test_kernel_zero_matrix():
     m = linalg.matrix(QQ, [[0, 0, 0], [0, 0, 0]], ncols=3)
     ker = linalg.kernel_basis(m)
     assert len(ker) == 3
-    assert linalg.rank(linalg.matrix(QQ, ker)) == 3
+    assert linalg.rank(linalg.Matrix(QQ, 3, tuple(ker))) == 3
+
+
+def _annihilates(field, m, v):
+    dense_v = _dense(field, v, m.ncols)
+    for row in m.rows:
+        total = field.zero
+        for c, a in row:
+            total = field.add(total, field.mul(a, dense_v[c]))
+        if total != field.zero:
+            return False
+    return True
 
 
 def test_kernel_vectors_annihilate():
@@ -80,18 +114,13 @@ def test_kernel_vectors_annihilate():
                                       for _ in range(nrows)])
             ker = linalg.kernel_basis(m)
             assert len(ker) == ncols - linalg.rank(m)
-            for v in ker:
-                for row in m.rows:
-                    total = field.zero
-                    for a, b in zip(row, v):
-                        total = field.add(total, field.mul(a, b))
-                    assert total == field.zero
+            assert all(_annihilates(field, m, v) for v in ker)
 
 
-def _row_space_member(field, m, v):
+def _row_space_member(field, rows, v):
     """Independent membership oracle: appending v must not raise the rank."""
-    base = linalg.rank(m)
-    extended = linalg.matrix(field, list(m.rows) + [list(v)])
+    base = linalg.rank(linalg.matrix(field, rows))
+    extended = linalg.matrix(field, list(rows) + [list(v)])
     return linalg.rank(extended) == base
 
 
@@ -102,13 +131,14 @@ def test_rref_preserves_row_space_and_rank():
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
             m = linalg.matrix(field, [[rng.randint(-4, 4) for _ in range(ncols)]
                                       for _ in range(nrows)])
-            red, pivots, rank = linalg.rref(m)
-            assert rank == linalg.rank(red) == len(pivots)
-            red2, _, _ = linalg.rref(red)
-            assert red2.rows == red.rows  # rref is a fixed point
-            assert linalg.mutual_residues_vanish(red, linalg.rref(m)[0])
-            for row in m.rows:
-                assert not any(linalg.residue(row, red))
+            red, pivots = linalg.echelon_rows(field, m.rows)
+            assert len(red) == linalg.rank(linalg.Matrix(field, ncols, tuple(red))) == len(pivots)
+            red2, _ = linalg.echelon_rows(field, red)
+            assert red2 == red  # rref is a fixed point
+            again, again_piv = linalg.echelon_rows(field, m.rows)
+            assert linalg.contained(field, red, pivots, again)
+            assert linalg.contained(field, again, again_piv, red)
+            assert linalg.contained(field, red, pivots, m.rows)
 
 
 def test_residue_zero_iff_membership():
@@ -116,46 +146,123 @@ def test_residue_zero_iff_membership():
     for field in (QQ, GF(3)):
         for _ in range(30):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-            m = linalg.matrix(field, [[rng.randint(-2, 2) for _ in range(ncols)]
-                                      for _ in range(nrows)])
-            red, _, _ = linalg.rref(m)
+            rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
+            basis = _basis(field, rows)
             v = [rng.randint(-2, 2) for _ in range(ncols)]
-            in_space = _row_space_member(field, m, [field.normalize(x) for x in v])
-            assert (not any(linalg.residue(v, red))) == in_space
+            in_space = _row_space_member(field, rows, v)
+            assert (not linalg.residue_list(field, _sparse(field, v), basis)) == in_space
 
 
 def test_residue_handles_non_unit_pivots():
-    basis = linalg.matrix(QQ, [[2, 4, 0], [0, 0, 3]])
-    assert not any(linalg.residue([2, 4, 3], basis))
-    assert linalg.residue([1, 0, 0], basis) == (Fraction(0), Fraction(-2), Fraction(0))
+    basis = _basis(QQ, [[2, 4, 0], [0, 0, 3]])
+    assert linalg.residue_list(QQ, _sparse(QQ, [2, 4, 3]), basis) == []
+    assert _residue(QQ, [1, 0, 0], basis, 3) == (Fraction(0), Fraction(-2), Fraction(0))
 
 
 def test_kernel_of_degree2_projection():
     """Brute-force 4x3 case: the kernel of the word -> monomial map on
     two letters is spanned by e_(1,2) - e_(2,1)."""
-    from tensorseq import tensor
-
     mat = tensor.symmetrize_matrix(tensor.Space(2, QQ), 2)
     assert (mat.nrows, mat.ncols) == (4, 3) and linalg.rank(mat) == 3
     ker = linalg.kernel_basis(linalg.transpose(mat))
     assert len(ker) == 1
     # words in lex order: (1,1), (1,2), (2,1), (2,2)
-    span, _, _ = linalg.rref(linalg.matrix(QQ, [[0, 1, -1, 0]]))
-    assert not any(linalg.residue(ker[0], span))
-
-
-def test_mixed_fields_rejected():
-    a = linalg.rref(linalg.matrix(QQ, [[1, 0]]))[0]
-    b = linalg.rref(linalg.matrix(GF(2), [[1, 0]]))[0]
-    with pytest.raises(ValueError):
-        linalg.mutual_residues_vanish(a, b)
-
-
-def test_from_entries_accumulates():
-    m = linalg.from_entries(QQ, 2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, Fraction(1, 2))])
-    assert m.rows == ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+    span = _basis(QQ, [[0, 1, -1, 0]])
+    assert linalg.residue_list(QQ, ker[0], span) == []
 
 
 def test_transpose_roundtrip():
     m = linalg.matrix(GF(5), [[1, 2, 3], [4, 0, 1]])
     assert linalg.transpose(linalg.transpose(m)).rows == m.rows
+
+
+# --- differential tests against a dense oracle ------------------------------
+
+def dense_rref(field, rows, ncols):
+    """Textbook Gauss-Jordan on dense lists, generic field operations:
+    (nonzero RREF rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    sub, mul = field.sub, field.mul
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a if not b else sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def dense_residue(field, v, red, pivots):
+    v = list(v)
+    for row, c in zip(red, pivots):
+        f = v[c]
+        if f:
+            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+    return tuple(v)
+
+
+BIG_PRIME = 2_147_483_647
+FIELDS = [QQ, GF(2), GF(3), GF(BIG_PRIME)]
+
+
+@st.composite
+def unit_matrices(draw, max_rows=7, max_cols=8):
+    """Integer matrices with entries in {0, 1, -1}."""
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    cell = st.sampled_from([0, 0, 1, -1])
+    return draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows)), ncols
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(unit_matrices(), st.data())
+def test_echelon_and_residue_match_dense_oracle(field, mat, data):
+    ints, ncols = mat
+    dense_rows = [[field.normalize(x) for x in row] for row in ints]
+    m = linalg.matrix(field, ints, ncols=ncols)
+    red, pivots = linalg.echelon_rows(field, m.rows)
+    want, want_piv = dense_rref(field, dense_rows, ncols)
+    assert pivots == want_piv
+    assert [_dense(field, row, ncols) for row in red] == want
+    v = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=ncols, max_size=ncols))
+    got = linalg.residue_list(field, _sparse(field, v), dict(zip(pivots, red)))
+    assert _dense(field, got, ncols) == dense_residue(
+        field, [field.normalize(x) for x in v], want, want_piv)
+    ker = linalg.kernel_basis(m)
+    assert len(ker) == ncols - len(pivots)
+    assert all(_annihilates(field, m, k) for k in ker)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_matrices())
+def test_rank_mod_p_bounded_by_rank_over_q(mat):
+    ints, ncols = mat
+    rank_q = linalg.rank(linalg.matrix(QQ, ints, ncols=ncols))
+    for p in (2, 3):
+        assert linalg.rank(linalg.matrix(GF(p), ints, ncols=ncols)) <= rank_q
+    # every minor of a {0, +-1} matrix with at most 8 columns is at most
+    # 8^4 = 4096 in absolute value (Hadamard), so none vanishes mod BIG_PRIME
+    assert linalg.rank(linalg.matrix(GF(BIG_PRIME), ints, ncols=ncols)) == rank_q
+
+
+def test_relation_rref_matches_dense_oracle():
+    space = tensor.Space(3, QQ)
+    ctx = bimodule.build_context(space, 5)
+    amb = ctx.ambient_dim
+    gens = [_dense(QQ, sorted((ctx.index[k], c) for k, c in g.terms.items()), amb)
+            for g in bimodule.relation_generators(space, 5)]
+    want, want_piv = dense_rref(QQ, gens, amb)
+    assert list(ctx.rel_pivots) == want_piv
+    assert [_dense(QQ, row, amb) for row in ctx.rel_rows] == want

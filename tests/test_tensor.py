@@ -149,6 +149,15 @@ def test_dims():
         tensor.dim_sym(-1, 2)
 
 
+def test_all_monomials_is_the_filtered_word_list():
+    for m in range(5):
+        for n in range(6):
+            filtered = [w for w in tensor.all_words(m, n)
+                        if all(w[i] <= w[i + 1] for i in range(n - 1))]
+            assert list(tensor.all_monomials(m, n)) == filtered
+            assert len(filtered) == tensor.dim_sym(m, n)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [0, 1])
 def test_projection_bijective_in_low_degree(m, n):
