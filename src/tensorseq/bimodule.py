@@ -191,7 +191,12 @@ def relation_generators(space: Space, n: int) -> list[BimodElement]:
 class QuotientContext:
     """Cached coordinates for one (space, degree): the canonical term
     enumeration and the sparse RREF of the relation span, with its
-    pivot column -> row index for residues."""
+    pivot column -> row index for residues.
+
+    `rel_rows` and `rel_basis` hold values as `linalg` computes them:
+    over Q an integral value is an int and any other a `Fraction` (equal,
+    and equal in hash, to the `Fraction` of the same value); `normal_form`
+    converts back to field scalars."""
 
     space: Space
     degree: int
@@ -225,8 +230,8 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
         raise SizeCapError(amb, cap)
     terms = tuple(all_bimod_terms(space.dim, n))
     index = {t: i for i, t in enumerate(terms)}
-    rows = list(dict.fromkeys(tuple(sorted((index[k], c) for k, c in g.terms.items()))
-                              for g in relation_generators(space, n)))
+    rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
+            for g in relation_generators(space, n)]
     rel_rows, pivots = echelon_rows(space.field, rows)
     pivot_set = set(pivots)
     free = tuple(c for c in range(amb) if c not in pivot_set)
@@ -251,11 +256,12 @@ def element_of(ctx: QuotientContext, vec: Sequence) -> BimodElement:
 def normal_form(ctx: QuotientContext, x: BimodElement) -> tuple:
     """Canonical coordinates of the class of x: the residue of its
     coordinate vector against the relation row basis.  Zero iff x lies
-    in the relation span; equal vectors iff equal classes."""
+    in the relation span; equal vectors iff equal classes.  Entries are
+    field scalars (`Fraction` over Q), whatever `linalg` computed on."""
     field = ctx.space.field
     vec = [field.zero] * ctx.ambient_dim
     for c, v in residue_list(field, coords_of(ctx, x), ctx.rel_basis):
-        vec[c] = v
+        vec[c] = field.normalize(v)
     return tuple(vec)
 
 

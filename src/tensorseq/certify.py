@@ -11,7 +11,6 @@ sequence) order regardless of how they were computed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -77,6 +76,8 @@ def run_grid(grid: CheckGrid, which: str = "both", workers: int = 1) -> list[Cer
         for seq in SEQUENCES[which]
     ]
     if workers > 1:
+        # imported here, so that a single-worker run never pays for it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             certs = list(pool.map(
                 lambda job: _verify_cell(*job[:3], job[3], grid.size_cap), jobs))

@@ -7,9 +7,10 @@ equivalent to every permutation of itself, while a word with distinct
 letters belongs to one of two classes: the sorted word ("plain") or the
 sorted word with its first two letters swapped ("twisted").  Elements
 are stored directly on these orbit representatives; sorting a word and
-counting inversions computes its class in O(n log n), with no linear
-algebra.  `verify_relation_span` rebuilds the quotient the slow way, in
-tensor coordinates, and certifies that the shortcut matches.
+taking the parity of the sorting permutation computes its class in
+O(n log n), with no linear algebra.  `verify_relation_span` rebuilds the
+quotient the slow way, in tensor coordinates, and certifies that the
+shortcut matches.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ class OrbitWord:
         return len(self.word)
 
 
-def _inversions(word: Word) -> int:
-    count = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] > word[j]:
-                count += 1
-    return count
-
-
 def normal_form(word: Word) -> OrbitWord:
     """The class of a word: sort it; a repeated letter always gives the
     plain class, otherwise the parity of the sort decides the flag.
@@ -78,7 +70,7 @@ def normal_form(word: Word) -> OrbitWord:
     sorted_word = tuple(sorted(word))
     if len(set(word)) < len(word):
         return OrbitWord(sorted_word, False)
-    return OrbitWord(sorted_word, _inversions(word) & 1 == 1)
+    return OrbitWord(sorted_word, perms.parity(perms.sorting_perm(word)) == 1)
 
 
 def representative(e: OrbitWord) -> Word:
@@ -203,24 +195,32 @@ def _basis_index(m: int, n: int) -> dict:
 
 
 def to_sym_matrix(space: Space, n: int) -> Matrix:
-    """Rows = basis classes (canonical order), columns = monomials."""
+    """Rows = basis classes (canonical order), columns = monomials.
+
+    Plain class i is monomial i; twisted class s + k forgets its flag
+    onto the monomial of the k-th strictly increasing word."""
     mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
     one = space.field.one
-    rows = tuple(((mono_index[k.word], one),) for k in basis_words(space.dim, n))
-    return Matrix(space.field, len(mono_index), rows)
+    rows = [((j, one),) for j in range(len(mono_index))]
+    if n >= 2:
+        rows.extend(((mono_index[w], one),) for w in all_wedge_words(space.dim, n))
+    return Matrix(space.field, len(mono_index), tuple(rows))
 
 
 def wedge_embed_matrix(space: Space, n: int) -> Matrix:
-    """Rows = strictly increasing words, columns = basis classes."""
+    """Rows = strictly increasing words, columns = basis classes: the
+    k-th word maps to its plain class minus twisted class s + k, with s
+    the number of plain classes."""
     if n < 2:
         raise ValueError("need degree >= 2")
     field = space.field
-    index = _basis_index(space.dim, n)
+    mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
+    s = len(mono_index)
     one, neg_one = field.one, field.neg(field.one)
     # plain classes precede twisted ones in the basis order
-    rows = tuple(((index[OrbitWord(w, False)], one), (index[OrbitWord(w, True)], neg_one))
-                 for w in all_wedge_words(space.dim, n))
-    return Matrix(field, len(index), rows)
+    rows = tuple(((mono_index[w], one), (s + k, neg_one))
+                 for k, w in enumerate(all_wedge_words(space.dim, n)))
+    return Matrix(field, s + len(rows), rows)
 
 
 def normal_form_matrix(space: Space, n: int) -> Matrix:

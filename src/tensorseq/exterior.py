@@ -2,8 +2,8 @@
 
 Degree-n alternating elements are stored directly on the strictly
 increasing word basis; `wedge_canon` folds the sorting sign into the
-coefficient and kills words with a repeated letter.  Signs are computed
-by counting inversions, which works in every characteristic.
+coefficient and kills words with a repeated letter.  The sign is the
+parity of the sorting permutation, which works in every characteristic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping
 
-from . import linalg
+from . import linalg, perms
 from .fields import Scalar
 from .tensor import (Space, TensorElement, Word, _SparseElement,
                      _normalized_terms, check_word, coeff_to_json)
@@ -29,14 +29,9 @@ def wedge_canon(letters: Word) -> tuple[int, Word] | None:
     (1, (1, 2, 3))
     """
     letters = tuple(letters)
-    inversions = 0
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            if letters[i] == letters[j]:
-                return None
-            if letters[i] > letters[j]:
-                inversions += 1
-    return (-1 if inversions & 1 else 1), tuple(sorted(letters))
+    if len(set(letters)) < len(letters):
+        return None
+    return (-1 if perms.parity(perms.sorting_perm(letters)) else 1), tuple(sorted(letters))
 
 
 class ExtElement(_SparseElement):

@@ -21,13 +21,29 @@ Bouillaguet-Delaplace (CASC 2016):
 
 Every pivot chosen this way is the leading column of a vector in the row
 space, so the result is the unique RREF of the span, whatever the order
-of the input rows.  Arithmetic is exact and branches once on the
-characteristic, so the inner loops carry no per-entry dispatch.
+of the input rows.  Arithmetic is exact, and `_subtract`, which reduces
+a row against the basis, branches once on the characteristic rather
+than per entry.
+
+Q values.  Over F_p a value is an int in [0, p).  Over Q, values inside
+this module are Python ints while they are integral and `Fraction`s
+otherwise, in the spirit of fraction-free elimination (Bareiss, Math.
+Comp. 1968): every incoming row is converted once, a pivot of 1 needs no
+scaling, a pivot of -1 negates its row, and only another pivot scales by
+an exact `Fraction` whose integral results turn back into ints.  The
+relation, expansion and symmetrization matrices hold only 0 and +-1, and
+on the certification grids every value entering or leaving their
+eliminations is +-1, so those eliminations build no `Fraction`.  The
+rows and residues returned by `echelon_rows`, `kernel_basis` and
+`residue_list` may therefore hold ints over Q; an int compares and
+hashes equal to the `Fraction` of the same value, and callers that hand
+values out of the package pass them through `Field.normalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .fields import Field
@@ -72,8 +88,17 @@ def transpose(m: Matrix) -> Matrix:
     return Matrix(m.field, m.nrows, tuple(tuple(col) for col in cols))
 
 
+def _integral(row: Iterable[tuple]) -> dict:
+    """A Q row as a dict, each integral value as an int."""
+    return {j: x.numerator if x.denominator == 1 else x for j, x in row}
+
+
 def _subtract(p: int, v: dict, f, row: Iterable[tuple]) -> None:
-    """v -= f * row in place over F_p (p > 0) or Q (p == 0); zeros are dropped."""
+    """v -= f * row in place over F_p (p > 0) or Q (p == 0); zeros are dropped.
+
+    Over Q an integral `Fraction` result is stored as an int, so ints
+    stay ints and a `Fraction` appears only where a value is not integral.
+    """
     get = v.get
     if p:
         for j, x in row:
@@ -87,7 +112,7 @@ def _subtract(p: int, v: dict, f, row: Iterable[tuple]) -> None:
             y = get(j)
             s = -f * x if y is None else y - f * x
             if s:
-                v[j] = s
+                v[j] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
                 del v[j]
 
@@ -107,7 +132,7 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
     basis: dict[int, dict] = {}     # pivot column -> row
     holders: dict[int, set] = {}    # non-pivot column -> pivots of the rows holding it
     for row in rows:
-        v = dict(row)
+        v = dict(row) if p else _integral(row)
         for c in [c for c in v if c in basis]:
             _subtract(p, v, v[c], basis[c].items())
         if not v:
@@ -115,9 +140,14 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
         c = min(v)
         pv = v.pop(c)
         if pv != 1:
-            inv = field.inv(pv)
-            v = {j: x * inv % p for j, x in v.items()} if p else \
-                {j: x * inv for j, x in v.items()}
+            if p:
+                inv = field.inv(pv)
+                v = {j: x * inv % p for j, x in v.items()}
+            elif pv == -1:
+                v = {j: -x for j, x in v.items()}
+            else:
+                inv = 1 / Fraction(pv)
+                v = _integral((j, x * inv) for j, x in v.items())
         for j in v:
             holders.setdefault(j, set()).add(c)
         # r -= r[c] * (new row), inlined so that `holders` is touched
@@ -127,17 +157,19 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
             f = r.pop(c)
             for j, x in v.items():
                 y = r.get(j)
-                if y is None:
-                    r[j] = (-f * x) % p if p else -f * x
-                    holders[j].add(q)
+                s = -f * x if y is None else y - f * x
+                if p:
+                    s %= p
+                elif s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
+                if s:
+                    if y is None:
+                        holders[j].add(q)
+                    r[j] = s
                 else:
-                    s = (y - f * x) % p if p else y - f * x
-                    if s:
-                        r[j] = s
-                    else:
-                        del r[j]
-                        holders[j].discard(q)
-        basis[c] = {c: field.one, **v}
+                    del r[j]
+                    holders[j].discard(q)
+        basis[c] = {c: 1, **v}
     pivots = sorted(basis)
     return [tuple(sorted(basis[c].items())) for c in pivots], pivots
 
@@ -154,8 +186,8 @@ def residue_list(field: Field, vec: Iterable[tuple], basis: Mapping[int, Row]) -
     One pass over the pivot entries of `vec` suffices, because each
     subtracted row is zero in every other pivot column.
     """
-    v = dict(vec)
     p = field.char
+    v = dict(vec) if p else _integral(vec)
     for c in [c for c in v if c in basis]:
         _subtract(p, v, v[c], basis[c])
     return sorted(v.items())
@@ -178,6 +210,5 @@ def kernel_basis(m: Matrix) -> list[Row]:
     for c, row in zip(pivots, rows):
         for j, x in row[1:]:
             entries[j].append((c, neg(x)))
-    one = m.field.one
     # each pivot c feeding column j lies left of j, so the pairs stay sorted
-    return [tuple(e) + ((j, one),) for j, e in entries.items()]
+    return [tuple(e) + ((j, 1),) for j, e in entries.items()]

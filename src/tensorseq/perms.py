@@ -89,6 +89,18 @@ def parity(t: Perm) -> int:
     return odd
 
 
+def sorting_perm(letters: Sequence) -> Perm:
+    """The positions of `letters` in stably sorted order, as a permutation:
+    position t(k) holds the k-th smallest letter.  For distinct letters
+    the `parity` of t is that of the inversion count of `letters`, found
+    in O(n log n) instead of by an O(n^2) count of pairs.
+
+    >>> sorting_perm((20, 30, 10))
+    (3, 1, 2)
+    """
+    return tuple(sorted(range(1, len(letters) + 1), key=lambda k: letters[k - 1]))
+
+
 def all_perms(n: int) -> Iterator[Perm]:
     return _itertools_perms(range(1, n + 1))
 

@@ -326,3 +326,20 @@ def test_relation_generators_deterministic():
     a = [g.terms for g in bimodule.relation_generators(sp, 4)]
     b = [g.terms for g in bimodule.relation_generators(sp, 4)]
     assert a == b
+
+
+def test_normal_form_over_q_returns_fractions(ctx_cache):
+    """linalg computes on ints over Q; the public normal form still hands
+    out field scalars, including for non-integral coefficients."""
+    ctx = ctx_cache(3, 4)
+    space = ctx.space
+    rng = random.Random(5)
+    for _ in range(10):
+        terms = {ctx.terms[rng.randrange(ctx.ambient_dim)]: Fraction(rng.randint(-3, 3),
+                                                                      rng.randint(1, 3))
+                 for _ in range(4)}
+        nf = bimodule.normal_form(ctx, bimodule.bimod_element(space, 4, terms))
+        assert all(type(x) is Fraction for x in nf)
+    word = tensor.word_element(space, (1, 2, 3, 1))
+    value = bimodule.cocycle(ctx, (2, 3, 4, 1), word)
+    assert any(value) and all(type(x) is Fraction for x in value)

@@ -87,3 +87,22 @@ def test_json_canonical_and_roundtrips():
     assert all("elapsed_ms" not in d for d in without)
     pretty = certificates_to_json(certs, include_timing=False, pretty=True)
     assert json.loads(pretty) == without
+
+
+def test_q_and_large_prime_certificates_agree():
+    """Every matrix certified here has entries 0 and +-1 and small minors,
+    so its ranks over Q and modulo 2^31 - 1 coincide: both fields must give
+    the same dimensions and the same check outcomes."""
+    big = GF(2_147_483_647)
+    grid = certify.CheckGrid((2, 3), (2, 3, 4, 5), (QQ, big))
+    certs = certify.run_grid(grid, "both")
+    by_field = {}
+    for c in certs:
+        by_field.setdefault((c.sequence, c.m, c.n), {})[c.field_name] = c
+    assert len(by_field) == 16
+    for key, pair in by_field.items():
+        q, p = pair["Q"], pair[big.name]
+        assert q.dims == p.dims, key
+        assert [(ch.name, ch.passed, ch.detail) for ch in q.checks] == \
+            [(ch.name, ch.passed, ch.detail) for ch in p.checks], key
+        assert q.passed and p.passed, key

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorseq import evensym, exterior, perms, tensor
 from tensorseq.errors import SizeCapError
@@ -232,3 +234,28 @@ def test_json_roundtrip():
     assert evensym.element_from_json(sp, doc) == a
     twisted_flags = [t["twisted"] for t in doc["terms"]]
     assert twisted_flags == [False, True]
+
+
+def _inversions(word):
+    return sum(1 for i in range(len(word)) for j in range(i + 1, len(word))
+               if word[i] > word[j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=8))
+def test_sorting_parity_matches_inversion_count(letters):
+    """normal_form and wedge_canon take their sign from the parity of the
+    sorting permutation; it must agree with the inversion count, and a
+    repeated letter still gives the plain class or no wedge word."""
+    word = tuple(letters)
+    k = evensym.normal_form(word)
+    canon = exterior.wedge_canon(word)
+    assert k.word == tuple(sorted(word))
+    if len(set(word)) < len(word):
+        assert not k.twisted
+        assert canon is None
+    else:
+        odd = _inversions(word) % 2 == 1
+        assert perms.parity(perms.sorting_perm(word)) == int(odd)
+        assert k.twisted == odd
+        assert canon == (-1 if odd else 1, tuple(sorted(word)))
