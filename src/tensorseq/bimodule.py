@@ -28,10 +28,10 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import perms
-from .certificates import Certificate, CheckResult
-from .errors import DEFAULT_SIZE_CAP, SizeCapError
+from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
+from .errors import check_cap
 from .fields import Field, Scalar
-from .linalg import Row, contained, echelon_rows, kernel_basis, residue_list, transpose
+from .linalg import Row, echelon_rows, residue_list
 from .tensor import (Space, TensorElement, Word, _SparseElement, all_words,
                      check_word, dim_sym, dim_tensor, perm_action,
                      symmetrize_matrix)
@@ -224,10 +224,8 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
     """Enumerate degree-n terms and row-reduce the relation span."""
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     amb = ambient_dim(space.dim, n)
-    if amb > cap:
-        raise SizeCapError(amb, cap)
+    check_cap(amb, size_cap)
     terms = tuple(all_bimod_terms(space.dim, n))
     index = {t: i for i, t in enumerate(terms)}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
@@ -322,12 +320,13 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
     return normal_form(ctx, acc)
 
 
-def _expansion_row(field: Field, word_index: dict, term: BimodTerm) -> Row:
-    """Sparse tensor coordinates of the expansion of one basis term; a < b,
+def _expansion_rows(field: Field, word_index: dict, terms: Iterable[BimodTerm]) -> list[Row]:
+    """Sparse tensor coordinates of the expansion of each basis term; a < b,
     so the word l.a.b.r precedes l.b.a.r."""
-    left, (a, b), right = term
-    return ((word_index[left + (a, b) + right], field.one),
-            (word_index[left + (b, a) + right], field.neg(field.one)))
+    one, neg_one = field.one, field.neg(field.one)
+    return [((word_index[left + (a, b) + right], one),
+             (word_index[left + (b, a) + right], neg_one))
+            for left, (a, b), right in terms]
 
 
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:
@@ -340,36 +339,21 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     ctx = build_context(space, n, size_cap)
     t_dim = dim_tensor(m, n)
     s_dim = dim_sym(m, n)
-    amb = ctx.ambient_dim
     q_dim = ctx.quotient_dim
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
-
-    checks = []
-
-    inj_rows = [_expansion_row(field, word_index, ctx.terms[c]) for c in ctx.free_cols]
-    inj_rank = len(echelon_rows(field, inj_rows)[1])
-    checks.append(CheckResult(
-        "injective_rank", inj_rank == q_dim,
-        f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"))
-
-    image_rows = [_expansion_row(field, word_index, term) for term in ctx.terms]
-    img_rows, img_piv = echelon_rows(field, image_rows)
-    ker = kernel_basis(transpose(symmetrize_matrix(space, n)))
-    ker_rows, ker_piv = echelon_rows(field, ker)
-    img_in_ker = contained(field, ker_rows, ker_piv, img_rows)
-    ker_in_img = contained(field, img_rows, img_piv, ker_rows)
-    checks.append(CheckResult(
-        "image_equals_kernel", img_in_ker and ker_in_img,
-        f"image rank {len(img_rows)}, kernel rank {len(ker_rows)}, "
-        f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}"))
-
-    checks.append(CheckResult(
-        "dimension_identity", q_dim == t_dim - s_dim,
-        f"quotient dim {q_dim}, tensor dim {t_dim}, symmetric dim {s_dim}"))
-
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return Certificate(
-        sequence="M->T->S", m=m, n=n, field_name=field.name,
-        dims={"ambient": amb, "wm_rank": ctx.rel_rank, "m_dim": q_dim,
-              "t_dim": t_dim, "s_dim": s_dim},
-        checks=tuple(checks), elapsed_ms=round(elapsed, 3))
+    image_rows = _expansion_rows(field, word_index, ctx.terms)
+    inj_rank = len(echelon_rows(field, [image_rows[c] for c in ctx.free_cols])[1])
+    checks = (
+        CheckResult(
+            "injective_rank", inj_rank == q_dim,
+            f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"),
+        image_equals_kernel(field, image_rows, symmetrize_matrix(space, n)),
+        CheckResult(
+            "dimension_identity", q_dim == t_dim - s_dim,
+            f"quotient dim {q_dim}, tensor dim {t_dim}, symmetric dim {s_dim}"),
+    )
+    return certificate(
+        "M->T->S", space, n,
+        {"ambient": ctx.ambient_dim, "wm_rank": ctx.rel_rank, "m_dim": q_dim,
+         "t_dim": t_dim, "s_dim": s_dim},
+        checks, start)

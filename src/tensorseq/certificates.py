@@ -6,13 +6,22 @@ fail-closed: a certificate passes only when it has at least one check,
 no error, and every check passed.  JSON output is canonical (sorted
 keys, fixed separators) so that identical runs are byte-identical once
 timing fields are excluded.
+
+Both certified sequences, M -> T -> S and Lambda -> S' -> S, end in an
+injective map whose image must be the kernel of a projection;
+`image_equals_kernel` is that check for either one.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import Iterable
+
+from .fields import Field
+from .linalg import Matrix, Row, contained, echelon_rows, kernel_basis, transpose
+from .tensor import Space
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,31 @@ class Certificate:
     def summary(self) -> str:
         status = "PASS" if self.passed else ("CAP" if self.capped else "FAIL")
         return f"[{status}] {self.sequence} m={self.m} n={self.n} field={self.field_name}"
+
+
+def certificate(sequence: str, space: Space, n: int, dims: dict,
+                checks: Iterable[CheckResult], start: float) -> Certificate:
+    """The certificate of one verified cell, timed from `start`, a
+    `time.perf_counter()` reading taken when its verification began."""
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return Certificate(
+        sequence=sequence, m=space.dim, n=n, field_name=space.field.name,
+        dims=dims, checks=tuple(checks), elapsed_ms=round(elapsed, 3))
+
+
+def image_equals_kernel(field: Field, image_rows: Iterable[Row],
+                        projection: Matrix) -> CheckResult:
+    """Check that the span of the sparse `image_rows` is the kernel of
+    `projection` (rows = source basis, columns = target basis), by
+    containment in both directions."""
+    img_rows, img_piv = echelon_rows(field, image_rows)
+    ker_rows, ker_piv = echelon_rows(field, kernel_basis(transpose(projection)))
+    img_in_ker = contained(field, ker_rows, ker_piv, img_rows)
+    ker_in_img = contained(field, img_rows, img_piv, ker_rows)
+    return CheckResult(
+        "image_equals_kernel", img_in_ker and ker_in_img,
+        f"image rank {len(img_rows)}, kernel rank {len(ker_rows)}, "
+        f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}")
 
 
 def certificates_to_json(certs: Iterable[Certificate], include_timing: bool = True,

@@ -1,11 +1,10 @@
 """Grid orchestration for exactness certificates.
 
 Runs the two sequence verifications over a grid of (m, n, field) cells,
-isolating failures and size-cap refusals per cell, and performs the
-degree-2 agreement checks tying the two quotient constructions to the
-classical wedge -> tensor -> symmetric sequence.  Cells are pure and
-independent; results are always reported in canonical (m, n, field,
-sequence) order regardless of how they were computed.
+one cell after another, isolating failures and size-cap refusals per
+cell, and performs the degree-2 agreement checks tying the two quotient
+constructions to the classical wedge -> tensor -> symmetric sequence.
+Results are reported in canonical (m, n, field name, sequence) order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import bimodule, evensym, exterior, tensor
-from .certificates import Certificate, CheckResult
+from .certificates import Certificate, CheckResult, certificate
 from .errors import DEFAULT_SIZE_CAP, SizeCapError
 from .fields import Field
 
@@ -44,10 +43,6 @@ class CheckGrid:
             raise ValueError("sequence checks need degree >= 2")
 
 
-def _field_key(f: Field) -> tuple:
-    return (f.char, f.name)
-
-
 def _verify_cell(m: int, n: int, field: Field, sequence: str, size_cap: int) -> Certificate:
     space = tensor.Space(m, field)
     try:
@@ -60,7 +55,7 @@ def _verify_cell(m: int, n: int, field: Field, sequence: str, size_cap: int) -> 
             dims={}, checks=(), error=f"size_cap: {e}")
 
 
-def run_grid(grid: CheckGrid, which: str = "both", workers: int = 1) -> list[Certificate]:
+def run_grid(grid: CheckGrid, which: str = "both") -> list[Certificate]:
     """One certificate per (m, n, field, sequence), canonically ordered.
 
     A size-cap refusal in one cell is reported in that cell's
@@ -68,21 +63,11 @@ def run_grid(grid: CheckGrid, which: str = "both", workers: int = 1) -> list[Cer
     """
     if which not in SEQUENCES:
         raise ValueError(f"unknown selection {which!r}; expected m, sprime, or both")
-    jobs = [
-        (m, n, field, seq)
-        for m in sorted(set(grid.m_values))
-        for n in sorted(set(grid.n_values))
-        for field in sorted(set(grid.fields), key=_field_key)
-        for seq in SEQUENCES[which]
-    ]
-    if workers > 1:
-        # imported here, so that a single-worker run never pays for it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(
-                lambda job: _verify_cell(*job[:3], job[3], grid.size_cap), jobs))
-    else:
-        certs = [_verify_cell(m, n, f, seq, grid.size_cap) for m, n, f, seq in jobs]
+    certs = [_verify_cell(m, n, field, seq, grid.size_cap)
+             for m in dict.fromkeys(grid.m_values)
+             for n in dict.fromkeys(grid.n_values)
+             for field in dict.fromkeys(grid.fields)
+             for seq in SEQUENCES[which]]
     certs.sort(key=lambda c: (c.m, c.n, c.field_name, c.sequence))
     return certs
 
@@ -108,8 +93,7 @@ def verify_degree2_agreement(space: tensor.Space) -> Certificate:
         f"quotient dim {ctx.quotient_dim}, wedge dim {lam2}"))
 
     word_index = {w: i for i, w in enumerate(tensor.all_words(m, 2))}
-    expansion_rows = tuple(bimodule._expansion_row(field, word_index, term)
-                           for term in ctx.terms)
+    expansion_rows = tuple(bimodule._expansion_rows(field, word_index, ctx.terms))
     wedge_rows = exterior.wedge_to_tensor_matrix(space).rows
     checks.append(CheckResult(
         "expansion_matrix_matches_wedge", expansion_rows == wedge_rows,
@@ -142,8 +126,7 @@ def verify_degree2_agreement(space: tensor.Space) -> Certificate:
         "orbit_maps_match_degree2", maps_ok,
         "projection and embedding agree under the word/class identification"))
 
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return Certificate(
-        sequence="degree2", m=m, n=2, field_name=field.name,
-        dims={"lambda_dim": lam2, "t_dim": t2, "s_dim": tensor.dim_sym(m, 2)},
-        checks=tuple(checks), elapsed_ms=round(elapsed, 3))
+    return certificate(
+        "degree2", space, 2,
+        {"lambda_dim": lam2, "t_dim": t2, "s_dim": tensor.dim_sym(m, 2)},
+        checks, start)

@@ -14,7 +14,7 @@ import click
 
 from . import bimodule, certify, evensym, exterior, parsing, perms, tensor
 from .certificates import certificates_to_json
-from .errors import ElementParseError, SizeCapError
+from .errors import DEFAULT_SIZE_CAP, ElementParseError, SizeCapError
 from .fields import Field, parse_field
 
 EXIT_CHECK_FAILED = 1
@@ -112,18 +112,17 @@ def dims(m_dim, n_max, field_name, as_json, size_cap):
               default=None, help="Write the JSON certificates here instead of stdout.")
 @click.option("--pretty", is_flag=True, help="Indent the JSON output.")
 @click.option("--no-timing", is_flag=True, help="Omit timing fields (reproducible bytes).")
-@click.option("--workers", type=int, default=1, show_default=True)
 @_CAP_OPTION
-def check(which, m_spec, n_spec, fields_spec, out_path, pretty, no_timing, workers, size_cap):
+def check(which, m_spec, n_spec, fields_spec, out_path, pretty, no_timing, size_cap):
     """Certify exactness over a grid of (m, n, field) cells."""
     fields = tuple(_field(x) for x in fields_spec.split(","))
-    cap = bimodule.DEFAULT_SIZE_CAP if size_cap is None else size_cap
+    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     try:
         grid = certify.CheckGrid(tuple(_int_range(m_spec)), tuple(_int_range(n_spec)),
                                  fields, cap)
     except ValueError as e:
         raise click.UsageError(str(e))
-    certs = certify.run_grid(grid, which, workers=max(1, workers))
+    certs = certify.run_grid(grid, which)
     doc = certificates_to_json(certs, include_timing=not no_timing, pretty=pretty)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

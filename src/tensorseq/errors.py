@@ -1,5 +1,7 @@
 """Exception types and limits shared across the package."""
 
+from __future__ import annotations
+
 DEFAULT_SIZE_CAP = 20_000
 
 
@@ -10,6 +12,14 @@ class SizeCapError(ValueError):
         self.needed = needed
         self.cap = cap
         super().__init__(f"{what} {needed} exceeds size cap {cap}")
+
+
+def check_cap(needed: int, size_cap: int | None, what: str = "ambient dimension") -> None:
+    """Raise `SizeCapError` when `needed` exceeds `size_cap`
+    (`DEFAULT_SIZE_CAP` when None)."""
+    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
+    if needed > cap:
+        raise SizeCapError(needed, cap, what)
 
 
 class ElementParseError(ValueError):

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import perms
-from .certificates import Certificate, CheckResult
-from .errors import DEFAULT_SIZE_CAP, SizeCapError
+from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
+from .errors import check_cap
 from .exterior import ExtElement, all_wedge_words, dim_wedge
-from .fields import Field, Scalar
-from .linalg import Matrix, Row, contained, echelon_rows, kernel_basis, transpose
+from .fields import Scalar
+from .linalg import Matrix, Row, echelon_rows, kernel_basis, rank, transpose
 from .tensor import (Space, SymElement, Word, _SparseElement, all_monomials,
                      all_words, check_word, coeff_to_json, dim_sym, dim_tensor)
 
@@ -232,9 +232,8 @@ def normal_form_matrix(space: Space, n: int) -> Matrix:
     return Matrix(space.field, len(index), rows)
 
 
-def _difference_row(field: Field, i: int, j: int) -> Row:
+def _difference_row(i: int, j: int, one: Scalar, neg_one: Scalar) -> Row:
     """Sparse e_i - e_j for i != j."""
-    one, neg_one = field.one, field.neg(field.one)
     return ((i, one), (j, neg_one)) if i < j else ((j, neg_one), (i, one))
 
 
@@ -243,6 +242,7 @@ def cyclic_ideal_rows(space: Space, n: int) -> list[Row]:
     two-sided word translates of xyz - yzx over basis letters."""
     m = space.dim
     field = space.field
+    one, neg_one = field.one, field.neg(field.one)
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     rows = []
     if n < 3:
@@ -258,7 +258,7 @@ def cyclic_ideal_rows(space: Space, n: int) -> list[Row]:
                             w2 = left + (y, z, x) + right
                             if w1 != w2:
                                 rows.append(_difference_row(
-                                    field, word_index[w1], word_index[w2]))
+                                    word_index[w1], word_index[w2], one, neg_one))
     return rows
 
 
@@ -267,6 +267,7 @@ def even_orbit_rows(space: Space, n: int) -> list[Row]:
     coordinates."""
     m = space.dim
     field = space.field
+    one, neg_one = field.one, field.neg(field.one)
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     rows = []
     evens = [s for s in perms.alternating_perms(n) if s != perms.identity_perm(n)]
@@ -274,7 +275,7 @@ def even_orbit_rows(space: Space, n: int) -> list[Row]:
         for s in evens:
             w2 = perms.apply_to_positions(s, w)
             if w2 != w:
-                rows.append(_difference_row(field, word_index[w], word_index[w2]))
+                rows.append(_difference_row(word_index[w], word_index[w2], one, neg_one))
     return rows
 
 
@@ -284,37 +285,29 @@ def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> C
     start = time.perf_counter()
     m = space.dim
     field = space.field
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     t_dim = dim_tensor(m, n)
-    if t_dim > cap:
-        raise SizeCapError(t_dim, cap, "tensor dimension")
+    check_cap(t_dim, size_cap, "tensor dimension")
     q_dim = dim_evensym(m, n)
-
-    ideal_rows, ideal_piv = echelon_rows(field, cyclic_ideal_rows(space, n))
-    orbit_rows, orbit_piv = echelon_rows(field, even_orbit_rows(space, n))
-    nf_kernel = kernel_basis(transpose(normal_form_matrix(space, n)))
-    nf_rows, nf_piv = echelon_rows(field, nf_kernel)
-
-    checks = []
-    same_io = (contained(field, ideal_rows, ideal_piv, orbit_rows)
-               and contained(field, orbit_rows, orbit_piv, ideal_rows))
-    checks.append(CheckResult(
-        "ideal_equals_orbit_span", same_io,
-        f"ideal rank {len(ideal_rows)}, orbit rank {len(orbit_rows)}"))
-    same_nf = (contained(field, ideal_rows, ideal_piv, nf_rows)
-               and contained(field, nf_rows, nf_piv, ideal_rows))
-    checks.append(CheckResult(
-        "normal_form_kernel_matches", same_nf,
-        f"normal-form kernel rank {len(nf_rows)}, ideal rank {len(ideal_rows)}"))
-    checks.append(CheckResult(
-        "corank_matches_basis", len(ideal_rows) == t_dim - q_dim,
-        f"rank {len(ideal_rows)}, tensor dim {t_dim}, basis size {q_dim}"))
-
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return Certificate(
-        sequence="S'-relations", m=m, n=n, field_name=field.name,
-        dims={"t_dim": t_dim, "sprime_dim": q_dim, "relation_rank": len(ideal_rows)},
-        checks=tuple(checks), elapsed_ms=round(elapsed, 3))
+    # echelon_rows returns the unique RREF of a span, so two spans are
+    # equal exactly when their echelon rows are
+    ideal, _ = echelon_rows(field, cyclic_ideal_rows(space, n))
+    orbit, _ = echelon_rows(field, even_orbit_rows(space, n))
+    nf, _ = echelon_rows(field, kernel_basis(transpose(normal_form_matrix(space, n))))
+    checks = (
+        CheckResult(
+            "ideal_equals_orbit_span", ideal == orbit,
+            f"ideal rank {len(ideal)}, orbit rank {len(orbit)}"),
+        CheckResult(
+            "normal_form_kernel_matches", ideal == nf,
+            f"normal-form kernel rank {len(nf)}, ideal rank {len(ideal)}"),
+        CheckResult(
+            "corank_matches_basis", len(ideal) == t_dim - q_dim,
+            f"rank {len(ideal)}, tensor dim {t_dim}, basis size {q_dim}"),
+    )
+    return certificate(
+        "S'-relations", space, n,
+        {"t_dim": t_dim, "sprime_dim": q_dim, "relation_rank": len(ideal)},
+        checks, start)
 
 
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:
@@ -326,44 +319,30 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
         raise ValueError(f"degree must be >= 2, got {n}")
     start = time.perf_counter()
     m = space.dim
-    field = space.field
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     q_dim = dim_evensym(m, n)
-    if q_dim > cap:
-        raise SizeCapError(q_dim, cap, "basis size")
+    check_cap(q_dim, size_cap, "basis size")
     lam_dim = dim_wedge(m, n)
     s_dim = dim_sym(m, n)
-
-    checks = []
-
-    emb_rows, emb_piv = echelon_rows(field, wedge_embed_matrix(space, n).rows)
-    checks.append(CheckResult(
-        "injective_rank", len(emb_rows) == lam_dim,
-        f"rank of wedge embedding = {len(emb_rows)}, wedge dim = {lam_dim}"))
-
+    emb = wedge_embed_matrix(space, n)
     sym_m = to_sym_matrix(space, n)
-    sym_rows, _ = echelon_rows(field, sym_m.rows)
-    checks.append(CheckResult(
-        "surjective_rank", len(sym_rows) == s_dim,
-        f"rank of projection = {len(sym_rows)}, symmetric dim = {s_dim}"))
-
-    ker_rows, ker_piv = echelon_rows(field, kernel_basis(transpose(sym_m)))
-    img_in_ker = contained(field, ker_rows, ker_piv, emb_rows)
-    ker_in_img = contained(field, emb_rows, emb_piv, ker_rows)
-    checks.append(CheckResult(
-        "image_equals_kernel", img_in_ker and ker_in_img,
-        f"image rank {len(emb_rows)}, kernel rank {len(ker_rows)}, "
-        f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}"))
-
-    checks.append(CheckResult(
-        "dimension_identity", q_dim == s_dim + lam_dim,
-        f"basis size {q_dim}, symmetric dim {s_dim}, wedge dim {lam_dim}"))
-
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return Certificate(
-        sequence="Lambda->S'->S", m=m, n=n, field_name=field.name,
-        dims={"lambda_dim": lam_dim, "sprime_dim": q_dim, "s_dim": s_dim},
-        checks=tuple(checks), elapsed_ms=round(elapsed, 3))
+    emb_rank = rank(emb)
+    sym_rank = rank(sym_m)
+    checks = (
+        CheckResult(
+            "injective_rank", emb_rank == lam_dim,
+            f"rank of wedge embedding = {emb_rank}, wedge dim = {lam_dim}"),
+        CheckResult(
+            "surjective_rank", sym_rank == s_dim,
+            f"rank of projection = {sym_rank}, symmetric dim = {s_dim}"),
+        image_equals_kernel(space.field, emb.rows, sym_m),
+        CheckResult(
+            "dimension_identity", q_dim == s_dim + lam_dim,
+            f"basis size {q_dim}, symmetric dim {s_dim}, wedge dim {lam_dim}"),
+    )
+    return certificate(
+        "Lambda->S'->S", space, n,
+        {"lambda_dim": lam_dim, "sprime_dim": q_dim, "s_dim": s_dim},
+        checks, start)
 
 
 def element_to_json(a: EvenSymElement) -> dict:

@@ -32,6 +32,7 @@ class Field:
 
     name: str
     char: int  # 0 for the rationals, p for F_p
+    one: Scalar
 
     def normalize(self, x: Scalar) -> Scalar:
         raise NotImplementedError
@@ -45,10 +46,6 @@ class Field:
     @property
     def zero(self) -> Scalar:
         return self.normalize(0)
-
-    @property
-    def one(self) -> Scalar:
-        return self.normalize(1)
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         raise NotImplementedError
@@ -83,6 +80,7 @@ class RationalField(Field):
 
     name = "Q"
     char = 0
+    one = Fraction(1)
 
     def normalize(self, x) -> Fraction:
         return Fraction(x)
@@ -119,6 +117,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     """The prime field F_p; scalars are ints in ``[0, p)``."""
+
+    one = 1
 
     def __init__(self, p: int):
         if not _is_prime(p):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from tensorseq import bimodule, certify, evensym, tensor
-from tensorseq.certificates import Certificate, CheckResult, certificates_to_json
+from tensorseq import bimodule, certify, evensym, linalg, tensor
+from tensorseq.certificates import (Certificate, CheckResult, certificates_to_json,
+                                    image_equals_kernel)
 from tensorseq.fields import GF, QQ
 
 
@@ -33,12 +34,59 @@ def test_run_grid_selections():
         certify.run_grid(grid, "everything")
 
 
-def test_run_grid_deterministic_and_worker_independent():
+def test_run_grid_deterministic():
     grid = certify.CheckGrid((2, 3), (2, 3), (QQ, GF(2)))
-    one = certify.run_grid(grid, "both", workers=1)
-    two = certify.run_grid(grid, "both", workers=4)
+    one = certify.run_grid(grid, "both")
+    two = certify.run_grid(grid, "both")
     assert certificates_to_json(one, include_timing=False) == \
         certificates_to_json(two, include_timing=False)
+
+
+def _symmetrize_variant(space, n, change):
+    """The degree-n symmetrization matrix: correct, with the column of the
+    monomial 123 dropped, or with an indicator column of the word 123 added."""
+    sym = tensor.symmetrize_matrix(space, n)
+    if change == "drop":
+        dropped = list(tensor.all_monomials(space.dim, n)).index((1, 2, 3))
+        rows = tuple(tuple((c, x) for c, x in row if c != dropped) for row in sym.rows)
+        return linalg.Matrix(space.field, sym.ncols, rows)
+    if change == "add":
+        word = list(tensor.all_words(space.dim, n)).index((1, 2, 3))
+        rows = tuple(row + ((sym.ncols, space.field.one),) if i == word else row
+                     for i, row in enumerate(sym.rows))
+        return linalg.Matrix(space.field, sym.ncols + 1, rows)
+    return sym
+
+
+def _maps_to_zero(field, row, projection):
+    out = [field.zero] * projection.ncols
+    for j, x in row:
+        for c, y in projection.rows[j]:
+            out[c] = field.add(out[c], field.mul(x, y))
+    return not any(out)
+
+
+# Dropping the column loses the constraint that the six orderings of 123
+# sum to zero, so the kernel gains a vector outside the image.  Adding the
+# indicator of the word 123 moves the expansion of 1|2^3 out of the
+# kernel, while the smaller kernel stays inside the image.
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+@pytest.mark.parametrize("change,img_in_ker,ker_in_img", [
+    (None, True, True), ("drop", True, False), ("add", False, True)])
+def test_image_equals_kernel_flags(field, change, img_in_ker, ker_in_img):
+    space = tensor.Space(3, field)
+    word_index = {w: i for i, w in enumerate(tensor.all_words(3, 3))}
+    image = []
+    for term in bimodule.all_bimod_terms(3, 3):
+        expanded = bimodule.expand_wedge(bimodule.bimod_element(space, 3, {term: 1}))
+        image.append(tuple(sorted((word_index[w], c) for w, c in expanded.terms.items())))
+    projection = _symmetrize_variant(space, 3, change)
+    assert all(_maps_to_zero(field, row, projection) for row in image) == img_in_ker
+    check = image_equals_kernel(field, image, projection)
+    assert check.name == "image_equals_kernel"
+    assert check.passed == (img_in_ker and ker_in_img)
+    assert check.detail.endswith(
+        f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}")
 
 
 def test_run_grid_cap_isolated_per_cell():

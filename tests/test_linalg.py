@@ -319,3 +319,36 @@ def test_q_echelon_keeps_integral_values_as_ints():
     assert pivots == [0, 1, 2]
     assert red == [((0, 1), (3, -3)), ((1, 1), (3, 1)), ((2, 1), (3, Fraction(-1, 4)))]
     assert [type(x) for row in red for _, x in row] == [int, int, int, int, int, Fraction]
+
+
+def _recombined(field, rows, rng):
+    """A shuffled copy of dense `rows` spanning the same space: rows are
+    added to one another, negated, and one combination is appended."""
+    rows = [[field.normalize(x) for x in row] for row in rows]
+    rng.shuffle(rows)
+    for _ in range(2 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i == j:
+            rows[i] = [field.neg(x) for x in rows[i]]
+        else:
+            c = field.normalize(rng.choice([1, -1, 2]))
+            rows[i] = [field.add(x, field.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+    if rows:
+        rows.append([field.add(x, y) for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(unit_matrices(), st.data(), st.randoms(use_true_random=False))
+def test_equal_rref_iff_equal_span(field, mat, data, rng):
+    ints, ncols = mat
+    other = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1]), min_size=ncols,
+                                        max_size=ncols), max_size=7))
+    a, a_piv = linalg.echelon_rows(field, linalg.matrix(field, ints, ncols=ncols).rows)
+    b, b_piv = linalg.echelon_rows(field, linalg.matrix(field, other, ncols=ncols).rows)
+    same_span = (linalg.contained(field, a, a_piv, b)
+                 and linalg.contained(field, b, b_piv, a))
+    assert (a == b) == same_span
+    mixed = linalg.matrix(field, _recombined(field, ints, rng), ncols=ncols)
+    assert linalg.echelon_rows(field, mixed.rows) == (a, a_piv)
