@@ -347,7 +347,7 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
         CheckResult(
             "injective_rank", inj_rank == q_dim,
             f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"),
-        image_equals_kernel(field, image_rows, symmetrize_matrix(space, n)),
+        image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))[0],
         CheckResult(
             "dimension_identity", q_dim == t_dim - s_dim,
             f"quotient dim {q_dim}, tensor dim {t_dim}, symmetric dim {s_dim}"),

@@ -8,8 +8,14 @@ keys, fixed separators) so that identical runs are byte-identical once
 timing fields are excluded.
 
 Both certified sequences, M -> T -> S and Lambda -> S' -> S, end in an
-injective map whose image must be the kernel of a projection;
-`image_equals_kernel` is that check for either one.
+injective map whose image must be the kernel of a projection P;
+`image_equals_kernel` is that check for either one.  It row-reduces only
+the image.  The image lies in the kernel iff x @ P = 0 for every image
+row x, one sparse product each.  `kernel_basis` returns one vector per
+free column of P's transpose, each with 1 in its own free column and 0
+in the others, so the vectors are independent: their count is the kernel
+rank, and their membership in the image's RREF gives kernel <= image.
+The two containments make the spaces equal.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .fields import Field
-from .linalg import Matrix, Row, contained, echelon_rows, kernel_basis, transpose
+from .linalg import (Matrix, Row, contained, echelon_rows, in_left_kernel, kernel_basis,
+                     transpose)
 from .tensor import Space
 
 
@@ -84,19 +91,26 @@ def certificate(sequence: str, space: Space, n: int, dims: dict,
         dims=dims, checks=tuple(checks), elapsed_ms=round(elapsed, 3))
 
 
-def image_equals_kernel(field: Field, image_rows: Iterable[Row],
-                        projection: Matrix) -> CheckResult:
+def image_equals_kernel(field: Field, image_rows: Sequence[Row],
+                        projection: Matrix) -> tuple[CheckResult, int, int]:
     """Check that the span of the sparse `image_rows` is the kernel of
-    `projection` (rows = source basis, columns = target basis), by
-    containment in both directions."""
+    `projection` (rows = source basis, columns = target basis).
+
+    image <= kernel holds iff every image row maps to zero, and
+    kernel <= image iff every vector of the kernel basis lies in the
+    image's RREF.  The kernel basis is independent as returned, so its
+    size is the kernel rank and the projection's rank is its row count
+    minus that.  Returns (check, image rank, projection rank).
+    """
     img_rows, img_piv = echelon_rows(field, image_rows)
-    ker_rows, ker_piv = echelon_rows(field, kernel_basis(transpose(projection)))
-    img_in_ker = contained(field, ker_rows, ker_piv, img_rows)
-    ker_in_img = contained(field, img_rows, img_piv, ker_rows)
-    return CheckResult(
+    kernel = kernel_basis(transpose(projection))
+    img_in_ker = in_left_kernel(projection, image_rows)
+    ker_in_img = contained(field, img_rows, img_piv, kernel)
+    check = CheckResult(
         "image_equals_kernel", img_in_ker and ker_in_img,
-        f"image rank {len(img_rows)}, kernel rank {len(ker_rows)}, "
+        f"image rank {len(img_rows)}, kernel rank {len(kernel)}, "
         f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}")
+    return check, len(img_rows), projection.nrows - len(kernel)
 
 
 def certificates_to_json(certs: Iterable[Certificate], include_timing: bool = True,

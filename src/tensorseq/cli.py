@@ -14,7 +14,7 @@ import click
 
 from . import bimodule, certify, evensym, exterior, parsing, perms, tensor
 from .certificates import certificates_to_json
-from .errors import DEFAULT_SIZE_CAP, ElementParseError, SizeCapError
+from .errors import DEFAULT_SIZE_CAP, ElementParseError, SizeCapError, check_cap
 from .fields import Field, parse_field
 
 EXIT_CHECK_FAILED = 1
@@ -75,6 +75,9 @@ def dims(m_dim, n_max, field_name, as_json, size_cap):
     space = tensor.Space(m_dim, field)
     rows = []
     try:
+        # refuse an over-cap table before building any context
+        for n in range(2, n_max + 1):
+            check_cap(bimodule.ambient_dim(m_dim, n), size_cap)
         for n in range(2, n_max + 1):
             ctx = bimodule.build_context(space, n, size_cap)
             rows.append({

@@ -1,11 +1,17 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorseq import bimodule, certify, evensym, linalg, tensor
 from tensorseq.certificates import (Certificate, CheckResult, certificates_to_json,
                                     image_equals_kernel)
 from tensorseq.fields import GF, QQ
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def test_grid_validation():
@@ -82,11 +88,77 @@ def test_image_equals_kernel_flags(field, change, img_in_ker, ker_in_img):
         image.append(tuple(sorted((word_index[w], c) for w, c in expanded.terms.items())))
     projection = _symmetrize_variant(space, 3, change)
     assert all(_maps_to_zero(field, row, projection) for row in image) == img_in_ker
-    check = image_equals_kernel(field, image, projection)
+    check, _, _ = image_equals_kernel(field, image, projection)
     assert check.name == "image_equals_kernel"
     assert check.passed == (img_in_ker and ker_in_img)
     assert check.detail.endswith(
         f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}")
+
+
+def _image_equals_kernel_oracle(field, image_rows, projection):
+    """The check as first defined: RREF of the image and of the kernel
+    basis, then containment both ways."""
+    img_rows, img_piv = linalg.echelon_rows(field, image_rows)
+    ker_rows, ker_piv = linalg.echelon_rows(
+        field, linalg.kernel_basis(linalg.transpose(projection)))
+    img_in_ker = linalg.contained(field, ker_rows, ker_piv, img_rows)
+    ker_in_img = linalg.contained(field, img_rows, img_piv, ker_rows)
+    return CheckResult(
+        "image_equals_kernel", img_in_ker and ker_in_img,
+        f"image rank {len(img_rows)}, kernel rank {len(ker_rows)}, "
+        f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}")
+
+
+Q_CELLS = [Fraction(x) for x in (0, 0, 1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def image_kernel_cases(draw, field):
+    """A projection P and image rows: random combinations of P's kernel
+    basis, sometimes with a random row added, sometimes with P changed
+    afterwards, so that both containments pass and fail."""
+    cells = st.sampled_from(Q_CELLS if field.char == 0 else [0, 0, 1, -1, 2, -3])
+    src = draw(st.integers(1, 7))
+    tgt = draw(st.integers(1, 6))
+    dense = [[field.normalize(x) for x in row]
+             for row in draw(st.lists(st.lists(cells, min_size=tgt, max_size=tgt),
+                                      min_size=src, max_size=src))]
+    kernel = linalg.kernel_basis(linalg.transpose(linalg.matrix(field, dense)))
+    image = []
+    for _ in range(draw(st.integers(0, len(kernel) + 1))):
+        v = [field.zero] * src
+        for k in kernel:
+            c = field.normalize(draw(cells))
+            for j, x in k:
+                v[j] = field.add(v[j], field.mul(c, x))
+        image.append(v)
+    if draw(st.booleans()):
+        image.append([field.normalize(draw(cells)) for _ in range(src)])
+    if draw(st.booleans()):
+        dense[draw(st.integers(0, src - 1))][draw(st.integers(0, tgt - 1))] = \
+            field.normalize(draw(cells))
+    return (linalg.matrix(field, image, ncols=src).rows,
+            linalg.matrix(field, dense, ncols=tgt))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(2_147_483_647)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_image_equals_kernel_matches_oracle(field, data):
+    image, projection = data.draw(image_kernel_cases(field))
+    check, image_rank, projection_rank = image_equals_kernel(field, image, projection)
+    assert check == _image_equals_kernel_oracle(field, image, projection)
+    assert image_rank == linalg.rank(linalg.Matrix(field, projection.nrows, image))
+    assert projection_rank == linalg.rank(projection)
+
+
+@pytest.mark.parametrize("workload,which,ms,ns", [
+    ("mseq-grid", "m", (2, 3), (2, 3, 4, 5, 6)),
+    ("sprime-grid", "sprime", (6, 7, 8), (4, 5, 6))])
+def test_benchmark_grids_reproduce_reference_bytes(workload, which, ms, ns):
+    grid = certify.CheckGrid(ms, ns, (QQ, GF(3)))
+    doc = certificates_to_json(certify.run_grid(grid, which), include_timing=False)
+    assert doc.encode("utf-8") == (REFERENCE / f"{workload}.json").read_bytes()
 
 
 def test_run_grid_cap_isolated_per_cell():

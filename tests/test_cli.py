@@ -33,6 +33,16 @@ def test_dims_cap_exit():
     assert res.exit_code == 3
 
 
+def test_dims_cap_refuses_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_context called")
+
+    monkeypatch.setattr(cli.bimodule, "build_context", no_build)
+    res = run("dims", "--m", "3", "--n-max", "9")
+    assert res.exit_code == 3
+    assert "ambient dimension 52488 exceeds size cap 20000" in res.output
+
+
 def test_dims_cap_env_var():
     res = run("dims", "--m", "3", "--n-max", "5", env={"TENSORSEQ_SIZE_CAP": "10"})
     assert res.exit_code == 3
