@@ -15,28 +15,38 @@ Submodules:
 * `cli`: the `tensorseq` command.
 """
 
-from .certificates import Certificate, CheckResult, certificates_to_json
-from .certify import CheckGrid, run_grid, verify_degree2_agreement
-from .errors import ElementParseError, SizeCapError
-from .fields import GF, QQ, Field, PrimeField, RationalField, parse_field
-from .tensor import Space
+from importlib import import_module
 
-__all__ = [
-    "Certificate",
-    "CheckGrid",
-    "CheckResult",
-    "ElementParseError",
-    "Field",
-    "GF",
-    "PrimeField",
-    "QQ",
-    "RationalField",
-    "SizeCapError",
-    "Space",
-    "certificates_to_json",
-    "parse_field",
-    "run_grid",
-    "verify_degree2_agreement",
-]
+# public name -> defining submodule.  Names resolve on first access
+# (PEP 562), so `import tensorseq` loads no submodule and a command line
+# run loads only what its command uses.
+_EXPORTS = {
+    "Certificate": "certificates",
+    "CheckResult": "certificates",
+    "certificates_to_json": "certificates",
+    "CheckGrid": "certify",
+    "run_grid": "certify",
+    "verify_degree2_agreement": "certify",
+    "ElementParseError": "errors",
+    "SizeCapError": "errors",
+    "Field": "fields",
+    "GF": "fields",
+    "PrimeField": "fields",
+    "QQ": "fields",
+    "RationalField": "fields",
+    "parse_field": "fields",
+    "Space": "tensor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -204,7 +204,6 @@ class QuotientContext:
     index: dict
     rel_rows: tuple[Row, ...]
     rel_pivots: tuple[int, ...]
-    free_cols: tuple[int, ...]
     rel_basis: dict
 
     @property
@@ -224,16 +223,13 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
     """Enumerate degree-n terms and row-reduce the relation span."""
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
-    amb = ambient_dim(space.dim, n)
-    check_cap(amb, size_cap)
+    check_cap(ambient_dim(space.dim, n), size_cap)
     terms = tuple(all_bimod_terms(space.dim, n))
     index = {t: i for i, t in enumerate(terms)}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
             for g in relation_generators(space, n)]
     rel_rows, pivots = echelon_rows(space.field, rows)
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(amb) if c not in pivot_set)
-    return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots), free,
+    return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots),
                            dict(zip(pivots, rel_rows)))
 
 
@@ -329,10 +325,37 @@ def _expansion_rows(field: Field, word_index: dict, terms: Iterable[BimodTerm]) 
             for left, (a, b), right in terms]
 
 
+def _expands_to_zero(field: Field, rows: Iterable[Row], image_rows: Sequence[Row]) -> bool:
+    """True iff every sparse row of term coordinates expands to zero in
+    the tensor algebra.  Term c expands to the two entries of
+    `image_rows[c]`, +1 on one word and -1 on its swap, so each row's
+    expansion is summed from its own values, with no product by a matrix."""
+    p = field.char
+    for row in rows:
+        acc: dict = {}
+        for c, v in row:
+            (i, _), (j, _) = image_rows[c]
+            acc[i] = acc.get(i, 0) + v
+            acc[j] = acc.get(j, 0) - v
+        if any(x % p if p else x for x in acc.values()):
+            return False
+    return True
+
+
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:
     """Certify degree-n exactness of quotient -> tensor -> symmetric:
-    the expansion map is injective on the quotient, its image is exactly
-    the kernel of symmetrization, and the dimensions agree."""
+    the expansion map is well defined and injective on the quotient, its
+    image is exactly the kernel of symmetrization, and the dimensions
+    agree.
+
+    The ambient space is the relation span R plus the span of the unit
+    vectors on the free columns of R's RREF, a direct sum.  So once the
+    expansion E kills every row of R's RREF (well defined on the
+    quotient), E and its restriction to the free columns have the same
+    image: the quotient's injectivity rank is the image rank that
+    `image_equals_kernel` computes, and one elimination serves both
+    checks.  `injective_rank` fails when E is not well defined.
+    """
     start = time.perf_counter()
     m = space.dim
     field = space.field
@@ -342,12 +365,14 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     q_dim = ctx.quotient_dim
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     image_rows = _expansion_rows(field, word_index, ctx.terms)
-    inj_rank = len(echelon_rows(field, [image_rows[c] for c in ctx.free_cols])[1])
+    well_defined = _expands_to_zero(field, ctx.rel_rows, image_rows)
+    exact, inj_rank, _ = image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))
+    detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
     checks = (
         CheckResult(
-            "injective_rank", inj_rank == q_dim,
-            f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"),
-        image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))[0],
+            "injective_rank", well_defined and inj_rank == q_dim,
+            detail if well_defined else f"{detail}, relations do not expand to zero"),
+        exact,
         CheckResult(
             "dimension_identity", q_dim == t_dim - s_dim,
             f"quotient dim {q_dim}, tensor dim {t_dim}, symmetric dim {s_dim}"),

@@ -1,36 +1,69 @@
 """Command-line surface: dimension tables, normal forms, certification.
 
-Exit codes are a stable contract: 0 all checks pass, 1 a mathematical
-check failed, 2 usage or syntax error, 3 a size-cap refusal.
+    tensorseq dims --m 3 --n-max 4
+    tensorseq check both --m 2..3 --n 2..4 --field q,f3 --no-timing
+    tensorseq nf m --element "[|1,2|3] + -1*[3|1,2|]" --m 3
+    tensorseq cocycle --m 2 --n 4 --samples 200 --seed 7
+
+Stable contract:
+
+* exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage
+  or syntax error, 3 a size-cap refusal;
+* the stdout and stderr bytes of every run that passes, fails a check or
+  is capped, and the messages of the package's own usage errors, each
+  printed on one `Error:` line;
+* `--size-cap`, which defaults to the `TENSORSEQ_SIZE_CAP` environment
+  variable; a value that is not an integer is a usage error.
+
+The `--help` text and the usage banner printed above an error are not
+part of the contract.
+
+A launch is mostly interpreter start-up and imports, so this module
+imports only the standard library and `errors`; each command imports the
+modules it runs when it runs.  `check m` never loads `evensym`, and
+`check sprime` never loads `bimodule`.
 """
 
 from __future__ import annotations
 
-import json
-import random
+import argparse
+import os
+import re
 import sys
 
-import click
-
-from . import bimodule, certify, evensym, exterior, parsing, perms, tensor
-from .certificates import certificates_to_json
 from .errors import DEFAULT_SIZE_CAP, ElementParseError, SizeCapError, check_cap
-from .fields import Field, parse_field
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE_CAP = 3
 
-_CAP_OPTION = click.option(
-    "--size-cap", type=int, default=None, envvar="TENSORSEQ_SIZE_CAP",
-    help="Override the ambient-dimension cap (env: TENSORSEQ_SIZE_CAP).")
+
+class UsageError(Exception):
+    """A usage or syntax error found by a command: exit code 2."""
 
 
-def _field(name: str) -> Field:
+class _Parser(argparse.ArgumentParser):
+    """Exact option names only, tokens such as `-1*2,1` or `-1..2` read as
+    option values, and usage errors reported on one `Error:` line."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+        # argparse takes only a plain negative number as an option's value;
+        # element and range syntax may also start with "-<digit>".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"Error: {message}\n")
+
+
+def _field(name: str):
+    from .fields import parse_field
     try:
         return parse_field(name)
     except ValueError as e:
-        raise click.UsageError(str(e))
+        raise UsageError(str(e))
 
 
 def _int_range(spec: str) -> list[int]:
@@ -43,177 +76,157 @@ def _int_range(spec: str) -> list[int]:
             try:
                 out.update(range(int(lo), int(hi) + 1))
             except ValueError:
-                raise click.UsageError(f"bad range {piece!r}")
+                raise UsageError(f"bad range {piece!r}")
         else:
             try:
                 out.add(int(piece))
             except ValueError:
-                raise click.UsageError(f"bad integer {piece!r}")
+                raise UsageError(f"bad integer {piece!r}")
     if not out:
-        raise click.UsageError(f"empty selection {spec!r}")
+        raise UsageError(f"empty selection {spec!r}")
     return sorted(out)
 
 
-@click.group()
-def main():
-    """Exact graded tensor-algebra quotients and exactness certificates."""
+def _capped(e: SizeCapError) -> int:
+    print(f"size cap exceeded: {e}", file=sys.stderr)
+    return EXIT_SIZE_CAP
 
 
-@main.command()
-@click.option("--m", "m_dim", type=int, required=True, help="Base dimension.")
-@click.option("--n-max", type=int, required=True, help="Largest degree to tabulate.")
-@click.option("--field", "field_name", default="q", show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON rows.")
-@_CAP_OPTION
-def dims(m_dim, n_max, field_name, as_json, size_cap):
+def dims(args: argparse.Namespace) -> int:
     """Dimension table for degrees 2..N_MAX."""
-    if m_dim < 0:
-        raise click.UsageError("--m must be >= 0")
-    if n_max < 2:
-        raise click.UsageError("--n-max must be >= 2")
-    field = _field(field_name)
-    space = tensor.Space(m_dim, field)
+    if args.m < 0:
+        raise UsageError("--m must be >= 0")
+    if args.n_max < 2:
+        raise UsageError("--n-max must be >= 2")
+    field = _field(args.field)
+    from . import bimodule, evensym, exterior, tensor
+    space = tensor.Space(args.m, field)
     rows = []
     try:
         # refuse an over-cap table before building any context
-        for n in range(2, n_max + 1):
-            check_cap(bimodule.ambient_dim(m_dim, n), size_cap)
-        for n in range(2, n_max + 1):
-            ctx = bimodule.build_context(space, n, size_cap)
+        for n in range(2, args.n_max + 1):
+            check_cap(bimodule.ambient_dim(args.m, n), args.size_cap)
+        for n in range(2, args.n_max + 1):
+            ctx = bimodule.build_context(space, n, args.size_cap)
             rows.append({
                 "n": n,
-                "t": tensor.dim_tensor(m_dim, n),
-                "s": tensor.dim_sym(m_dim, n),
-                "lambda": exterior.dim_wedge(m_dim, n),
+                "t": tensor.dim_tensor(args.m, n),
+                "s": tensor.dim_sym(args.m, n),
+                "lambda": exterior.dim_wedge(args.m, n),
                 "ambient": ctx.ambient_dim,
                 "m": ctx.quotient_dim,
-                "sprime": evensym.dim_evensym(m_dim, n),
+                "sprime": evensym.dim_evensym(args.m, n),
             })
     except SizeCapError as e:
-        click.echo(f"size cap exceeded: {e}", err=True)
-        sys.exit(EXIT_SIZE_CAP)
-    if as_json:
-        click.echo(json.dumps(rows, sort_keys=True))
-        return
+        return _capped(e)
+    if args.json:
+        import json
+        print(json.dumps(rows, sort_keys=True))
+        return 0
     header = ("n", "T", "S", "Lambda", "ambient", "M", "S'")
     keys = ("n", "t", "s", "lambda", "ambient", "m", "sprime")
     widths = [max(len(h), *(len(str(r[k])) for r in rows)) for h, k in zip(header, keys)]
-    click.echo("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
     for r in rows:
-        click.echo("  ".join(str(r[k]).rjust(w) for k, w in zip(keys, widths)))
+        print("  ".join(str(r[k]).rjust(w) for k, w in zip(keys, widths)))
+    return 0
 
 
-@main.command()
-@click.argument("which", type=click.Choice(["m", "sprime", "both"]))
-@click.option("--m", "m_spec", default="2..3", show_default=True,
-              help="Base dimensions: '3', '2,4', or '2..5'.")
-@click.option("--n", "n_spec", default="2..4", show_default=True,
-              help="Degrees (all >= 2).")
-@click.option("--field", "fields_spec", default="q", show_default=True,
-              help="Comma-separated fields, e.g. 'q,f2,f3'.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True),
-              default=None, help="Write the JSON certificates here instead of stdout.")
-@click.option("--pretty", is_flag=True, help="Indent the JSON output.")
-@click.option("--no-timing", is_flag=True, help="Omit timing fields (reproducible bytes).")
-@_CAP_OPTION
-def check(which, m_spec, n_spec, fields_spec, out_path, pretty, no_timing, size_cap):
+def check(args: argparse.Namespace) -> int:
     """Certify exactness over a grid of (m, n, field) cells."""
-    fields = tuple(_field(x) for x in fields_spec.split(","))
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
+    fields = tuple(_field(x) for x in args.field.split(","))
+    cap = DEFAULT_SIZE_CAP if args.size_cap is None else args.size_cap
+    from . import certify
     try:
-        grid = certify.CheckGrid(tuple(_int_range(m_spec)), tuple(_int_range(n_spec)),
+        grid = certify.CheckGrid(tuple(_int_range(args.m)), tuple(_int_range(args.n)),
                                  fields, cap)
     except ValueError as e:
-        raise click.UsageError(str(e))
-    certs = certify.run_grid(grid, which)
-    doc = certificates_to_json(certs, include_timing=not no_timing, pretty=pretty)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc)
-        for c in certs:
-            click.echo(c.summary())
-    else:
-        click.echo(doc, nl=False)
-        for c in certs:
-            click.echo(c.summary(), err=True)
-    if any(not c.passed and not c.capped for c in certs):
-        sys.exit(EXIT_CHECK_FAILED)
-    if any(c.capped for c in certs):
-        sys.exit(EXIT_SIZE_CAP)
-
-
-@main.command()
-@click.argument("target", type=click.Choice(["sprime", "m"]))
-@click.option("--word", "word_str", default=None,
-              help="A single word, e.g. '2,1,3' (sprime only).")
-@click.option("--element", "element_str", default=None,
-              help="A linear combination, e.g. '2*1,2 + -1*2,1' or '[|1,2|3]'.")
-@click.option("--m", "m_dim", type=int, required=True, help="Base dimension.")
-@click.option("--field", "field_name", default="q", show_default=True)
-@_CAP_OPTION
-def nf(target, word_str, element_str, m_dim, field_name, size_cap):
-    """Print the canonical normal form of an element."""
-    field = _field(field_name)
-    space = tensor.Space(m_dim, field)
+        raise UsageError(str(e))
+    fh = None
+    if args.out:
+        # open before any work: a bad path must not cost a whole grid
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="\n")
+        except OSError as e:
+            raise UsageError(f"cannot write --out {args.out!r}: {e.strerror}")
+    from .certificates import certificates_to_json
     try:
-        if target == "sprime":
-            if (word_str is None) == (element_str is None):
-                raise click.UsageError("give exactly one of --word or --element")
-            if word_str is not None:
-                w = tensor.check_word(space, parsing.parse_word(word_str))
+        certs = certify.run_grid(grid, args.which)
+        doc = certificates_to_json(certs, include_timing=not args.no_timing,
+                                   pretty=args.pretty)
+        (sys.stdout if fh is None else fh).write(doc)
+    finally:
+        if fh is not None:
+            fh.close()
+    # the summaries go wherever the certificates do not
+    for c in certs:
+        print(c.summary(), file=sys.stderr if fh is None else sys.stdout)
+    if any(not c.passed and not c.capped for c in certs):
+        return EXIT_CHECK_FAILED
+    if any(c.capped for c in certs):
+        return EXIT_SIZE_CAP
+    return 0
+
+
+def nf(args: argparse.Namespace) -> int:
+    """Print the canonical normal form of an element."""
+    field = _field(args.field)
+    from . import parsing, tensor
+    try:
+        space = tensor.Space(args.m, field)
+        if args.target == "sprime":
+            from . import evensym
+            if (args.word is None) == (args.element is None):
+                raise UsageError("give exactly one of --word or --element")
+            if args.word is not None:
+                w = tensor.check_word(space, parsing.parse_word(args.word))
                 k = evensym.normal_form(w)
-                click.echo(parsing.render_orbit_word(k.word, k.twisted))
-                return
+                print(parsing.render_orbit_word(k.word, k.twisted))
+                return 0
             elem = None
-            for coeff, w in parsing.parse_word_combo(element_str):
+            for coeff, w in parsing.parse_word_combo(args.element):
                 part = evensym.from_word(space, tensor.check_word(space, w),
                                          field.parse(coeff))
                 elem = part if elem is None else elem + part
-            click.echo(parsing.render_evensym(elem))
+            print(parsing.render_evensym(elem))
         else:
-            if element_str is None:
-                raise click.UsageError("target 'm' needs --element")
-            if word_str is not None:
-                raise click.UsageError("target 'm' takes --element, not --word")
+            from . import bimodule
+            if args.element is None:
+                raise UsageError("target 'm' needs --element")
+            if args.word is not None:
+                raise UsageError("target 'm' takes --element, not --word")
             elem = None
-            for coeff, (left, pair, right) in parsing.parse_bimod_combo(element_str):
+            for coeff, (left, pair, right) in parsing.parse_bimod_combo(args.element):
                 degree = len(left) + 2 + len(right)
                 part = bimodule.bimod_element(space, degree,
                                               {(left, pair, right): field.parse(coeff)})
                 elem = part if elem is None else elem + part
-            ctx = bimodule.build_context(space, elem.degree, size_cap)
+            ctx = bimodule.build_context(space, elem.degree, args.size_cap)
             vec = bimodule.normal_form(ctx, elem)
-            click.echo(parsing.render_bimod(bimodule.element_of(ctx, vec)))
-    except ElementParseError as e:
-        raise click.UsageError(str(e))
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    except SizeCapError as e:
-        click.echo(f"size cap exceeded: {e}", err=True)
-        sys.exit(EXIT_SIZE_CAP)
+            print(parsing.render_bimod(bimodule.element_of(ctx, vec)))
+    except (ElementParseError, ValueError) as e:
+        # SizeCapError is a ValueError too: an over-cap element is a usage error
+        raise UsageError(str(e))
+    return 0
 
 
-@main.command()
-@click.option("--m", "m_dim", type=int, required=True, help="Base dimension (>= 1).")
-@click.option("--n", "degree", type=int, required=True, help="Degree (>= 2).")
-@click.option("--samples", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--field", "field_name", default="q", show_default=True)
-@_CAP_OPTION
-def cocycle(m_dim, degree, samples, seed, field_name, size_cap):
+def cocycle(args: argparse.Namespace) -> int:
     """Randomized checks of the cocycle identity on basis words."""
+    m_dim, degree, samples = args.m, args.n, args.samples
     if m_dim < 1:
-        raise click.UsageError("--m must be >= 1")
+        raise UsageError("--m must be >= 1")
     if degree < 2:
-        raise click.UsageError("--n must be >= 2")
-    field = _field(field_name)
+        raise UsageError("--n must be >= 2")
+    field = _field(args.field)
+    import random
+
+    from . import bimodule, perms, tensor
     space = tensor.Space(m_dim, field)
     try:
-        ctx = bimodule.build_context(space, degree, size_cap)
+        ctx = bimodule.build_context(space, degree, args.size_cap)
     except SizeCapError as e:
-        click.echo(f"size cap exceeded: {e}", err=True)
-        sys.exit(EXIT_SIZE_CAP)
-    rng = random.Random(seed)
+        return _capped(e)
+    rng = random.Random(args.seed)
     add = field.add
     counts = {"cocycle_identity": 0, "expansion_recovers_difference": 0,
               "factorization_independence": 0}
@@ -244,11 +257,88 @@ def cocycle(m_dim, degree, samples, seed, field_name, size_cap):
         else:
             failures.append(f"factorization: tau={tau} word={w}")
     for name, good in counts.items():
-        click.echo(f"{name}: {good}/{samples} pass")
+        print(f"{name}: {good}/{samples} pass")
     if failures:
         for line in failures:
-            click.echo(f"COUNTEREXAMPLE {line}")
-        sys.exit(EXIT_CHECK_FAILED)
+            print(f"COUNTEREXAMPLE {line}")
+        return EXIT_CHECK_FAILED
+    return 0
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(
+        prog=prog,
+        description="Exact graded tensor-algebra quotients and exactness certificates.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    cap_env = os.environ.get("TENSORSEQ_SIZE_CAP") or None
+
+    def command(func) -> _Parser:
+        p = commands.add_parser(func.__name__, help=func.__doc__, description=func.__doc__)
+        p.set_defaults(run=func, parser=p)
+        # argparse converts a string default with `type`, so a bad variable
+        # is a usage error too
+        p.add_argument("--size-cap", type=int, default=cap_env,
+                       help="Override the ambient-dimension cap (env: TENSORSEQ_SIZE_CAP).")
+        return p
+
+    field_help = "Field: 'q' or 'f<prime>'."
+
+    p = command(dims)
+    p.add_argument("--m", type=int, required=True, help="Base dimension.")
+    p.add_argument("--n-max", type=int, required=True, help="Largest degree to tabulate.")
+    p.add_argument("--field", default="q", help=field_help)
+    p.add_argument("--json", action="store_true", help="Emit JSON rows.")
+
+    p = command(check)
+    p.add_argument("which", choices=("m", "sprime", "both"))
+    p.add_argument("--m", default="2..3", help="Base dimensions: '3', '2,4', or '2..5'.")
+    p.add_argument("--n", default="2..4", help="Degrees (all >= 2).")
+    p.add_argument("--field", default="q", help="Comma-separated fields, e.g. 'q,f2,f3'.")
+    p.add_argument("--out", help="Write the JSON certificates here instead of stdout.")
+    p.add_argument("--pretty", action="store_true", help="Indent the JSON output.")
+    p.add_argument("--no-timing", action="store_true",
+                   help="Omit timing fields (reproducible bytes).")
+
+    p = command(nf)
+    p.add_argument("target", choices=("sprime", "m"))
+    p.add_argument("--word", help="A single word, e.g. '2,1,3' (sprime only).")
+    p.add_argument("--element",
+                   help="A linear combination, e.g. '2*1,2 + -1*2,1' or '[|1,2|3]'.")
+    p.add_argument("--m", type=int, required=True, help="Base dimension.")
+    p.add_argument("--field", default="q", help=field_help)
+
+    p = command(cocycle)
+    p.add_argument("--m", type=int, required=True, help="Base dimension (>= 1).")
+    p.add_argument("--n", type=int, required=True, help="Degree (>= 2).")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--field", default="q", help=field_help)
+    return parser
+
+
+def main(args=None, prog_name: str = "tensorseq", standalone_mode: bool = True):
+    """Run one command on `args` (default `sys.argv[1:]`).
+
+    By default the process exits with the command's exit code.  With
+    `standalone_mode=False` a successful run returns None and any other
+    outcome raises `SystemExit(code)`.
+    """
+    try:
+        ns = _parser(prog_name).parse_args(args)
+        try:
+            code = ns.run(ns)
+        except UsageError as e:
+            ns.parser.error(str(e))
+    except SystemExit as e:  # --help (0) and usage errors (2) from argparse
+        code = e.code
+    if code or standalone_mode:
+        sys.exit(code)
+
+
+# The click-era entry point `cli.main.main(args=..., prog_name=...,
+# standalone_mode=...)`, still called by perfbench/tracer.py and
+# perfbench/tests; delete once both call `main` directly.
+main.main = main
 
 
 if __name__ == "__main__":

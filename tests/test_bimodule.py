@@ -343,3 +343,34 @@ def test_normal_form_over_q_returns_fractions(ctx_cache):
     word = tensor.word_element(space, (1, 2, 3, 1))
     value = bimodule.cocycle(ctx, (2, 3, 4, 1), word)
     assert any(value) and all(type(x) is Fraction for x in value)
+
+
+def _sign_broken(core):
+    """`core` with the sign of its first term flipped: still nonzero, but
+    its expansion no longer vanishes."""
+    def broken(space, *args):
+        elem = core(space, *args)
+        terms = dict(elem.terms)
+        first = min(terms)
+        terms[first] = space.field.neg(terms[first])
+        return bimodule.BimodElement(space, elem.degree, terms)
+    return broken
+
+
+@pytest.mark.parametrize("family,m,n", [
+    ("jacobi_cycle", 3, 3), ("jacobi_cycle", 4, 3), ("jacobi_cycle", 3, 4),
+    ("commutator_transfer", 2, 4), ("commutator_transfer", 2, 5),
+    ("commutator_transfer", 3, 4)])
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_sign_broken_relations_fail_injective_rank(monkeypatch, family, m, n, field):
+    """The broken family spans a space of the same rank, so every dimension
+    still matches and the image is still the kernel; only the check that
+    each relation expands to zero sees that the expansion is not well
+    defined on the quotient."""
+    monkeypatch.setattr(bimodule, family, _sign_broken(getattr(bimodule, family)))
+    cert = bimodule.verify_sequence(tensor.Space(m, field), n)
+    checks = {c.name: c for c in cert.checks}
+    assert not checks["injective_rank"].passed and not cert.passed
+    assert checks["injective_rank"].detail.endswith(", relations do not expand to zero")
+    assert checks["image_equals_kernel"].passed and checks["dimension_identity"].passed
+    assert cert.dims["m_dim"] == cert.dims["t_dim"] - cert.dims["s_dim"]

@@ -1,13 +1,44 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 
-from click.testing import CliRunner
+import pytest
 
-from tensorseq import certify, cli
+from tensorseq import bimodule, certify, cli
 from tensorseq.certificates import Certificate, CheckResult
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(cli.main, list(args), env=env)
+@dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout_bytes: bytes
+
+
+class _Tee(io.StringIO):
+    """One stream's own buffer that also copies every write into `mixed`."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, s):
+        self.mixed.write(s)
+        return super().write(s)
+
+
+def run(*args):
+    """Run the CLI in process, as a launch would, and capture what it writes."""
+    mixed = io.StringIO()
+    out, err = _Tee(mixed), _Tee(mixed)
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(list(args), standalone_mode=False)
+            code = 0
+        except SystemExit as e:
+            code = e.code
+    return Result(code, mixed.getvalue(), out.getvalue().encode())
 
 
 def test_dims_table():
@@ -37,15 +68,23 @@ def test_dims_cap_refuses_before_building(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("build_context called")
 
-    monkeypatch.setattr(cli.bimodule, "build_context", no_build)
+    monkeypatch.setattr(bimodule, "build_context", no_build)
     res = run("dims", "--m", "3", "--n-max", "9")
     assert res.exit_code == 3
     assert "ambient dimension 52488 exceeds size cap 20000" in res.output
 
 
-def test_dims_cap_env_var():
-    res = run("dims", "--m", "3", "--n-max", "5", env={"TENSORSEQ_SIZE_CAP": "10"})
+def test_dims_cap_env_var(monkeypatch):
+    monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "10")
+    res = run("dims", "--m", "3", "--n-max", "5")
     assert res.exit_code == 3
+
+
+def test_non_integer_size_cap_is_a_usage_error(monkeypatch):
+    assert run("dims", "--m", "2", "--n-max", "3", "--size-cap", "x").exit_code == 2
+    monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "x")
+    res = run("dims", "--m", "2", "--n-max", "3")
+    assert res.exit_code == 2 and "Error:" in res.output
 
 
 def test_nf_sprime_word():
@@ -144,3 +183,60 @@ def test_cocycle_seed_reproducible():
 def test_cocycle_usage():
     assert run("cocycle", "--m", "0", "--n", "3").exit_code == 2
     assert run("cocycle", "--m", "2", "--n", "1").exit_code == 2
+
+
+@pytest.mark.parametrize("command", [(), ("dims",), ("check",), ("nf",), ("cocycle",)])
+def test_help_exits_zero(command):
+    res = run(*command, "--help")
+    assert res.exit_code == 0
+    assert "usage:" in res.output
+
+
+def test_no_arguments_is_a_usage_error():
+    res = run()
+    assert res.exit_code == 2
+    assert res.stdout_bytes == b""
+
+
+@pytest.mark.parametrize("bad", ["missing/dir/certs.json", "."])
+def test_check_out_validated_before_any_work(monkeypatch, tmp_path, bad):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("run_grid called")
+
+    monkeypatch.setattr(certify, "run_grid", no_grid)
+    res = run("check", "m", "--m", "3", "--n", "6", "--out", str(tmp_path / bad))
+    assert res.exit_code == 2
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "--out" in errors[0]
+
+
+def test_option_values_may_start_with_a_minus_digit():
+    res = run("nf", "sprime", "--element", "-1*2,1", "--m", "2")
+    assert res.exit_code == 0
+    assert res.output.strip() == "-1*(1,2) twisted"
+    res = run("check", "m", "--m", "-1..2")
+    assert res.exit_code == 2 and "Error: m values must be >= 0" in res.output
+
+
+def test_nf_negative_dimension_is_a_usage_error():
+    res = run("nf", "sprime", "--word", "1,2", "--m", "-1")
+    assert res.exit_code == 2 and "Error: dimension must be >= 0" in res.output
+
+
+def test_nf_over_the_cap_is_a_usage_error():
+    res = run("nf", "m", "--element", "[|1,2|3]", "--m", "3", "--size-cap", "10")
+    assert res.exit_code == 2
+    assert "Error: ambient dimension 18 exceeds size cap 10" in res.output
+
+
+def test_main_without_standalone_mode_returns_or_raises(capsys):
+    args = ["check", "m", "--m", "2", "--n", "2", "--no-timing"]
+    assert cli.main(args, standalone_mode=False) is None
+    for extra, code in ((["--size-cap", "0"], 3), (["--field", "bogus"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + extra, standalone_mode=False)
+        assert exc.value.code == code
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 0
+    assert cli.main.main is cli.main
