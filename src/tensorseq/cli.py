@@ -8,7 +8,9 @@
 Stable contract:
 
 * exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage
-  or syntax error, 3 a size-cap refusal;
+  or syntax error, 3 a size-cap refusal; the one exception, kept as it
+  always was, is `nf m` with an element over the cap, a usage error
+  (exit 2) because `SizeCapError` is a `ValueError`;
 * the stdout and stderr bytes of every run that passes, fails a check or
   is capped, and the messages of the package's own usage errors, each
   printed on one `Error:` line;
@@ -21,7 +23,9 @@ part of the contract.
 A launch is mostly interpreter start-up and imports, so this module
 imports only the standard library and `errors`; each command imports the
 modules it runs when it runs.  `check m` never loads `evensym`, and
-`check sprime` never loads `bimodule`.
+`check sprime` never loads `bimodule`.  No command loads `inspect`: the
+package's value classes build on `errors.Record`, not on the standard
+library's class decorator, whose module imports it.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ shortcut matches.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import perms
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
-from .errors import check_cap
+from .errors import Record, check_cap
 from .exterior import ExtElement, all_wedge_words, dim_wedge
 from .fields import Scalar
 from .linalg import Matrix, Row, echelon_rows, kernel_basis, transpose
@@ -29,27 +28,38 @@ from .tensor import (Space, SymElement, Word, _SparseElement, all_monomials,
                      all_words, check_word, coeff_to_json, dim_sym, dim_tensor)
 
 
-@dataclass(frozen=True, order=True)
-class OrbitWord:
+class OrbitWord(Record):
     """A basis class: a weakly increasing word, twisted or plain.
 
     The twisted class exists only for strictly increasing words of
     length at least 2; it is the orbit of the sorted word with its
-    first two letters swapped.
+    first two letters swapped.  Classes order by (word, twisted).
     """
 
-    word: Word
-    twisted: bool = False
+    __slots__ = ("word", "twisted")
 
-    def __post_init__(self):
-        if self.twisted:
-            if len(self.word) < 2:
+    def __init__(self, word: Word, twisted: bool = False):
+        if twisted:
+            if len(word) < 2:
                 raise ValueError("twisted classes need degree >= 2")
-            if any(self.word[i] >= self.word[i + 1] for i in range(len(self.word) - 1)):
-                raise ValueError(f"twisted word {self.word} must be strictly increasing")
+            if any(word[i] >= word[i + 1] for i in range(len(word) - 1)):
+                raise ValueError(f"twisted word {word} must be strictly increasing")
         else:
-            if any(self.word[i] > self.word[i + 1] for i in range(len(self.word) - 1)):
-                raise ValueError(f"word {self.word} must be weakly increasing")
+            if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
+                raise ValueError(f"word {word} must be weakly increasing")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "twisted", twisted)
+
+    # `>` and `>=` fall back to the reflected `__lt__` and `__le__`
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.word, self.twisted) < (other.word, other.twisted)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.word, self.twisted) <= (other.word, other.twisted)
+        return NotImplemented
 
     @property
     def degree(self) -> int:

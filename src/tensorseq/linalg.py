@@ -42,23 +42,25 @@ values out of the package pass them through `Field.normalize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .errors import Record
 from .fields import Field
 
 Row = tuple  # ((col, value), ...), sorted by col, values nonzero
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """A sparse matrix over one field: `rows` of (col, value) pairs with
     every col in range(ncols)."""
 
-    field: Field
-    ncols: int
-    rows: tuple[Row, ...]
+    __slots__ = ("field", "ncols", "rows")
+
+    def __init__(self, field: Field, ncols: int, rows: tuple[Row, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def nrows(self) -> int:

@@ -9,28 +9,28 @@ by the commutators uv - vu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from itertools import product as _iproduct
 from math import comb
 from typing import Iterator, Mapping
 
 from . import linalg, perms
+from .errors import Record
 from .fields import Field, Scalar
 
 Word = tuple
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     """An m-dimensional base space with a totally ordered basis 1..m."""
 
-    dim: int
-    field: Field
+    __slots__ = ("dim", "field")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int, field: Field):
+        if dim < 0:
             raise ValueError("dimension must be >= 0")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "field", field)
 
 
 def check_word(space: Space, word: Word) -> Word:

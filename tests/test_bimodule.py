@@ -90,6 +90,23 @@ def test_reduced_generators_span_the_full_family(m, n, field):
     assert linalg.contained(field, ctx.rel_rows, ctx.rel_pivots, full)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (3, 5), (4, 4), (3, 6)])
+def test_bottom_up_order_keeps_the_relation_rref(m, n, field):
+    """`build_context` reorders the generator rows before eliminating;
+    the RREF, its pivots and the value types over Q must be those of the
+    generators in enumeration order."""
+    sp = tensor.Space(m, field)
+    ctx = bimodule.build_context(sp, n)
+    index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
+    rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
+            for g in bimodule.relation_generators(sp, n)]
+    rel_rows, pivots = linalg.echelon_rows(field, rows)
+    assert ctx.rel_pivots == tuple(pivots)
+    assert repr(ctx.rel_rows) == repr(tuple(rel_rows))
+    assert ctx.rel_basis == dict(zip(pivots, rel_rows))
+
+
 def test_context_ranks_and_dims(ctx_cache):
     assert ctx_cache(2, 3).rel_rank == 0
     assert ctx_cache(3, 3).rel_rank == 1
