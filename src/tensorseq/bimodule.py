@@ -364,13 +364,16 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     image is exactly the kernel of symmetrization, and the dimensions
     agree.
 
-    The ambient space is the relation span R plus the span of the unit
-    vectors on the free columns of R's RREF, a direct sum.  So once the
-    expansion E kills every row of R's RREF (well defined on the
-    quotient), E and its restriction to the free columns have the same
-    image: the quotient's injectivity rank is the image rank that
-    `image_equals_kernel` computes, and one elimination serves both
-    checks.  `injective_rank` fails when E is not well defined.
+    The expansion E sends each basis term l.(a^b).r to the difference of
+    the words l.a.b.r and l.b.a.r, an edge between two words one adjacent
+    swap apart, so `image_equals_kernel` certifies its image as the span
+    of a graph's edges, with no elimination.  The ambient space is the
+    relation span R plus the span of the unit vectors on the free
+    columns of R's RREF, a direct sum.  So once E kills every row of R's
+    RREF (well defined on the quotient), E and its restriction to the
+    free columns have the same image: the quotient's injectivity rank is
+    the image rank the check returns, words minus connected components.
+    `injective_rank` fails when E is not well defined.
     """
     start = time.perf_counter()
     m = space.dim
@@ -382,8 +385,7 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     image_rows = _expansion_rows(field, word_index, ctx.terms)
     well_defined = _expands_to_zero(field, ctx.rel_rows, image_rows)
-    exact, inj_rank, _ = image_equals_kernel(field, _bottom_up(image_rows),
-                                             symmetrize_matrix(space, n))
+    exact, inj_rank, _ = image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
     checks = (
         CheckResult(

@@ -9,13 +9,36 @@ timing fields are excluded.
 
 Both certified sequences, M -> T -> S and Lambda -> S' -> S, end in an
 injective map whose image must be the kernel of a projection P;
-`image_equals_kernel` is that check for either one.  It row-reduces only
-the image.  The image lies in the kernel iff x @ P = 0 for every image
-row x, one sparse product each.  `kernel_basis` returns one vector per
-free column of P's transpose, each with 1 in its own free column and 0
-in the others, so the vectors are independent: their count is the kernel
-rank, and their membership in the image's RREF gives kernel <= image.
-The two containments make the spaces equal.
+`image_equals_kernel` is that check for either one, and it eliminates
+nothing but P's transpose.  Both images are spanned by differences of
+two basis vectors: the expansion of a wedge term l.(a^b).r is the word
+l.a.b.r minus the word one adjacent swap away, and the wedge embedding
+sends a strictly increasing word to its plain minus its twisted class.
+Reading each image row a * (e_u - e_v) as an edge (u, v) on the source
+basis of P makes the image the column space of a graph's oriented
+incidence matrix, whose rank over any field is the number of vertices
+minus the number of connected components (Biggs, *Algebraic Graph
+Theory*).  Three facts then certify image = kernel:
+
+* the image rank is the number of vertices minus the number of
+  connected components, which is the number of merges a union-find
+  makes over the edges;
+* the image lies in the kernel iff P's rows u and v are equal for every
+  edge, because rows are canonical sparse rows, so that equality is
+  exactly (e_u - e_v) P = 0;
+* a vector lies in the image iff its entries sum to zero on every
+  component, so the kernel lies in the image iff every vector of
+  `kernel_basis(transpose(P))` does.  Those vectors are independent as
+  returned (each has 1 in its own free column and 0 in the others), so
+  their count is the kernel rank and P's rank is its row count minus it.
+
+The M sequence takes its injectivity rank from the image rank returned
+here.  The ambient bimodule is the relation span R plus the unit vectors
+on the free columns of R's RREF, a direct sum, so once the expansion E
+kills every row of that RREF, the quotient's rank under E is the rank of
+all of E, and the rank of E's rows is the rank of their span: the graph's
+vertices minus components.  A row that is not a nonzero multiple of a
+difference is never re-signed or dropped: the check fails and names it.
 """
 
 from __future__ import annotations
@@ -26,8 +49,7 @@ from typing import Iterable, Sequence
 
 from .errors import Record
 from .fields import Field
-from .linalg import (Matrix, Row, contained, echelon_rows, in_left_kernel, kernel_basis,
-                     transpose)
+from .linalg import Matrix, Row, kernel_basis, transpose
 from .tensor import Space
 
 
@@ -97,26 +119,75 @@ def certificate(sequence: str, space: Space, n: int, dims: dict,
         dims=dims, checks=tuple(checks), elapsed_ms=round(elapsed, 3))
 
 
+def _is_difference(p: int, nv: int, row: Row) -> bool:
+    """True iff the sparse `row` is a * (e_u - e_v) with a != 0 and u != v
+    both in range(nv), over F_p (p > 0) or Q (p == 0)."""
+    if len(row) != 2:
+        return False
+    (u, a), (v, b) = row
+    if not (u != v and 0 <= u < nv and 0 <= v < nv):
+        return False
+    if p:
+        return a % p != 0 and (a + b) % p == 0
+    # Q values are ints or Fractions in lowest terms, so a + b == 0 iff the
+    # numerators are opposite and the denominators equal, with no Fraction sum
+    return a.numerator != 0 and a.numerator == -b.numerator and a.denominator == b.denominator
+
+
+def _zero_on_components(p: int, root: Sequence[int], vec: Row) -> bool:
+    """True iff the entries of the sparse `vec` sum to zero on every
+    component, `root[j]` naming the component of column j."""
+    sums: dict = {}
+    for j, x in vec:
+        r = root[j]
+        sums[r] = sums.get(r, 0) + x
+    return not any(x % p if p else x for x in sums.values())
+
+
 def image_equals_kernel(field: Field, image_rows: Sequence[Row],
-                        projection: Matrix) -> tuple[CheckResult, int, int]:
+                        projection: Matrix) -> tuple[CheckResult, int | None, int]:
     """Check that the span of the sparse `image_rows` is the kernel of
     `projection` (rows = source basis, columns = target basis).
 
-    image <= kernel holds iff every image row maps to zero, and
-    kernel <= image iff every vector of the kernel basis lies in the
-    image's RREF.  The kernel basis is independent as returned, so its
-    size is the kernel rank and the projection's rank is its row count
-    minus that.  Returns (check, image rank, projection rank).
+    Each image row must be a nonzero multiple of e_u - e_v, an edge
+    (u, v) on the source basis; the module docstring gives the argument.
+    Returns (check, image rank, projection rank).  A row that is not
+    such a difference fails the check, named in its detail, and leaves
+    the image rank undetermined: None.
     """
-    img_rows, img_piv = echelon_rows(field, image_rows)
     kernel = kernel_basis(transpose(projection))
-    img_in_ker = in_left_kernel(projection, image_rows)
-    ker_in_img = contained(field, img_rows, img_piv, kernel)
+    nv = projection.nrows
+    projection_rank = nv - len(kernel)
+    p = field.char
+    parent = list(range(nv))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    rows = projection.rows
+    img_in_ker = True
+    merges = 0
+    for i, row in enumerate(image_rows):
+        if not _is_difference(p, nv, row):
+            check = CheckResult("image_equals_kernel", False,
+                                f"image row {i} is not a difference of two basis vectors")
+            return check, None, projection_rank
+        (u, _), (v, _) = row
+        if rows[u] != rows[v]:
+            img_in_ker = False
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            merges += 1
+    root = [find(x) for x in range(nv)]
+    ker_in_img = all(_zero_on_components(p, root, vec) for vec in kernel)
     check = CheckResult(
         "image_equals_kernel", img_in_ker and ker_in_img,
-        f"image rank {len(img_rows)}, kernel rank {len(kernel)}, "
+        f"image rank {merges}, kernel rank {len(kernel)}, "
         f"image<=kernel {img_in_ker}, kernel<=image {ker_in_img}")
-    return check, len(img_rows), projection.nrows - len(kernel)
+    return check, merges, projection_rank
 
 
 def certificates_to_json(certs: Iterable[Certificate], include_timing: bool = True,

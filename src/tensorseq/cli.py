@@ -221,6 +221,8 @@ def cocycle(args: argparse.Namespace) -> int:
         raise UsageError("--m must be >= 1")
     if degree < 2:
         raise UsageError("--n must be >= 2")
+    if samples < 0:
+        raise UsageError("--samples must be >= 0")
     field = _field(args.field)
     import random
 

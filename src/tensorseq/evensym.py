@@ -16,6 +16,7 @@ shortcut matches.
 from __future__ import annotations
 
 import time
+from math import factorial
 from typing import Mapping
 
 from . import perms
@@ -297,6 +298,8 @@ def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> C
     field = space.field
     t_dim = dim_tensor(m, n)
     check_cap(t_dim, size_cap, "tensor dimension")
+    # even_orbit_rows pairs each word with every non-identity even permutation
+    check_cap((max(factorial(n) // 2, 1) - 1) * t_dim, size_cap, "even-orbit rows")
     q_dim = dim_evensym(m, n)
     # echelon_rows returns the unique RREF of a span, so two spans are
     # equal exactly when their echelon rows are
@@ -324,7 +327,14 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     """Certify degree-n exactness of wedge -> quotient -> symmetric:
     the wedge embedding is injective, its image is exactly the kernel of
     the flag-forgetting projection, that projection is onto, and the
-    dimensions add up."""
+    dimensions add up.
+
+    The embedding sends a strictly increasing word to its plain class
+    minus its twisted class, one edge between the two classes, so
+    `image_equals_kernel` certifies its image as the span of a graph's
+    edges, with no elimination: the injective rank is classes minus
+    connected components, and the surjective rank is the class count
+    minus the size of the projection's kernel basis."""
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
     start = time.perf_counter()

@@ -202,23 +202,6 @@ def contained(field: Field, rows: Sequence[Row], pivots: Sequence[int],
     return not any(residue_list(field, v, basis) for v in vectors)
 
 
-def in_left_kernel(m: Matrix, rows: Iterable[Iterable[tuple]]) -> bool:
-    """True iff row @ m == 0 for every sparse row, whose columns index
-    the rows of `m`: one sparse product per row, no elimination.
-
-    Over Q the product runs on ints wherever values are integral.
-    """
-    p = m.field.char
-    m_rows = m.rows if p else [tuple(_integral(r).items()) for r in m.rows]
-    for row in rows:
-        v: dict = {}
-        for i, x in (row if p else _integral(row).items()):
-            _subtract(p, v, -x, m_rows[i])
-        if v:
-            return False
-    return True
-
-
 def kernel_basis(m: Matrix) -> list[Row]:
     """Basis of the right null space {v : m @ v = 0}, one sparse vector
     per free (non-pivot) column in increasing order; ncols - rank vectors.

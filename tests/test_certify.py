@@ -1,4 +1,7 @@
+import importlib
 import json
+import pkgutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorseq
 from tensorseq import bimodule, certify, evensym, linalg, tensor
 from tensorseq.certificates import (Certificate, CheckResult, certificates_to_json,
                                     image_equals_kernel)
@@ -110,46 +114,175 @@ def _image_equals_kernel_oracle(field, image_rows, projection):
 
 
 Q_CELLS = [Fraction(x) for x in (0, 0, 1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-2, 3)]
+FIELDS = [QQ, GF(2), GF(3), GF(2_147_483_647)]
+
+
+def _nonzero(field):
+    """Nonzero scalars of `field` drawn from the test cells."""
+    cells = Q_CELLS if field.char == 0 else [1, -1, 2, -3]
+    return [x for x in dict.fromkeys(field.normalize(c) for c in cells) if x]
+
+
+def _difference(field, u, v, c):
+    """The sparse row c * (e_u - e_v), u != v."""
+    return ((u, c), (v, field.neg(c))) if u < v else ((v, field.neg(c)), (u, c))
 
 
 @st.composite
-def image_kernel_cases(draw, field):
-    """A projection P and image rows: random combinations of P's kernel
-    basis, sometimes with a random row added, sometimes with P changed
-    afterwards, so that both containments pass and fail."""
-    cells = st.sampled_from(Q_CELLS if field.char == 0 else [0, 0, 1, -1, 2, -3])
-    src = draw(st.integers(1, 7))
-    tgt = draw(st.integers(1, 6))
-    dense = [[field.normalize(x) for x in row]
-             for row in draw(st.lists(st.lists(cells, min_size=tgt, max_size=tgt),
-                                      min_size=src, max_size=src))]
-    kernel = linalg.kernel_basis(linalg.transpose(linalg.matrix(field, dense)))
-    image = []
-    for _ in range(draw(st.integers(0, len(kernel) + 1))):
-        v = [field.zero] * src
-        for k in kernel:
-            c = field.normalize(draw(cells))
-            for j, x in k:
-                v[j] = field.add(v[j], field.mul(c, x))
-        image.append(v)
-    if draw(st.booleans()):
-        image.append([field.normalize(draw(cells)) for _ in range(src)])
-    if draw(st.booleans()):
-        dense[draw(st.integers(0, src - 1))][draw(st.integers(0, tgt - 1))] = \
-            field.normalize(draw(cells))
-    return (linalg.matrix(field, image, ncols=src).rows,
-            linalg.matrix(field, dense, ncols=tgt))
+def edge_lists(draw, nv):
+    """Edges (u, v), u != v, on vertices range(nv): random ones, parallel
+    copies of earlier ones, and reversed copies.  Vertices that no edge
+    touches stay isolated."""
+    edges = []
+    for _ in range(draw(st.integers(0, 10)) if nv > 1 else 0):
+        if edges and draw(st.booleans()):
+            u, v = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                u, v = v, u
+        else:
+            u = draw(st.integers(0, nv - 1))
+            v = draw(st.integers(0, nv - 2))
+            v += v >= u
+        edges.append((u, v))
+    return edges
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(2_147_483_647)], ids=str)
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_union_find_rank_matches_elimination(field, data):
+    """The image rank is the number of union-find merges; it must equal the
+    rank that elimination finds for the same difference rows, whatever
+    their scalars, orientation, repetition or isolated vertices."""
+    nv = data.draw(st.integers(1, 9))
+    scalars = st.sampled_from(_nonzero(field))
+    rows = [_difference(field, u, v, data.draw(scalars))
+            for u, v in data.draw(edge_lists(nv))]
+    no_columns = linalg.Matrix(field, 0, ((),) * nv)
+    check, image_rank, projection_rank = image_equals_kernel(field, rows, no_columns)
+    assert image_rank == linalg.rank(linalg.Matrix(field, nv, tuple(rows)))
+    assert projection_rank == 0
+    # the kernel is everything, and the edges never span all of it
+    assert check.detail == (f"image rank {image_rank}, kernel rank {nv}, "
+                            "image<=kernel True, kernel<=image False")
+
+
+@st.composite
+def fibred_cases(draw, field):
+    """A projection P sending each source basis vector to the row of its
+    fibre (fibre `tgt` maps to zero), and difference rows on random edges
+    inside fibres, so that the image lies in P's kernel and fills it when
+    the edges connect every fibre.  Sometimes one edge crosses two
+    fibres, and sometimes one entry of P is changed afterwards, so that
+    either containment can fail."""
+    scalars = _nonzero(field)
+    src = draw(st.integers(1, 8))
+    tgt = draw(st.integers(1, 4))
+    ncols = tgt + 1  # column tgt is shared by some fibres
+    fibre = draw(st.lists(st.integers(0, tgt - 1), min_size=src, max_size=src))
+    if draw(st.integers(0, 3)) == 0:
+        fibre[draw(st.integers(0, src - 1))] = tgt
+    fibre_rows = []
+    for t in range(tgt):
+        row = [field.zero] * ncols
+        row[t] = draw(st.sampled_from(scalars))
+        if draw(st.booleans()):
+            row[tgt] = draw(st.sampled_from(scalars))
+        fibre_rows.append(row)
+    fibre_rows.append([field.zero] * ncols)
+    dense = [list(fibre_rows[f]) for f in fibre]
+    edges = []
+    for u, v in draw(edge_lists(src)):
+        same = [w for w in range(src) if w != u and fibre[w] == fibre[u]]
+        if same:
+            edges.append((u, same[v % len(same)]))
+    across = [(u, v) for u in range(src) for v in range(src) if fibre[u] != fibre[v]]
+    if across and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(across)))
+    image = [_difference(field, u, v, draw(st.sampled_from(scalars)))
+             for u, v in draw(st.permutations(edges))]
+    if draw(st.booleans()):
+        cells = [field.zero] + scalars
+        dense[draw(st.integers(0, src - 1))][draw(st.integers(0, ncols - 1))] = \
+            draw(st.sampled_from(cells))
+    return image, linalg.matrix(field, dense, ncols=ncols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_image_equals_kernel_matches_oracle(field, data):
-    image, projection = data.draw(image_kernel_cases(field))
+    image, projection = data.draw(fibred_cases(field))
     check, image_rank, projection_rank = image_equals_kernel(field, image, projection)
     assert check == _image_equals_kernel_oracle(field, image, projection)
-    assert image_rank == linalg.rank(linalg.Matrix(field, projection.nrows, image))
+    assert image_rank == linalg.rank(linalg.Matrix(field, projection.nrows, tuple(image)))
     assert projection_rank == linalg.rank(projection)
+
+
+def _m_sequence_image(space, n):
+    """The expansion rows of the degree-n M sequence and its projection."""
+    word_index = {w: i for i, w in enumerate(tensor.all_words(space.dim, n))}
+    terms = bimodule.all_bimod_terms(space.dim, n)
+    return (bimodule._expansion_rows(space.field, word_index, terms),
+            tensor.symmetrize_matrix(space, n))
+
+
+# e_0 + e_1 in characteristic 2 is a difference, so F2 is left out
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("bad", [
+    ((0, 1),),
+    ((0, 1), (1, -1), (2, 1)),
+    ((0, 1), (1, 1)),
+    ((0, 1), (27, -1)),
+], ids=["one entry", "three entries", "equal values", "column out of range"])
+@pytest.mark.parametrize("at", [0, 17])
+def test_non_difference_rows_fail_closed(field, bad, at):
+    """A row that is not a * (e_u - e_v) on the source basis fails the
+    check and is named; it is neither re-signed nor dropped, either of
+    which would let this otherwise exact image pass."""
+    space = tensor.Space(3, field)
+    image, projection = _m_sequence_image(space, 3)
+    assert image_equals_kernel(field, image, projection)[0].passed
+    row = tuple((c, field.normalize(x)) for c, x in bad)
+    check, image_rank, projection_rank = image_equals_kernel(
+        field, image[:at] + [row] + image[at:], projection)
+    assert check.name == "image_equals_kernel"
+    assert not check.passed
+    assert check.detail == f"image row {at} is not a difference of two basis vectors"
+    assert image_rank is None
+    assert projection_rank == tensor.dim_sym(3, 3)
+
+
+def test_echelon_rows_calls_per_cell(monkeypatch):
+    """Regression guard: no image is eliminated.  An M cell eliminates
+    its relations and the projection's transpose, an S' cell only the
+    transpose.  `echelon_rows` is counted at every module that binds it."""
+    for info in pkgutil.iter_modules(tensorseq.__path__):
+        importlib.import_module(f"tensorseq.{info.name}")
+    real = linalg.echelon_rows
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    bound = [mod for name, mod in sys.modules.items()
+             if name.startswith("tensorseq") and getattr(mod, "echelon_rows", None) is real]
+    assert linalg in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "echelon_rows", counted)
+    per_cell = []
+    for mod in (bimodule, evensym):
+        def recorded(space, n, size_cap=None, verify=mod.verify_sequence):
+            before = len(calls)
+            cert = verify(space, n, size_cap)
+            per_cell.append((cert.sequence, len(calls) - before))
+            return cert
+        monkeypatch.setattr(mod, "verify_sequence", recorded)
+    certs = certify.run_grid(certify.CheckGrid((2, 3), (2, 3, 4), (QQ, GF(3))), "both")
+    assert len(certs) == 24 and all(c.passed for c in certs)
+    assert sorted(per_cell) == [("Lambda->S'->S", 1)] * 12 + [("M->T->S", 2)] * 12
+    assert len(calls) == 36
 
 
 @pytest.mark.parametrize("workload,which,ms,ns", [

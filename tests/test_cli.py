@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from tensorseq import bimodule, certify, cli
+from tensorseq import bimodule, certify, cli, evensym, linalg
 from tensorseq.certificates import Certificate, CheckResult
 
 
@@ -183,6 +183,53 @@ def test_cocycle_seed_reproducible():
 def test_cocycle_usage():
     assert run("cocycle", "--m", "0", "--n", "3").exit_code == 2
     assert run("cocycle", "--m", "2", "--n", "1").exit_code == 2
+
+
+def test_cocycle_negative_samples_is_a_usage_error(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_context called")
+
+    monkeypatch.setattr(bimodule, "build_context", no_build)
+    res = run("cocycle", "--m", "2", "--n", "3", "--samples", "-2")
+    assert res.exit_code == 2
+    assert res.stdout_bytes == b""
+    assert res.output.splitlines()[-1] == "Error: --samples must be >= 0"
+
+
+def test_cocycle_zero_samples():
+    res = run("cocycle", "--m", "2", "--n", "3", "--samples", "0")
+    assert res.exit_code == 0
+    assert res.output == ("cocycle_identity: 0/0 pass\n"
+                          "expansion_recovers_difference: 0/0 pass\n"
+                          "factorization_independence: 0/0 pass\n")
+
+
+def test_plain_plus_twisted_embedding_fails_image_equals_kernel(monkeypatch):
+    """A wedge embedding onto plain + twisted is not a difference of two
+    classes: outside characteristic 2 every S' cell must fail the check,
+    naming the row, while the grid runs to the end and the M cells pass."""
+    real = evensym.wedge_embed_matrix
+
+    def plain_plus_twisted(space, n):
+        emb = real(space, n)
+        return linalg.Matrix(emb.field, emb.ncols,
+                             tuple(((u, a), (v, a)) for (u, a), (v, _) in emb.rows))
+
+    monkeypatch.setattr(evensym, "wedge_embed_matrix", plain_plus_twisted)
+    res = run("check", "both", "--m", "2..3", "--n", "2..4", "--field", "q,f3", "--no-timing")
+    assert res.exit_code == 1
+    docs = json.loads(res.stdout_bytes)
+    assert len(docs) == 24
+    for d in docs:
+        if d["sequence"] == "M->T->S":
+            assert d["pass"], d
+            continue
+        check = {c["name"]: c for c in d["checks"]}["image_equals_kernel"]
+        if d["dims"]["lambda_dim"]:
+            assert not d["pass"] and not check["pass"]
+            assert check["detail"] == "image row 0 is not a difference of two basis vectors"
+        else:  # no wedge words, so no rows to get wrong
+            assert d["pass"]
 
 
 @pytest.mark.parametrize("command", [(), ("dims",), ("check",), ("nf",), ("cocycle",)])

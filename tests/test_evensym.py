@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,24 @@ def test_verify_sequence_guards():
         evensym.verify_sequence(tensor.Space(5, QQ), 5, size_cap=10)
     with pytest.raises(SizeCapError):
         evensym.verify_relation_span(tensor.Space(5, QQ), 5, size_cap=10)
+
+
+def test_relation_span_caps_the_even_orbit_rows(monkeypatch):
+    """At (2, 14) the tensor dimension 16384 is under the default cap, but
+    the even-orbit rows would number (14!/2 - 1) * 2^14: refused before
+    anything is enumerated."""
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(perms, "alternating_perms", no_enumeration)
+    for name in ("all_words", "cyclic_ideal_rows", "even_orbit_rows", "normal_form_matrix"):
+        monkeypatch.setattr(evensym, name, no_enumeration)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError) as exc:
+        evensym.verify_relation_span(tensor.Space(2, QQ), 14)
+    assert time.perf_counter() - start < 1.0
+    rows = (factorial(14) // 2 - 1) * 2 ** 14
+    assert str(exc.value) == f"even-orbit rows {rows} exceeds size cap 20000"
 
 
 def test_json_roundtrip():

@@ -381,31 +381,3 @@ def test_kernel_basis_free_column_property(field, mat):
 def test_q_kernel_basis_free_column_property(mat):
     rows, ncols = mat
     _kernel_matches_free_columns(QQ, rows, ncols)
-
-
-def _dense_product_is_zero(field, v, dense_rows, ncols):
-    out = [field.zero] * ncols
-    for x, row in zip(v, dense_rows):
-        out = [field.add(a, field.mul(x, b)) for a, b in zip(out, row)]
-    return not any(out)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_in_left_kernel_matches_dense_product(field, data):
-    # Q gets non-unit and non-integral values; F_p gets ints only
-    cell = st.sampled_from(Q_CELLS if field.char == 0 else [0, 0, 1, -1, 2, -3])
-    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
-    dense_rows = [[field.normalize(x) for x in row] for row in data.draw(
-        st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
-                 min_size=nrows, max_size=nrows))]
-    m = linalg.matrix(field, dense_rows, ncols=ncols)
-    ker = [_dense(field, k, nrows) for k in linalg.kernel_basis(linalg.transpose(m))]
-    vectors = data.draw(st.lists(st.one_of(
-        st.lists(cell, min_size=nrows, max_size=nrows),
-        st.sampled_from(ker) if ker else st.nothing()), max_size=3))
-    vectors = [[field.normalize(x) for x in v] for v in vectors]
-    sparse = [linalg.matrix(field, [v], ncols=nrows).rows[0] for v in vectors]
-    assert linalg.in_left_kernel(m, sparse) == all(
-        _dense_product_is_zero(field, v, dense_rows, ncols) for v in vectors)
