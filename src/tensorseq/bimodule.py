@@ -53,8 +53,9 @@ def ambient_dim(m: int, n: int) -> int:
 
 def all_bimod_terms(m: int, n: int) -> list[BimodTerm]:
     """Canonical term enumeration: left degree ascending, then left word,
-    wedge pair, right word, each lexicographically."""
-    if n < 2:
+    wedge pair, right word, each lexicographically.  With fewer than two
+    letters there is no wedge pair, so no term, whatever the degree."""
+    if n < 2 or m < 2:
         return []
     terms = []
     for i in range(n - 1):

@@ -205,17 +205,26 @@ def _basis_index(m: int, n: int) -> dict:
     return {k: i for i, k in enumerate(basis_words(m, n))}
 
 
+def _twisted_columns(m: int, n: int) -> list[int]:
+    """Monomial index of each strictly increasing word, in order: the
+    column that twisted class s + k forgets its flag onto.  There is no
+    such word unless 2 <= n <= m, and then no monomial is built."""
+    if not 2 <= n <= m:
+        return []
+    mono_index = {w: j for j, w in enumerate(all_monomials(m, n))}
+    return [mono_index[w] for w in all_wedge_words(m, n)]
+
+
 def to_sym_matrix(space: Space, n: int) -> Matrix:
     """Rows = basis classes (canonical order), columns = monomials.
 
     Plain class i is monomial i; twisted class s + k forgets its flag
     onto the monomial of the k-th strictly increasing word."""
-    mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
+    s = dim_sym(space.dim, n)
     one = space.field.one
-    rows = [((j, one),) for j in range(len(mono_index))]
-    if n >= 2:
-        rows.extend(((mono_index[w], one),) for w in all_wedge_words(space.dim, n))
-    return Matrix(space.field, len(mono_index), tuple(rows))
+    rows = [((j, one),) for j in range(s)]
+    rows.extend(((j, one),) for j in _twisted_columns(space.dim, n))
+    return Matrix(space.field, s, tuple(rows))
 
 
 def wedge_embed_matrix(space: Space, n: int) -> Matrix:
@@ -225,12 +234,11 @@ def wedge_embed_matrix(space: Space, n: int) -> Matrix:
     if n < 2:
         raise ValueError("need degree >= 2")
     field = space.field
-    mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
-    s = len(mono_index)
+    s = dim_sym(space.dim, n)
     one, neg_one = field.one, field.neg(field.one)
     # plain classes precede twisted ones in the basis order
-    rows = tuple(((mono_index[w], one), (s + k, neg_one))
-                 for k, w in enumerate(all_wedge_words(space.dim, n)))
+    rows = tuple(((j, one), (s + k, neg_one))
+                 for k, j in enumerate(_twisted_columns(space.dim, n)))
     return Matrix(field, s + len(rows), rows)
 
 

@@ -25,6 +25,14 @@ of the input rows.  Arithmetic is exact, and `_subtract`, which reduces
 a row against the basis, branches once on the characteristic rather
 than per entry.
 
+`kernel_basis` eliminates only part of its matrix.  A row holding one
+entry forces its column to zero in every kernel vector, so, as in the
+structured Gaussian elimination of LaMacchia-Odlyzko (CRYPTO '90), those
+columns are peeled off before any arithmetic and one `echelon_rows` call
+reduces the longer rows with them dropped.  The transpose of the
+flag-forgetting projection S' -> S is almost all such rows: at m = 8,
+n = 6, 1,688 of its 1,716 rows.
+
 Q values.  Over F_p a value is an int in [0, p).  Over Q, values inside
 this module are Python ints while they are integral and `Fraction`s
 otherwise, in the spirit of fraction-free elimination (Bareiss, Math.
@@ -209,11 +217,38 @@ def kernel_basis(m: Matrix) -> list[Row]:
     The vector of free column j holds 1 at j and 0 at every other free
     column, so the vectors are independent as returned: the span has
     dimension len(result) without another elimination.
+
+    Rows holding one entry are peeled off first, as in structured
+    Gaussian elimination (LaMacchia-Odlyzko, CRYPTO '90), and only the
+    longer rows are eliminated.  A one-entry row (c, x) with x != 0
+    forces v[c] = 0, so the unit row e_c lies in the row space, and
+    subtracting multiples of these unit rows clears the peeled columns
+    from the longer rows without changing the span.  By uniqueness, the
+    RREF of `m` is the unit rows e_c together with the RREF of the
+    longer rows with the peeled columns dropped: every peeled column is
+    a pivot, and the kernel is {0 on the peeled columns} x the kernel of
+    the rest.  The free columns are those neither peeled nor pivots of
+    that one elimination, and a kernel vector is fixed by the kernel and
+    its free column, so the result is the one a full elimination gives,
+    value for value.
+
+    >>> from tensorseq.fields import QQ
+    >>> kernel_basis(matrix(QQ, [[0, 2, 0, 0], [1, 5, 0, 1]]))
+    [((2, 1),), ((0, -1), (3, 1))]
     """
-    rows, pivots = echelon_rows(m.field, m.rows)
+    peeled = {row[0][0] for row in m.rows if len(row) == 1}
+    longer = []
+    for row in m.rows:
+        if len(row) > 1:
+            if not peeled.isdisjoint(j for j, _ in row):
+                row = tuple(e for e in row if e[0] not in peeled)
+            if row:
+                longer.append(row)
+    rows, pivots = echelon_rows(m.field, longer)
     neg = m.field.neg
     pivot_set = set(pivots)
-    entries: dict[int, list] = {j: [] for j in range(m.ncols) if j not in pivot_set}
+    entries: dict[int, list] = {j: [] for j in range(m.ncols)
+                                if j not in pivot_set and j not in peeled}
     for c, row in zip(pivots, rows):
         for j, x in row[1:]:
             entries[j].append((c, neg(x)))

@@ -323,6 +323,22 @@ def test_verify_sequence_degenerate_line(n):
     assert cert.dims["t_dim"] == cert.dims["s_dim"] == 1
 
 
+def test_all_bimod_terms_draws_no_word_without_a_wedge_pair(monkeypatch):
+    """m = 1 has no wedge pair, so no degree has a term, and no word may
+    be drawn: its ambient dimension is 0, so no size cap bounds the work."""
+    real = bimodule.all_words
+    drawn = []
+
+    def counted(m, n):
+        for w in real(m, n):
+            drawn.append(n)
+            yield w
+
+    monkeypatch.setattr(bimodule, "all_words", counted)
+    assert bimodule.all_bimod_terms(1, 2000) == []
+    assert drawn == []
+
+
 def test_verify_sequence_cap_propagates():
     with pytest.raises(SizeCapError):
         bimodule.verify_sequence(tensor.Space(3, QQ), 5, size_cap=100)

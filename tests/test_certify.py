@@ -285,6 +285,33 @@ def test_echelon_rows_calls_per_cell(monkeypatch):
     assert len(calls) == 36
 
 
+def test_kernel_basis_eliminates_only_rows_with_two_entries(monkeypatch):
+    """Work guard for the peel in `kernel_basis`.  At (8, 6) the
+    projection's transpose has one row per monomial, 1,716 in all; only
+    the C(8, 6) = 28 with six distinct letters hold two entries (the
+    plain and the twisted class), so the one `echelon_rows` call of the
+    cell receives 28 rows with 56 entries.  `echelon_rows` is recorded at
+    every module that binds it."""
+    for info in pkgutil.iter_modules(tensorseq.__path__):
+        importlib.import_module(f"tensorseq.{info.name}")
+    real = linalg.echelon_rows
+    received = []
+
+    def recorded(field, rows):
+        rows = list(rows)
+        received.append((len(rows), sum(map(len, rows))))
+        return real(field, rows)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tensorseq") and getattr(mod, "echelon_rows", None) is real:
+            monkeypatch.setattr(mod, "echelon_rows", recorded)
+    for field in (QQ, GF(3)):
+        received.clear()
+        cert = evensym.verify_sequence(tensor.Space(8, field), 6)
+        assert cert.passed and cert.dims["s_dim"] == 1716
+        assert received == [(28, 56)]
+
+
 @pytest.mark.parametrize("workload,which,ms,ns", [
     ("mseq-grid", "m", (2, 3), (2, 3, 4, 5, 6)),
     ("sprime-grid", "sprime", (6, 7, 8), (4, 5, 6))])

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -217,6 +218,42 @@ def test_verify_sequence_iso_case():
     cert = evensym.verify_sequence(tensor.Space(2, QQ), 3)
     assert cert.passed and cert.dims["lambda_dim"] == 0
     assert cert.dims["sprime_dim"] == cert.dims["s_dim"] == 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_projection_and_embedding_matrices_match_the_maps(field):
+    """Row k of each matrix is the image of basis element k under the
+    element-level map, in monomial and class coordinates."""
+    for m in range(6):
+        sp = tensor.Space(m, field)
+        for n in range(2, 8):
+            classes = evensym.basis_words(m, n)
+            monomials = list(tensor.all_monomials(m, n))
+            sym_m = evensym.to_sym_matrix(sp, n)
+            assert sym_m.ncols == len(monomials)
+            assert [dict(row) for row in sym_m.rows] == [
+                {monomials.index(w): c for w, c in evensym.to_sym(
+                    evensym.orbit_element(sp, n, {k: 1})).terms.items()}
+                for k in classes]
+            emb = evensym.wedge_embed_matrix(sp, n)
+            assert emb.ncols == len(classes)
+            assert [dict(row) for row in emb.rows] == [
+                {classes.index(k): c for k, c in evensym.wedge_embed(
+                    exterior.ext_element(sp, n, {w: 1})).terms.items()}
+                for w in exterior.all_wedge_words(m, n)]
+
+
+def test_sequence_with_more_degrees_than_letters_stays_linear():
+    """At m = 2 the basis has n + 1 plain classes and no twisted one, so
+    the cap admits n up to 19,999: no length-n monomial may be built."""
+    tracemalloc.start()
+    try:
+        cert = evensym.verify_sequence(tensor.Space(2, QQ), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.dims["sprime_dim"] == 3001
+    assert peak < 8 * 2 ** 20
 
 
 def test_verify_sequence_guards():

@@ -381,3 +381,58 @@ def test_kernel_basis_free_column_property(field, mat):
 def test_q_kernel_basis_free_column_property(mat):
     rows, ncols = mat
     _kernel_matches_free_columns(QQ, rows, ncols)
+
+
+# --- kernel_basis peels one-entry rows ---------------------------------------
+
+def full_elimination_kernel(m):
+    """Reference `kernel_basis`: eliminate every row, then read one vector
+    per free column off the RREF."""
+    rows, pivots = linalg.echelon_rows(m.field, m.rows)
+    neg = m.field.neg
+    pivot_set = set(pivots)
+    entries = {j: [] for j in range(m.ncols) if j not in pivot_set}
+    for c, row in zip(pivots, rows):
+        for j, x in row[1:]:
+            entries[j].append((c, neg(x)))
+    return [tuple(e) + ((j, 1),) for j, e in entries.items()]
+
+
+@st.composite
+def peelable_matrices(draw, field, max_cols=8):
+    """Dense rows biased towards one-entry rows: one-entry rows, repeated
+    on some columns; longer rows that also hold those columns; and longer
+    rows that shrink to one entry, or to nothing, once those columns are
+    dropped."""
+    ncols = draw(st.integers(1, max_cols))
+    cols = st.integers(0, ncols - 1)
+    values = [x for x in (1, -1, 2, 3) if field.normalize(x)]
+    if field.char == 0:
+        values += [Fraction(1, 2), Fraction(-2, 3)]
+    value = st.sampled_from(values)
+    peeled = draw(st.lists(cols, min_size=1, max_size=ncols, unique=True))
+    rows = [{c: draw(value)} for c in peeled for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kept = draw(st.lists(cols, max_size=3, unique=True))
+        dropped = draw(st.lists(st.sampled_from(peeled), min_size=1, max_size=3))
+        rows.append({c: draw(value) for c in dropped + kept})
+    rows = draw(st.permutations(rows))
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows], ncols
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_basis_matches_full_elimination(field, data):
+    dense_rows, ncols = data.draw(peelable_matrices(field))
+    m = linalg.matrix(field, dense_rows, ncols=ncols)
+    assert repr(linalg.kernel_basis(m)) == repr(full_elimination_kernel(m))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(unit_matrices())
+def test_kernel_basis_matches_full_elimination_on_unit_matrices(field, mat):
+    ints, ncols = mat
+    m = linalg.matrix(field, ints, ncols=ncols)
+    assert repr(linalg.kernel_basis(m)) == repr(full_elimination_kernel(m))
