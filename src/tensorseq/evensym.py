@@ -207,8 +207,8 @@ def _basis_index(m: int, n: int) -> dict:
 
 def _twisted_columns(m: int, n: int) -> list[int]:
     """Monomial index of each strictly increasing word, in order: the
-    column that twisted class s + k forgets its flag onto.  There is no
-    such word unless 2 <= n <= m, and then no monomial is built."""
+    column that twisted class s + k forgets its flag onto.  Outside
+    2 <= n <= m there is no twisted class, and no monomial is built."""
     if not 2 <= n <= m:
         return []
     mono_index = {w: j for j, w in enumerate(all_monomials(m, n))}
