@@ -24,15 +24,15 @@ from __future__ import annotations
 import time
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import perms
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
 from .errors import Record, check_cap
 from .fields import Field, Scalar
 from .linalg import Row, echelon_rows, residue_list
-from .tensor import (Space, TensorElement, Word, _SparseElement, all_words,
-                     check_word, dim_sym, dim_tensor, perm_action,
+from .tensor import (Space, TensorElement, Word, _SparseElement, _normalized_terms,
+                     all_words, check_word, collect, dim_sym, dim_tensor, perm_action,
                      symmetrize_matrix)
 
 BimodTerm = tuple  # (left word, (a, b), right word)
@@ -82,49 +82,31 @@ def bimod_element(space: Space, degree: int, terms: Mapping[BimodTerm, Scalar]) 
         if len(left) + 2 + len(right) != degree:
             raise ValueError(f"term {(left, pair, right)} does not have degree {degree}")
         checked[(left, (a, b), right)] = c
-    out = {}
-    for k, c in checked.items():
-        c = space.field.coerce(c)
-        if c:
-            out[k] = c
-    return BimodElement(space, degree, out)
+    return BimodElement(space, degree, _normalized_terms(space.field, checked))
 
 
 def bimodule_mult(l: TensorElement, x: BimodElement, r: TensorElement) -> BimodElement:
     """Two-sided word multiplication, bilinear in all three slots."""
     if not (l.space == x.space == r.space):
         raise ValueError("elements live over different spaces")
-    f = x.space.field
-    out: dict = {}
-    for wl, cl in l.terms.items():
-        for (a, pair, b), cx in x.terms.items():
-            cla = f.mul(cl, cx)
-            for wr, cr in r.terms.items():
-                key = (wl + a, pair, b + wr)
-                v = f.mul(cla, cr)
-                s = f.add(out[key], v) if key in out else v
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return BimodElement(x.space, l.degree + x.degree + r.degree, out)
+    mul = x.space.field.mul
+    terms = collect(x.space.field, (((wl + a, pair, b + wr), mul(mul(cl, cx), cr))
+                                    for wl, cl in l.terms.items()
+                                    for (a, pair, b), cx in x.terms.items()
+                                    for wr, cr in r.terms.items()))
+    return BimodElement(x.space, l.degree + x.degree + r.degree, terms)
 
 
-def _add_wedge_term(out: dict, field: Field, left: Word, u: int, v: int,
-                    right: Word, coeff) -> None:
-    """Accumulate coeff * (left | u^v | right), canonicalizing the wedge."""
-    if u == v:
-        return
-    if u < v:
-        key = (left, (u, v), right)
-    else:
-        key = (left, (v, u), right)
-        coeff = field.neg(coeff)
-    s = field.add(out[key], coeff) if key in out else coeff
-    if s:
-        out[key] = s
-    else:
-        del out[key]
+def _wedge_terms(field: Field, items: Iterable[tuple]) -> Iterator[tuple]:
+    """The canonical (term, coeff) pairs of coeff * (left | u^v | right)
+    for each (left, u, v, right, coeff) in `items`: u^v with u > v
+    becomes -(v^u), and u^u drops out."""
+    neg = field.neg
+    for left, u, v, right, coeff in items:
+        if u < v:
+            yield (left, (u, v), right), coeff
+        elif u > v:
+            yield (left, (v, u), right), neg(coeff)
 
 
 def commutator_transfer(space: Space, x: int, y: int, mid: Word,
@@ -133,23 +115,20 @@ def commutator_transfer(space: Space, x: int, y: int, mid: Word,
     mid = check_word(space, mid)
     f = space.field
     one, neg_one = f.one, f.neg(f.one)
-    out: dict = {}
-    _add_wedge_term(out, f, (x, y) + mid, z, t, (), one)
-    _add_wedge_term(out, f, (y, x) + mid, z, t, (), neg_one)
-    _add_wedge_term(out, f, (), x, y, mid + (z, t), neg_one)
-    _add_wedge_term(out, f, (), x, y, mid + (t, z), one)
-    return BimodElement(space, len(mid) + 4, out)
+    terms = collect(f, _wedge_terms(f, (((x, y) + mid, z, t, (), one),
+                                        ((y, x) + mid, z, t, (), neg_one),
+                                        ((), x, y, mid + (z, t), neg_one),
+                                        ((), x, y, mid + (t, z), one))))
+    return BimodElement(space, len(mid) + 4, terms)
 
 
 def jacobi_cycle(space: Space, x: int, y: int, z: int) -> BimodElement:
     """[x, y^z] + [y, z^x] + [z, x^y], the cyclic commutator sum."""
     f = space.field
     one, neg_one = f.one, f.neg(f.one)
-    out: dict = {}
-    for a, (b, c) in ((x, (y, z)), (y, (z, x)), (z, (x, y))):
-        _add_wedge_term(out, f, (a,), b, c, (), one)
-        _add_wedge_term(out, f, (), b, c, (a,), neg_one)
-    return BimodElement(space, 3, out)
+    items = (item for a, (b, c) in ((x, (y, z)), (y, (z, x)), (z, (x, y)))
+             for item in (((a,), b, c, (), one), ((), b, c, (a,), neg_one)))
+    return BimodElement(space, 3, collect(f, _wedge_terms(f, items)))
 
 
 def _two_sided_closure(space: Space, core: BimodElement, n: int) -> Iterable[BimodElement]:
@@ -280,16 +259,11 @@ def expand_wedge(x: BimodElement) -> TensorElement:
     """Replace the wedge slot by a commutator: (l | a^b | r) becomes
     l.a.b.r - l.b.a.r in the tensor algebra.  Kills both relation
     families, so it is well defined on quotient classes."""
-    f = x.space.field
-    out: dict = {}
-    for (left, (a, b), right), c in x.terms.items():
-        for w, v in ((left + (a, b) + right, c), (left + (b, a) + right, f.neg(c))):
-            s = f.add(out[w], v) if w in out else v
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-    return TensorElement(x.space, x.degree, out)
+    neg = x.space.field.neg
+    terms = collect(x.space.field,
+                    (pair for (left, (a, b), right), c in x.terms.items()
+                     for pair in ((left + (a, b) + right, c), (left + (b, a) + right, neg(c)))))
+    return TensorElement(x.space, x.degree, terms)
 
 
 def wedge_at(a: TensorElement, i: int) -> BimodElement:
@@ -299,10 +273,9 @@ def wedge_at(a: TensorElement, i: int) -> BimodElement:
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range 1..{n - 1}")
     f = a.space.field
-    out: dict = {}
-    for w, c in a.terms.items():
-        _add_wedge_term(out, f, w[:i - 1], w[i - 1], w[i], w[i + 1:], c)
-    return BimodElement(a.space, n, out)
+    terms = collect(f, _wedge_terms(f, ((w[:i - 1], w[i - 1], w[i], w[i + 1:], c)
+                                        for w, c in a.terms.items())))
+    return BimodElement(a.space, n, terms)
 
 
 def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
@@ -319,6 +292,8 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
         raise ValueError(f"element degree {a.degree} != context degree {n}")
     if len(t) != n:
         raise ValueError(f"permutation size {len(t)} != degree {n}")
+    if not perms.is_perm(t):
+        raise ValueError(f"{t} is not a permutation of 1..{n}")
     if word is None:
         word = perms.perm_word(t)
     else:

@@ -25,8 +25,9 @@ from .errors import Record, check_cap
 from .exterior import ExtElement, all_wedge_words, dim_wedge
 from .fields import Scalar
 from .linalg import Matrix, Row, echelon_rows, kernel_basis, transpose
-from .tensor import (Space, SymElement, Word, _SparseElement, all_monomials,
-                     all_words, check_word, coeff_to_json, dim_sym, dim_tensor)
+from .tensor import (Space, SymElement, Word, _SparseElement, _normalized_terms,
+                     all_monomials, all_words, check_word, coeff_to_json, collect,
+                     dim_sym, dim_tensor)
 
 
 class OrbitWord(Record):
@@ -103,18 +104,11 @@ class EvenSymElement(_SparseElement):
 
 def orbit_element(space: Space, degree: int,
                   terms: Mapping[OrbitWord, Scalar]) -> EvenSymElement:
-    checked = {}
-    for k, c in terms.items():
+    for k in terms:
         check_word(space, k.word)
         if k.degree != degree:
             raise ValueError(f"class {k} does not have degree {degree}")
-        checked[k] = c
-    out = {}
-    for k, c in checked.items():
-        c = space.field.coerce(c)
-        if c:
-            out[k] = c
-    return EvenSymElement(space, degree, out)
+    return EvenSymElement(space, degree, _normalized_terms(space.field, terms))
 
 
 def from_word(space: Space, word: Word, coeff: Scalar = 1) -> EvenSymElement:
@@ -140,33 +134,17 @@ def evensym_product(a: EvenSymElement, b: EvenSymElement) -> EvenSymElement:
     the empty word as unit; independent of the representative choice."""
     if a.space != b.space:
         raise ValueError("elements live over different spaces")
-    f = a.space.field
-    out: dict = {}
-    for ka, ca in a.terms.items():
-        ra = representative(ka)
-        for kb, cb in b.terms.items():
-            k = normal_form(ra + representative(kb))
-            v = f.mul(ca, cb)
-            s = f.add(out[k], v) if k in out else v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return EvenSymElement(a.space, a.degree + b.degree, out)
+    mul = a.space.field.mul
+    terms = collect(a.space.field,
+                    ((normal_form(representative(ka) + representative(kb)), mul(ca, cb))
+                     for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
+    return EvenSymElement(a.space, a.degree + b.degree, terms)
 
 
 def to_sym(a: EvenSymElement) -> SymElement:
     """Forget the flag; an algebra morphism onto the symmetric part."""
-    f = a.space.field
-    out: dict = {}
-    for k, c in a.terms.items():
-        w = k.word
-        s = f.add(out[w], c) if w in out else c
-        if s:
-            out[w] = s
-        else:
-            del out[w]
-    return SymElement(a.space, a.degree, out)
+    terms = collect(a.space.field, ((k.word, c) for k, c in a.terms.items()))
+    return SymElement(a.space, a.degree, terms)
 
 
 def wedge_embed(a: ExtElement) -> EvenSymElement:
@@ -262,10 +240,10 @@ def cyclic_ideal_rows(space: Space, n: int) -> list[Row]:
     m = space.dim
     field = space.field
     one, neg_one = field.one, field.neg(field.one)
+    if n < 3:
+        return []
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     rows = []
-    if n < 3:
-        return rows
     for p in range(n - 2):
         q = n - 3 - p
         for left in all_words(m, p):

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 from . import linalg, perms
 from .fields import Scalar
 from .tensor import (Space, TensorElement, Word, _SparseElement,
-                     _normalized_terms, check_word, coeff_to_json)
+                     _normalized_terms, check_word, coeff_to_json, collect)
 
 
 def wedge_canon(letters: Word) -> tuple[int, Word] | None:
@@ -81,16 +81,10 @@ def wedge_to_tensor(a: ExtElement) -> TensorElement:
     """Degree-2 embedding sending u ^ v to u (x) v - v (x) u."""
     if a.degree != 2:
         raise ValueError(f"expected degree 2, got {a.degree}")
-    f = a.space.field
-    out: dict = {}
-    for (i, j), c in a.terms.items():
-        for w, v in (((i, j), c), ((j, i), f.neg(c))):
-            s = f.add(out[w], v) if w in out else v
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return TensorElement(a.space, 2, out)
+    neg = a.space.field.neg
+    terms = collect(a.space.field, (pair for (i, j), c in a.terms.items()
+                                    for pair in (((i, j), c), ((j, i), neg(c)))))
+    return TensorElement(a.space, 2, terms)
 
 
 def wedge_to_tensor_matrix(space: Space) -> linalg.Matrix:

@@ -7,6 +7,7 @@ letter tuples by moving the letter at position k to position t(k).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations as _itertools_perms
 from typing import Iterator, Sequence
 
@@ -16,7 +17,9 @@ Perm = tuple
 Word = tuple
 
 
-def is_perm(t: Sequence[int]) -> bool:
+# cached: `tensor.perm_action` checks the transposition of every swap in `bimodule.cocycle`
+@lru_cache(maxsize=256)
+def is_perm(t: Perm) -> bool:
     """
     >>> is_perm((2, 1, 3)), is_perm((1, 1, 2))
     (True, False)

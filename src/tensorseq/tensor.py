@@ -5,6 +5,10 @@ index set {1..m} to scalars; symmetric elements use weakly increasing
 words (monomials).  `symmetrize` is the degreewise projection sending a
 word to its sorted monomial; its kernel is the two-sided ideal generated
 by the commutators uv - vu.
+
+Every element map, here and in the other element modules, is linear on
+the basis: it generates (basis key, value) pairs, and `collect` is the
+one place where such pairs are summed.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from itertools import product as _iproduct
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import linalg, perms
 from .errors import Record
@@ -51,6 +55,23 @@ def all_monomials(m: int, n: int) -> Iterator[Word]:
     return combinations_with_replacement(range(1, m + 1), n)
 
 
+def collect(field: Field, pairs: Iterable[tuple], out: dict | None = None) -> dict:
+    """Sum the nonzero values of (key, value) `pairs` by key into `out`
+    (a new dict by default), whose values are nonzero too; a key whose
+    sum is zero is dropped.  Returns `out`."""
+    if out is None:
+        out = {}
+    add = field.add
+    for k, v in pairs:
+        if k in out:
+            v = add(out[k], v)
+            if not v:
+                del out[k]
+                continue
+        out[k] = v
+    return out
+
+
 class _SparseElement:
     """Shared sparse-term behavior; subclasses fix the key validation."""
 
@@ -73,18 +94,13 @@ class _SparseElement:
 
     def __add__(self, other):
         _check_compatible(self, other)
-        f = self.space.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = f.add(out.get(k, f.zero), c)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._like(out)
+        return self._like(collect(self.space.field, other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other):
-        return self + (-other)
+        _check_compatible(self, other)
+        neg = self.space.field.neg
+        negated = ((k, neg(c)) for k, c in other.terms.items())
+        return self._like(collect(self.space.field, negated, dict(self.terms)))
 
     def __neg__(self):
         neg = self.space.field.neg
@@ -127,12 +143,8 @@ class SymElement(_SparseElement):
 
 
 def _normalized_terms(field: Field, terms: Mapping) -> dict:
-    out = {}
-    for k, c in terms.items():
-        c = field.coerce(c)
-        if c:
-            out[k] = c
-    return out
+    coerced = ((k, field.coerce(c)) for k, c in terms.items())
+    return {k: c for k, c in coerced if c}
 
 
 def tensor_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> TensorElement:
@@ -165,17 +177,9 @@ def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     if a.space != b.space:
         raise ValueError("elements live over different spaces")
     mul = a.space.field.mul
-    add = a.space.field.add
-    out: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wa + wb
-            s = add(out.get(w, 0), mul(ca, cb)) if w in out else mul(ca, cb)
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return TensorElement(a.space, a.degree + b.degree, out)
+    terms = collect(a.space.field, ((wa + wb, mul(ca, cb)) for wa, ca in a.terms.items()
+                                    for wb, cb in b.terms.items()))
+    return TensorElement(a.space, a.degree + b.degree, terms)
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -187,36 +191,17 @@ def perm_action(t: perms.Perm, a: TensorElement) -> TensorElement:
     """Left action permuting tensor positions: out[t(k)] = in[k] per word."""
     if len(t) != a.degree:
         raise ValueError(f"permutation size {len(t)} != degree {a.degree}")
-    add = a.space.field.add
-    out: dict = {}
-    for w, c in a.terms.items():
-        w2 = perms.apply_to_positions(t, w)
-        if w2 in out:
-            s = add(out[w2], c)
-            if s:
-                out[w2] = s
-            else:
-                del out[w2]
-        else:
-            out[w2] = c
-    return TensorElement(a.space, a.degree, out)
+    if not perms.is_perm(t):
+        raise ValueError(f"{t} is not a permutation of 1..{a.degree}")
+    # t permutes the words, so no two terms meet and there is nothing to collect
+    terms = {perms.apply_to_positions(t, w): c for w, c in a.terms.items()}
+    return TensorElement(a.space, a.degree, terms)
 
 
 def symmetrize(a: TensorElement) -> SymElement:
     """Project a tensor onto the symmetric component: sort each word."""
-    add = a.space.field.add
-    out: dict = {}
-    for w, c in a.terms.items():
-        mono = tuple(sorted(w))
-        if mono in out:
-            s = add(out[mono], c)
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        else:
-            out[mono] = c
-    return SymElement(a.space, a.degree, out)
+    terms = collect(a.space.field, ((tuple(sorted(w)), c) for w, c in a.terms.items()))
+    return SymElement(a.space, a.degree, terms)
 
 
 def sym_product(a: SymElement, b: SymElement) -> SymElement:
@@ -224,17 +209,10 @@ def sym_product(a: SymElement, b: SymElement) -> SymElement:
     if a.space != b.space:
         raise ValueError("elements live over different spaces")
     mul = a.space.field.mul
-    add = a.space.field.add
-    out: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = tuple(sorted(wa + wb))
-            s = add(out.get(w, 0), mul(ca, cb)) if w in out else mul(ca, cb)
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return SymElement(a.space, a.degree + b.degree, out)
+    terms = collect(a.space.field, ((tuple(sorted(wa + wb)), mul(ca, cb))
+                                    for wa, ca in a.terms.items()
+                                    for wb, cb in b.terms.items()))
+    return SymElement(a.space, a.degree + b.degree, terms)
 
 
 def dim_tensor(m: int, n: int) -> int:

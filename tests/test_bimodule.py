@@ -272,6 +272,14 @@ def test_cocycle_rejects_wrong_word(ctx_cache):
         bimodule.cocycle(ctx, perms.identity_perm(2), a)
 
 
+def test_cocycle_rejects_non_permutations(ctx_cache):
+    ctx = ctx_cache(2, 3)
+    a = tensor.word_element(ctx.space, (1, 2, 1))
+    for t in [(1, 1, 3), (3, 3, 1), (0, 1, 2), (1, 2, 4)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            bimodule.cocycle(ctx, t, a)
+
+
 def test_cocycle_sum_rule(ctx_cache):
     """cocycle(s . t) = cocycle(t) + cocycle(s) after acting by t."""
     rng = random.Random(29)

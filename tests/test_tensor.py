@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorseq import linalg, perms, tensor
+from tensorseq import bimodule, evensym, exterior, linalg, perms, tensor
+from tensorseq.evensym import OrbitWord
 from tensorseq.fields import GF, QQ
 
 
@@ -78,6 +79,14 @@ def test_perm_action_examples():
     assert tensor.perm_action(perms.inverse(cyc), tensor.perm_action(cyc, w)) == w
     with pytest.raises(ValueError):
         tensor.perm_action(perms.identity_perm(2), w)
+
+
+def test_perm_action_rejects_non_permutations():
+    sp = tensor.Space(3, QQ)
+    for a in (tensor.word_element(sp, (1, 2, 3)), tensor.tensor_element(sp, 3, {})):
+        for t in [(1, 1, 3), (3, 3, 1), (0, 1, 2), (1, 2, 4)]:
+            with pytest.raises(ValueError, match="not a permutation"):
+                tensor.perm_action(t, a)
 
 
 def test_perm_action_group_property():
@@ -198,3 +207,66 @@ def test_json_roundtrip():
     sp2 = tensor.Space(3, GF(5))
     b = tensor.tensor_element(sp2, 2, {(1, 2): 3})
     assert tensor.element_from_json(sp2, tensor.element_to_json(b)) == b
+
+
+_COLLECT_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
+
+
+def _nonzero_scalars(field):
+    if field.char == 0:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.integers(1, field.char - 1)
+
+
+def _summed_then_filtered(field, pairs, out):
+    total = dict(out)
+    for k, v in pairs:
+        total[k] = field.add(total[k], v) if k in total else v
+    return {k: v for k, v in total.items() if v}
+
+
+@given(st.data())
+def test_collect_sums_by_key_and_drops_zeros(data):
+    field = data.draw(st.sampled_from(_COLLECT_FIELDS))
+    keys, values = st.integers(0, 4), _nonzero_scalars(field)
+    pairs = data.draw(st.lists(st.tuples(keys, values), max_size=10))
+    # cancel some keys to zero, then re-add every other one of them
+    sums = _summed_then_filtered(field, pairs, {})
+    cancelled = data.draw(st.lists(st.sampled_from(sorted(sums)), unique=True)) if sums else []
+    pairs += [(k, field.neg(sums[k])) for k in cancelled]
+    pairs += [(k, data.draw(values)) for k in cancelled[::2]]
+    pairs += data.draw(st.lists(st.tuples(keys, values), max_size=5))
+    assert tensor.collect(field, pairs) == _summed_then_filtered(field, pairs, {})
+    prefilled = data.draw(st.dictionaries(keys, values, max_size=3))
+    out = dict(prefilled)
+    assert tensor.collect(field, iter(pairs), out) is out
+    assert out == _summed_then_filtered(field, pairs, prefilled)
+
+
+_CONSTRUCTORS = [
+    (tensor.tensor_element, [(1, 2), (2, 1), (2, 2)]),
+    (tensor.sym_element, [(1, 2), (1, 1), (2, 3)]),
+    (exterior.ext_element, [(1, 2), (1, 3), (2, 3)]),
+    (evensym.orbit_element, [OrbitWord((1, 2)), OrbitWord((1, 2), True), OrbitWord((3, 3))]),
+    (bimodule.bimod_element, [((), (1, 2), ()), ((), (1, 3), ()), ((), (2, 3), ())]),
+]
+
+
+@pytest.mark.parametrize("make,keys", _CONSTRUCTORS)
+@pytest.mark.parametrize("field,values", [
+    (QQ, (Fraction(3), Fraction(-1, 2))),
+    (GF(3), (None, 1)),        # 3 is 0 and -1/2 is 1 in F3
+    (GF(5), (3, 2)),           # -1/2 is 2 in F5
+])
+def test_element_constructors_coerce_coefficients_alike(make, keys, field, values):
+    sp = tensor.Space(3, field)
+    spellings = [
+        ["3", "-1/2", "0"],
+        [3, Fraction(-1, 2), 0],
+        [Fraction(3), Fraction(-1, 2), Fraction(0)],
+    ]
+    want = {k: v for k, v in zip(keys, values) if v is not None}
+    for coeffs in spellings:
+        x = make(sp, 2, dict(zip(keys, coeffs)))
+        assert x.terms == want
+        assert all(type(c) is type(field.one) for c in x.terms.values())
