@@ -16,6 +16,7 @@ shortcut matches.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from math import factorial
 from typing import Mapping
 
@@ -108,7 +109,7 @@ def orbit_element(space: Space, degree: int,
         check_word(space, k.word)
         if k.degree != degree:
             raise ValueError(f"class {k} does not have degree {degree}")
-    return EvenSymElement(space, degree, _normalized_terms(space.field, terms))
+    return EvenSymElement._own(space, degree, _normalized_terms(space.field, terms))
 
 
 def from_word(space: Space, word: Word, coeff: Scalar = 1) -> EvenSymElement:
@@ -126,7 +127,7 @@ def swap_first_two(a: EvenSymElement) -> EvenSymElement:
         if len(set(k.word)) == len(k.word):
             k = OrbitWord(k.word, not k.twisted)
         out[k] = c
-    return EvenSymElement(a.space, a.degree, out)
+    return EvenSymElement._own(a.space, a.degree, out)
 
 
 def evensym_product(a: EvenSymElement, b: EvenSymElement) -> EvenSymElement:
@@ -138,13 +139,13 @@ def evensym_product(a: EvenSymElement, b: EvenSymElement) -> EvenSymElement:
     terms = collect(a.space.field,
                     ((normal_form(representative(ka) + representative(kb)), mul(ca, cb))
                      for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
-    return EvenSymElement(a.space, a.degree + b.degree, terms)
+    return EvenSymElement._own(a.space, a.degree + b.degree, terms)
 
 
 def to_sym(a: EvenSymElement) -> SymElement:
     """Forget the flag; an algebra morphism onto the symmetric part."""
     terms = collect(a.space.field, ((k.word, c) for k, c in a.terms.items()))
-    return SymElement(a.space, a.degree, terms)
+    return SymElement._own(a.space, a.degree, terms)
 
 
 def wedge_embed(a: ExtElement) -> EvenSymElement:
@@ -157,7 +158,7 @@ def wedge_embed(a: ExtElement) -> EvenSymElement:
     for w, c in a.terms.items():
         out[OrbitWord(w, False)] = c
         out[OrbitWord(w, True)] = f.neg(c)
-    return EvenSymElement(a.space, a.degree, out)
+    return EvenSymElement._own(a.space, a.degree, out)
 
 
 def dim_evensym(m: int, n: int) -> int:
@@ -183,14 +184,17 @@ def _basis_index(m: int, n: int) -> dict:
     return {k: i for i, k in enumerate(basis_words(m, n))}
 
 
-def _twisted_columns(m: int, n: int) -> list[int]:
+# cached: an S' cell needs it for both P and the embedding, and the cells
+# of one (m, n) over different fields need the same one
+@lru_cache(maxsize=32)
+def _twisted_columns(m: int, n: int) -> tuple[int, ...]:
     """Monomial index of each strictly increasing word, in order: the
     column that twisted class s + k forgets its flag onto.  Outside
     2 <= n <= m there is no twisted class, and no monomial is built."""
     if not 2 <= n <= m:
-        return []
+        return ()
     mono_index = {w: j for j, w in enumerate(all_monomials(m, n))}
-    return [mono_index[w] for w in all_wedge_words(m, n)]
+    return tuple(mono_index[w] for w in all_wedge_words(m, n))
 
 
 def to_sym_matrix(space: Space, n: int) -> Matrix:
@@ -270,7 +274,7 @@ def even_orbit_rows(space: Space, n: int) -> list[Row]:
     evens = [s for s in perms.alternating_perms(n) if s != perms.identity_perm(n)]
     for w in all_words(m, n):
         for s in evens:
-            w2 = perms.apply_to_positions(s, w)
+            w2 = perms._apply_to_positions(s, w)
             if w2 != w:
                 rows.append(_difference_row(word_index[w], word_index[w2], one, neg_one))
     return rows

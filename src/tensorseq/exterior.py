@@ -47,14 +47,14 @@ def ext_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> ExtE
         if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
             raise ValueError(f"word {w} is not strictly increasing")
         checked[w] = c
-    return ExtElement(space, degree, _normalized_terms(space.field, checked))
+    return ExtElement._own(space, degree, _normalized_terms(space.field, checked))
 
 
 def wedge_word_element(space: Space, letters: Word, coeff: Scalar = 1) -> ExtElement:
     """Canonicalize arbitrary letters into a basis multiple (or zero)."""
     canon = wedge_canon(check_word(space, letters))
     if canon is None:
-        return ExtElement(space, len(tuple(letters)), {})
+        return ExtElement._own(space, len(tuple(letters)), {})
     sign, w = canon
     c = space.field.coerce(coeff)
     if sign < 0:
@@ -84,7 +84,7 @@ def wedge_to_tensor(a: ExtElement) -> TensorElement:
     neg = a.space.field.neg
     terms = collect(a.space.field, (pair for (i, j), c in a.terms.items()
                                     for pair in (((i, j), c), ((j, i), neg(c)))))
-    return TensorElement(a.space, 2, terms)
+    return TensorElement._own(a.space, 2, terms)
 
 
 def wedge_to_tensor_matrix(space: Space) -> linalg.Matrix:

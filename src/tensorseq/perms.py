@@ -3,6 +3,14 @@
 A permutation is a tuple `t` with `t[k-1] = t(k)`.  Composition is
 function composition, `(s * t)(k) = s(t(k))`, and permutations act on
 letter tuples by moving the letter at position k to position t(k).
+
+`compose`, `inverse`, `apply_to_positions`, `perm_word` and
+`perm_word_alt` raise `ValueError` on a tuple that is not a permutation.
+Each checks its arguments once per call; loops inside the package that
+already hold a checked permutation use the unchecked `_compose`,
+`_apply_to_positions` and `_perm_word`.  `parity` trusts its argument:
+its callers pass what `sorting_perm` or `all_perms` built, once per word
+on the S' path.
 """
 
 from __future__ import annotations
@@ -27,10 +35,18 @@ def is_perm(t: Perm) -> bool:
     return sorted(t) == list(range(1, len(t) + 1))
 
 
+def check_perm(t: Perm) -> None:
+    """Raise `ValueError` unless t is a permutation of 1..len(t)."""
+    if not is_perm(t):
+        raise ValueError(f"{t} is not a permutation of 1..{len(t)}")
+
+
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+# cached: `bimodule.cocycle` asks for the transposition of every swap
+@lru_cache(maxsize=256)
 def adjacent_transposition(n: int, i: int) -> Perm:
     """The transposition swapping i and i+1, for 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
@@ -48,10 +64,21 @@ def compose(s: Perm, t: Perm) -> Perm:
     """
     if len(s) != len(t):
         raise ValueError("size mismatch")
+    check_perm(s)
+    check_perm(t)
+    return _compose(s, t)
+
+
+def _compose(s: Perm, t: Perm) -> Perm:
     return tuple(s[t[k] - 1] for k in range(len(t)))
 
 
 def inverse(t: Perm) -> Perm:
+    """
+    >>> inverse((2, 3, 1))
+    (3, 1, 2)
+    """
+    check_perm(t)
     out = [0] * len(t)
     for k, v in enumerate(t):
         out[v - 1] = k + 1
@@ -69,6 +96,11 @@ def apply_to_positions(t: Perm, letters: Sequence) -> tuple:
     """
     if len(t) != len(letters):
         raise ValueError("size mismatch")
+    check_perm(t)
+    return _apply_to_positions(t, letters)
+
+
+def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
     out = [None] * len(t)
     for k, v in enumerate(t):
         out[v - 1] = letters[k]
@@ -76,7 +108,7 @@ def apply_to_positions(t: Perm, letters: Sequence) -> tuple:
 
 
 def parity(t: Perm) -> int:
-    """0 for even permutations, 1 for odd ones."""
+    """0 for even permutations, 1 for odd ones; t is not checked."""
     seen = [False] * len(t)
     odd = 0
     for k in range(len(t)):
@@ -116,7 +148,7 @@ def compose_word(n: int, word: Sequence[int]) -> Perm:
     """The permutation of a transposition word, first letter applied first."""
     t = identity_perm(n)
     for i in word:
-        t = compose(adjacent_transposition(n, i), t)
+        t = _compose(adjacent_transposition(n, i), t)
     return t
 
 
@@ -134,6 +166,11 @@ def perm_word(t: Perm) -> Word:
     >>> perm_word((2, 3, 1))
     (2, 1)
     """
+    check_perm(t)
+    return _perm_word(t)
+
+
+def _perm_word(t: Perm) -> Word:
     a = list(t)
     n = len(a)
     word = []
@@ -154,6 +191,7 @@ def perm_word_alt(t: Perm) -> Word:
     from `perm_word` on most permutations; used to cross-check results
     that must not depend on the factorization.
     """
+    check_perm(t)
     a = list(t)
     n = len(a)
     word = []

@@ -8,7 +8,18 @@ by the commutators uv - vu.
 
 Every element map, here and in the other element modules, is linear on
 the basis: it generates (basis key, value) pairs, and `collect` is the
-one place where such pairs are summed.
+one place where such pairs are summed, with one exception:
+`bimodule.wedge_at`, the inner step of every `cocycle` query, sums in
+its own single loop, because the same pass summed by `collect` made a
+query 6-9% slower.
+
+An element owns its `terms` dict.  The public constructors
+(`TensorElement(...)` and the other classes, `tensor_element`,
+`word_element`, `sym_element`, ...) copy or rebuild what a caller
+passes, so mutating the caller's dict later leaves the element alone.
+Element maps hand over a dict they have just built with the private
+`_SparseElement._own`, which stores it without a copy; no element map
+mutates an operand's `terms`.
 """
 
 from __future__ import annotations
@@ -82,8 +93,18 @@ class _SparseElement:
         self.degree = degree
         self.terms = dict(terms)
 
-    def _like(self, terms) -> "_SparseElement":
-        return type(self)(self.space, self.degree, terms)
+    @classmethod
+    def _own(cls, space: Space, degree: int, terms: dict):
+        """An element that takes `terms` as its own dict, without a copy:
+        only for a dict the caller has just built and will not touch."""
+        self = object.__new__(cls)
+        self.space = space
+        self.degree = degree
+        self.terms = terms
+        return self
+
+    def _like(self, terms: dict) -> "_SparseElement":
+        return self._own(self.space, self.degree, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -152,12 +173,13 @@ def tensor_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> T
     for w in checked:
         if len(w) != degree:
             raise ValueError(f"word {w} does not have degree {degree}")
-    return TensorElement(space, degree, _normalized_terms(space.field, checked))
+    return TensorElement._own(space, degree, _normalized_terms(space.field, checked))
 
 
 def word_element(space: Space, word: Word, coeff: Scalar = 1) -> TensorElement:
     word = check_word(space, word)
-    return tensor_element(space, len(word), {word: coeff})
+    c = space.field.coerce(coeff)
+    return TensorElement._own(space, len(word), {word: c} if c else {})
 
 
 def sym_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> SymElement:
@@ -169,7 +191,7 @@ def sym_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> SymE
         if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
             raise ValueError(f"monomial {w} is not weakly increasing")
         checked[w] = c
-    return SymElement(space, degree, _normalized_terms(space.field, checked))
+    return SymElement._own(space, degree, _normalized_terms(space.field, checked))
 
 
 def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -179,7 +201,7 @@ def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     mul = a.space.field.mul
     terms = collect(a.space.field, ((wa + wb, mul(ca, cb)) for wa, ca in a.terms.items()
                                     for wb, cb in b.terms.items()))
-    return TensorElement(a.space, a.degree + b.degree, terms)
+    return TensorElement._own(a.space, a.degree + b.degree, terms)
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -191,17 +213,17 @@ def perm_action(t: perms.Perm, a: TensorElement) -> TensorElement:
     """Left action permuting tensor positions: out[t(k)] = in[k] per word."""
     if len(t) != a.degree:
         raise ValueError(f"permutation size {len(t)} != degree {a.degree}")
-    if not perms.is_perm(t):
-        raise ValueError(f"{t} is not a permutation of 1..{a.degree}")
-    # t permutes the words, so no two terms meet and there is nothing to collect
-    terms = {perms.apply_to_positions(t, w): c for w, c in a.terms.items()}
-    return TensorElement(a.space, a.degree, terms)
+    perms.check_perm(t)
+    # t permutes the words, so no two terms meet and there is nothing to
+    # collect; t is checked once here, not once per word
+    move = perms._apply_to_positions
+    return TensorElement._own(a.space, a.degree, {move(t, w): c for w, c in a.terms.items()})
 
 
 def symmetrize(a: TensorElement) -> SymElement:
     """Project a tensor onto the symmetric component: sort each word."""
     terms = collect(a.space.field, ((tuple(sorted(w)), c) for w, c in a.terms.items()))
-    return SymElement(a.space, a.degree, terms)
+    return SymElement._own(a.space, a.degree, terms)
 
 
 def sym_product(a: SymElement, b: SymElement) -> SymElement:
@@ -212,7 +234,7 @@ def sym_product(a: SymElement, b: SymElement) -> SymElement:
     terms = collect(a.space.field, ((tuple(sorted(wa + wb)), mul(ca, cb))
                                     for wa, ca in a.terms.items()
                                     for wb, cb in b.terms.items()))
-    return SymElement(a.space, a.degree + b.degree, terms)
+    return SymElement._own(a.space, a.degree + b.degree, terms)
 
 
 def dim_tensor(m: int, n: int) -> int:

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorseq import bimodule, linalg, perms, tensor
 from tensorseq.errors import SizeCapError
@@ -415,3 +418,95 @@ def test_sign_broken_relations_fail_injective_rank(monkeypatch, family, m, n, fi
     assert checks["injective_rank"].detail.endswith(", relations do not expand to zero")
     assert checks["image_equals_kernel"].passed and checks["dimension_identity"].passed
     assert cert.dims["m_dim"] == cert.dims["t_dim"] - cert.dims["s_dim"]
+
+
+_COCYCLE_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
+_COCYCLE_CELLS = ((2, 3), (3, 3), (2, 4), (3, 4))
+
+
+def _summing_loop_cocycle(ctx, t, a, word=None):
+    """The telescoping loop summed into a new element at every letter,
+    with every swap applied, the last one included."""
+    n = ctx.degree
+    if word is None:
+        word = perms.perm_word(t)
+    acc = bimodule.BimodElement(ctx.space, n, {})
+    cur = a
+    for i in word:
+        acc = acc + bimodule.wedge_at(cur, i)
+        cur = tensor.perm_action(perms.adjacent_transposition(n, i), cur)
+    return bimodule.normal_form(ctx, acc)
+
+
+def _nonzero_scalars(field):
+    if field.char == 0:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.integers(1, field.char - 1) | st.integers(max(1, field.char - 3), field.char - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cocycle_matches_the_summing_loop(ctx_cache, data):
+    field = data.draw(st.sampled_from(_COCYCLE_FIELDS))
+    m, n = data.draw(st.sampled_from(_COCYCLE_CELLS))
+    ctx = ctx_cache(m, n, field)
+    sp = ctx.space
+    # few letters, so words repeat letters; some words come with their
+    # swap at a position, so `wedge_at` sums (and may cancel) two terms
+    words = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * n), min_size=1, max_size=4))
+    for w in data.draw(st.lists(st.sampled_from(words), max_size=2)):
+        i = data.draw(st.integers(1, n - 1))
+        words.append(perms.apply_to_positions(perms.adjacent_transposition(n, i), w))
+    coeffs = data.draw(st.lists(_nonzero_scalars(field), min_size=len(words),
+                                max_size=len(words)))
+    terms: dict = {}
+    for w, c in zip(words, coeffs):
+        terms[w] = field.add(terms.get(w, field.zero), field.coerce(c))
+    a = tensor.tensor_element(sp, n, terms)
+    a_terms = dict(a.terms)
+    if data.draw(st.booleans()):
+        t, word = tuple(data.draw(st.permutations(range(1, n + 1)))), None
+    else:
+        # a random letter sequence: usually not reduced
+        word = tuple(data.draw(st.lists(st.integers(1, n - 1), max_size=8)))
+        t = perms.compose_word(n, word)
+    assert bimodule.cocycle(ctx, t, a, word) == _summing_loop_cocycle(ctx, t, a, word)
+    assert a.terms == a_terms
+
+
+def test_wedge_at_cancels_a_word_against_its_swap():
+    for field in _COCYCLE_FIELDS:
+        sp = tensor.Space(3, field)
+        for w in tensor.all_words(3, 4):
+            for i in range(1, 4):
+                e = tensor.word_element(sp, w, 2)
+                x = e + tensor.perm_action(perms.adjacent_transposition(4, i), e)
+                assert bimodule.wedge_at(x, i).is_zero()
+
+
+def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
+    ctx = ctx_cache(3, 4)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bimodule, "wedge_at", counted("wedge_at", bimodule.wedge_at))
+    monkeypatch.setattr(bimodule, "perm_action", counted("perm_action", bimodule.perm_action))
+    monkeypatch.setattr(perms, "is_perm", counted("is_perm", perms.is_perm))
+    a = tensor.tensor_element(ctx.space, 4, {(1, 2, 3, 1): 1, (2, 1, 3, 3): 2,
+                                             (3, 3, 2, 1): -1, (1, 1, 1, 2): 5})
+    cases = [(perms.compose_word(4, word), word)
+             for word in [(), (1,), (1, 2, 1), (3, 3, 2, 1, 2)]]
+    cases.append(((4, 3, 2, 1), None))
+    for t, word in cases:
+        length = len(perms.perm_word(t) if word is None else word)
+        calls.clear()
+        bimodule.cocycle(ctx, t, a, word)
+        assert calls["wedge_at"] == length
+        assert calls["perm_action"] == max(length - 1, 0)
+        # one check in `cocycle` and one per `perm_action`, none per word
+        assert calls["is_perm"] == 1 + calls["perm_action"]

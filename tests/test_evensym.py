@@ -316,3 +316,13 @@ def test_sorting_parity_matches_inversion_count(letters):
         assert perms.parity(perms.sorting_perm(word)) == int(odd)
         assert k.twisted == odd
         assert canon == (-1 if odd else 1, tuple(sorted(word)))
+
+
+def test_twisted_columns_are_built_once_per_cell_shape():
+    evensym._twisted_columns.cache_clear()
+    for field in (QQ, GF(3)):
+        assert evensym.verify_sequence(tensor.Space(5, field), 3).passed
+    info = evensym._twisted_columns.cache_info()
+    # P and the embedding of both fields read one tuple
+    assert (info.misses, info.hits) == (1, 3)
+    assert evensym._twisted_columns(5, 3) == evensym._twisted_columns(5, 3)

@@ -80,3 +80,33 @@ def test_three_cycle_has_length_two_word():
 def test_alt_word_differs_somewhere():
     diffs = [t for t in perms.all_perms(4) if perms.perm_word(t) != perms.perm_word_alt(t)]
     assert diffs, "the two factorization networks never disagree on S_4"
+
+
+@pytest.mark.parametrize("fn,args", [
+    (perms.inverse, ((1, 1, 3),)),
+    (perms.inverse, ((0, 1, 2),)),
+    (perms.apply_to_positions, ((0, 1, 2), (7, 8, 9))),
+    (perms.apply_to_positions, ((1, 1, 3), (7, 8, 9))),
+    (perms.perm_word, ((3, 3, 1),)),
+    (perms.perm_word, ((1, 2, 4),)),
+    (perms.perm_word_alt, ((3, 3, 1),)),
+    (perms.compose, ((1, 1, 3), (2, 1, 3))),
+    (perms.compose, ((2, 1, 3), (1, 1, 3))),
+], ids=lambda x: x.__name__ if callable(x) else "-".join(map(str, x)))
+def test_non_permutations_are_rejected(fn, args):
+    with pytest.raises(ValueError, match="not a permutation"):
+        fn(*args)
+
+
+def test_size_mismatch_is_reported_before_the_permutation_check():
+    with pytest.raises(ValueError, match="size mismatch"):
+        perms.apply_to_positions((1, 1), (7, 8, 9))
+    with pytest.raises(ValueError, match="size mismatch"):
+        perms.compose((1, 2), (1, 1, 3))
+
+
+def test_adjacent_transposition_is_cached_and_still_checks_its_index():
+    assert perms.adjacent_transposition(5, 3) is perms.adjacent_transposition(5, 3)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            perms.adjacent_transposition(5, i)

@@ -270,3 +270,49 @@ def test_element_constructors_coerce_coefficients_alike(make, keys, field, value
         x = make(sp, 2, dict(zip(keys, coeffs)))
         assert x.terms == want
         assert all(type(c) is type(field.one) for c in x.terms.values())
+
+
+@pytest.mark.parametrize("make,keys", _CONSTRUCTORS)
+def test_public_constructors_copy_the_callers_dict(make, keys):
+    sp = tensor.Space(3, QQ)
+    terms = {keys[0]: 1, keys[1]: 2}
+    x = make(sp, 2, terms)
+    want = dict(x.terms)
+    terms[keys[0]] = 5
+    terms[keys[2]] = 7
+    del terms[keys[1]]
+    assert x.terms == want
+
+
+@pytest.mark.parametrize("cls", [tensor.TensorElement, tensor.SymElement, exterior.ExtElement,
+                                 evensym.EvenSymElement, bimodule.BimodElement])
+def test_element_classes_copy_the_callers_dict(cls):
+    sp = tensor.Space(3, QQ)
+    terms = {(1, 2): Fraction(1)}
+    x = cls(sp, 2, terms)
+    terms[(1, 2)] = Fraction(4)
+    terms[(2, 3)] = Fraction(1)
+    assert x.terms == {(1, 2): Fraction(1)}
+
+
+def test_word_element_checks_its_word_and_drops_a_zero_coefficient():
+    sp = tensor.Space(3, GF(3))
+    assert tensor.word_element(sp, (1, 3), 4).terms == {(1, 3): 1}
+    assert tensor.word_element(sp, (1, 3), 3).is_zero()
+    assert tensor.word_element(sp, (), 2) == tensor.tensor_element(sp, 0, {(): 2})
+    with pytest.raises(ValueError, match="out of range"):
+        tensor.word_element(sp, (1, 4))
+
+
+def test_element_maps_leave_their_operands_alone():
+    sp = tensor.Space(3, QQ)
+    x = tensor.tensor_element(sp, 3, {(1, 2, 3): 1, (2, 1, 3): 2, (3, 3, 1): -1})
+    y = tensor.tensor_element(sp, 3, {(1, 2, 3): -1, (2, 2, 2): 4})
+    x_terms, y_terms = dict(x.terms), dict(y.terms)
+    results = [x + y, x - y, y - x, tensor.perm_action((2, 3, 1), x), -y, x.scale(3)]
+    assert x.terms == x_terms and y.terms == y_terms
+    for r in results:
+        assert r.terms is not x.terms and r.terms is not y.terms
+    # a result owns its dict: changing it reaches neither operand
+    results[0].terms.clear()
+    assert x.terms == x_terms and y.terms == y_terms
