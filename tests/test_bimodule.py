@@ -389,6 +389,21 @@ def test_normal_form_over_q_returns_fractions(ctx_cache):
     assert any(value) and all(type(x) is Fraction for x in value)
 
 
+@pytest.mark.parametrize("scale", [1, Fraction(-2, 3)])
+def test_normal_form_answers_share_their_nonzero_scalars(ctx_cache, scale):
+    """A caller that keeps answers keeps one scalar object per value, not
+    one per nonzero entry."""
+    ctx = ctx_cache(3, 4)
+    answers = [bimodule.cocycle(ctx, t, tensor.word_element(ctx.space, w).scale(scale))
+               for t, w in [((2, 3, 4, 1), (1, 2, 3, 1)), ((4, 3, 2, 1), (1, 2, 3, 3)),
+                            ((2, 1, 4, 3), (3, 1, 2, 2))]]
+    nonzero = [x for h in answers for x in h if x]
+    assert len(nonzero) > len(set(nonzero))
+    first = {}
+    assert all(first.setdefault(x, x) is x for x in nonzero)
+    assert all(type(x) is Fraction for x in nonzero)
+
+
 def _sign_broken(core):
     """`core` with the sign of its first term flipped: still nonzero, but
     its expansion no longer vanishes."""
