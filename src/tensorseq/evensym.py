@@ -8,16 +8,23 @@ letters belongs to one of two classes: the sorted word ("plain") or the
 sorted word with its first two letters swapped ("twisted").  Elements
 are stored directly on these orbit representatives; sorting a word and
 taking the parity of the sorting permutation computes its class in
-O(n log n), with no linear algebra.  `verify_relation_span` rebuilds the
-quotient the slow way, in tensor coordinates, and certifies that the
-shortcut matches.
+O(n log n), with no linear algebra.
+
+`verify_relation_span` certifies the shortcut in tensor coordinates from
+difference rows e_w - e_u under three partner rules.  The ideal pairs
+l.xyz.r with l.yzx.r.  The orbit pairs w with g.w for two generators of
+A_n, (1 2 3) with (1 2 ... n) for odd n or (2 3 ... n) for even n: their
+conjugates are 3-cycles that generate A_n, and w - s.w telescopes along
+any word for s in the generators.  The normal-form kernel pairs w with
+the first word of its class.  The three spans are compared by their
+unique RREFs, so the oracle does not reuse `image_equals_kernel`'s graph
+argument.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from math import factorial
 from typing import Mapping
 
 from . import perms
@@ -25,7 +32,7 @@ from .certificates import Certificate, CheckResult, certificate, image_equals_ke
 from .errors import Record, check_cap
 from .exterior import ExtElement, all_wedge_words, dim_wedge
 from .fields import Scalar
-from .linalg import Matrix, Row, echelon_rows, kernel_basis, transpose
+from .linalg import Matrix, Row, echelon_rows
 from .tensor import (Space, SymElement, Word, _SparseElement, _normalized_terms,
                      all_monomials, all_words, check_word, coeff_to_json, collect,
                      dim_sym, dim_tensor)
@@ -83,7 +90,7 @@ def normal_form(word: Word) -> OrbitWord:
     sorted_word = tuple(sorted(word))
     if len(set(word)) < len(word):
         return OrbitWord(sorted_word, False)
-    return OrbitWord(sorted_word, perms.parity(perms.sorting_perm(word)) == 1)
+    return OrbitWord(sorted_word, perms._parity(perms.sorting_perm(word)) == 1)
 
 
 def representative(e: OrbitWord) -> Word:
@@ -180,10 +187,6 @@ def basis_words(m: int, n: int) -> list[OrbitWord]:
     return out
 
 
-def _basis_index(m: int, n: int) -> dict:
-    return {k: i for i, k in enumerate(basis_words(m, n))}
-
-
 # cached: an S' cell needs it for both P and the embedding, and the cells
 # of one (m, n) over different fields need the same one
 @lru_cache(maxsize=32)
@@ -224,78 +227,71 @@ def wedge_embed_matrix(space: Space, n: int) -> Matrix:
     return Matrix(field, s + len(rows), rows)
 
 
-def normal_form_matrix(space: Space, n: int) -> Matrix:
-    """Matrix of word -> class on the tensor basis: rows = words (lex),
-    columns = basis classes."""
-    index = _basis_index(space.dim, n)
-    one = space.field.one
-    rows = tuple(((index[normal_form(w)], one),) for w in all_words(space.dim, n))
-    return Matrix(space.field, len(index), rows)
-
-
 def _difference_row(i: int, j: int, one: Scalar, neg_one: Scalar) -> Row:
     """Sparse e_i - e_j for i != j."""
     return ((i, one), (j, neg_one)) if i < j else ((j, neg_one), (i, one))
 
 
-def cyclic_ideal_rows(space: Space, n: int) -> list[Row]:
-    """Degree-n span of the defining ideal, in tensor coordinates: all
-    two-sided word translates of xyz - yzx over basis letters."""
-    m = space.dim
-    field = space.field
-    one, neg_one = field.one, field.neg(field.one)
+def _alternating_generators(n: int) -> tuple[perms.Perm, ...]:
+    """(1 2 3), with (1 2 ... n) for odd n or (2 3 ... n) for even n;
+    none below n = 3, where A_n is trivial."""
     if n < 3:
-        return []
-    word_index = {w: i for i, w in enumerate(all_words(m, n))}
-    rows = []
-    for p in range(n - 2):
-        q = n - 3 - p
-        for left in all_words(m, p):
-            for right in all_words(m, q):
-                for x in range(1, m + 1):
-                    for y in range(1, m + 1):
-                        for z in range(1, m + 1):
-                            w1 = left + (x, y, z) + right
-                            w2 = left + (y, z, x) + right
-                            if w1 != w2:
-                                rows.append(_difference_row(
-                                    word_index[w1], word_index[w2], one, neg_one))
-    return rows
+        return ()
+    three = (2, 3, 1) + tuple(range(4, n + 1))
+    long = tuple(range(2, n + 1)) + (1,) if n % 2 else (1,) + tuple(range(3, n + 1)) + (2,)
+    return (three,) if long == three else (three, long)
 
 
-def even_orbit_rows(space: Space, n: int) -> list[Row]:
-    """Span of w - (even permutation of w) over all words, in tensor
-    coordinates."""
-    m = space.dim
-    field = space.field
-    one, neg_one = field.one, field.neg(field.one)
-    word_index = {w: i for i, w in enumerate(all_words(m, n))}
-    rows = []
-    evens = [s for s in perms.alternating_perms(n) if s != perms.identity_perm(n)]
-    for w in all_words(m, n):
-        for s in evens:
-            w2 = perms._apply_to_positions(s, w)
-            if w2 != w:
-                rows.append(_difference_row(word_index[w], word_index[w2], one, neg_one))
-    return rows
+def _relation_rows(space: Space, n: int, generators: tuple) -> tuple[list[Row], ...]:
+    """Difference rows e_w - e_u in tensor coordinates, for each degree-n
+    word w in lex order and each partner u != w, under three partner
+    rules: ideal, orbit and normal-form kernel (`verify_relation_span`)."""
+    one, neg_one = space.field.one, space.field.neg(space.field.one)
+    index = {w: i for i, w in enumerate(all_words(space.dim, n))}
+    first_of_class: dict = {}
+    rules = (
+        lambda w: [w[:p] + (w[p + 1], w[p + 2], w[p]) + w[p + 3:] for p in range(n - 2)],
+        lambda w: [perms._apply_to_positions(g, w) for g in generators],
+        lambda w: (first_of_class.setdefault(normal_form(w), w),),
+    )
+    return tuple([_difference_row(i, index[u], one, neg_one)
+                  for w, i in index.items() for u in rule(w) if u != w] for rule in rules)
 
 
 def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> Certificate:
     """Certify that the defining ideal, the even-orbit span, and the
-    kernel of the normal-form shortcut all agree in degree n."""
+    kernel of the normal-form shortcut all agree in degree n.
+
+    Each span is spanned by rows e_w - e_u, one per word w and partner u:
+    - ideal: w = l.xyz.r pairs with l.yzx.r, the translates of xyz - yzx;
+    - orbit: w pairs with g.w for the generators g of A_n, (1 2 3) with
+      (1 2 ... n) for odd n or (2 3 ... n) for even n.  If s = g_1...g_k,
+      w - s.w telescopes into the sum of v_i - g_i.v_i over
+      v_i = g_{i+1}...g_k.w, so these rows span every w - s.w, s even.
+      Conjugating (1 2 3) by the long cycle's powers gives every
+      (i i+1 i+2) for odd n; for even n it gives every (1 j j+1), and
+      (1 i i+1)(1 i+1 i+2) = (i i+1 i+2).  These 3-cycles generate A_n:
+      an even permutation is a product of pairs s_i s_j of adjacent
+      transpositions, (i i+1 i+2) = s_i s_{i+1}, s_i s_j with i < j
+      telescopes into (s_i s_{i+1})(s_{i+1} s_{i+2})..., and s_j s_i is
+      its inverse;
+    - normal-form kernel: w pairs with the first word of its class.
+    The cap counts the rows the three rules visit, before any is built.
+
+    The spans are compared by their unique RREFs, not by the partitions
+    their edges induce, so this oracle does not reuse the graph argument
+    of `image_equals_kernel`, the check it backs up."""
     start = time.perf_counter()
     m = space.dim
     field = space.field
+    generators = _alternating_generators(n)
+    check_cap((max(n - 2, 0) + len(generators) + 1) * m ** n, size_cap, "relation rows")
     t_dim = dim_tensor(m, n)
-    check_cap(t_dim, size_cap, "tensor dimension")
-    # even_orbit_rows pairs each word with every non-identity even permutation
-    check_cap((max(factorial(n) // 2, 1) - 1) * t_dim, size_cap, "even-orbit rows")
     q_dim = dim_evensym(m, n)
     # echelon_rows returns the unique RREF of a span, so two spans are
     # equal exactly when their echelon rows are
-    ideal, _ = echelon_rows(field, cyclic_ideal_rows(space, n))
-    orbit, _ = echelon_rows(field, even_orbit_rows(space, n))
-    nf, _ = echelon_rows(field, kernel_basis(transpose(normal_form_matrix(space, n))))
+    ideal, orbit, nf = (echelon_rows(field, rows)[0]
+                        for rows in _relation_rows(space, n, generators))
     checks = (
         CheckResult(
             "ideal_equals_orbit_span", ideal == orbit,

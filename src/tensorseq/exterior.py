@@ -31,7 +31,7 @@ def wedge_canon(letters: Word) -> tuple[int, Word] | None:
     letters = tuple(letters)
     if len(set(letters)) < len(letters):
         return None
-    return (-1 if perms.parity(perms.sorting_perm(letters)) else 1), tuple(sorted(letters))
+    return (-1 if perms._parity(perms.sorting_perm(letters)) else 1), tuple(sorted(letters))
 
 
 class ExtElement(_SparseElement):

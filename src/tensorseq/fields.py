@@ -103,7 +103,11 @@ class RationalField(Field):
         return 1 / Fraction(x)
 
     def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
+        s = s.strip()
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {s!r} has a zero denominator") from None
 
     def fmt(self, x) -> str:
         return str(Fraction(x))
@@ -155,7 +159,10 @@ class PrimeField(Field):
         s = s.strip()
         if "/" in s:
             num, den = s.split("/", 1)
-            return self.div(int(num) % self.p, int(den) % self.p)
+            den = int(den) % self.p
+            if den == 0:
+                raise ValueError(f"coefficient {s!r} has a denominator divisible by {self.p}")
+            return self.div(int(num) % self.p, den)
         return int(s) % self.p
 
     def fmt(self, x) -> str:

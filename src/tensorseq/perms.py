@@ -4,13 +4,11 @@ A permutation is a tuple `t` with `t[k-1] = t(k)`.  Composition is
 function composition, `(s * t)(k) = s(t(k))`, and permutations act on
 letter tuples by moving the letter at position k to position t(k).
 
-`compose`, `inverse`, `apply_to_positions`, `perm_word` and
+`compose`, `inverse`, `apply_to_positions`, `parity`, `perm_word` and
 `perm_word_alt` raise `ValueError` on a tuple that is not a permutation.
-Each checks its arguments once per call; loops inside the package that
-already hold a checked permutation use the unchecked `_compose`,
-`_apply_to_positions` and `_perm_word`.  `parity` trusts its argument:
-its callers pass what `sorting_perm` or `all_perms` built, once per word
-on the S' path.
+Each checks its arguments once per call; code inside the package that
+already holds a permutation it built or checked uses the unchecked
+`_compose`, `_apply_to_positions`, `_parity` and `_perm_word`.
 """
 
 from __future__ import annotations
@@ -108,7 +106,16 @@ def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
 
 
 def parity(t: Perm) -> int:
-    """0 for even permutations, 1 for odd ones; t is not checked."""
+    """0 for even permutations, 1 for odd ones.
+
+    >>> parity((2, 3, 1)), parity((2, 1, 3))
+    (0, 1)
+    """
+    check_perm(t)
+    return _parity(t)
+
+
+def _parity(t: Perm) -> int:
     seen = [False] * len(t)
     odd = 0
     for k in range(len(t)):
@@ -141,7 +148,7 @@ def all_perms(n: int) -> Iterator[Perm]:
 
 
 def alternating_perms(n: int) -> Iterator[Perm]:
-    return (t for t in all_perms(n) if parity(t) == 0)
+    return (t for t in all_perms(n) if _parity(t) == 0)
 
 
 def compose_word(n: int, word: Sequence[int]) -> Perm:

@@ -270,6 +270,24 @@ def test_nf_negative_dimension_is_a_usage_error():
     assert res.exit_code == 2 and "Error: dimension must be >= 0" in res.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (("m", "--element", "1/0*[|1,2|]", "--m", "2"),
+     "coefficient '1/0' has a zero denominator"),
+    (("sprime", "--element", "1/0*1,2", "--m", "2"),
+     "coefficient '1/0' has a zero denominator"),
+    (("sprime", "--element", "1/3*1,2", "--m", "2", "--field", "f3"),
+     "coefficient '1/3' has a denominator divisible by 3"),
+    (("m", "--element", "1/6*[|1,2|]", "--m", "2", "--field", "f3"),
+     "coefficient '1/6' has a denominator divisible by 3"),
+], ids=["m-q", "sprime-q", "sprime-f3", "m-f3"])
+def test_nf_coefficient_with_zero_denominator_is_a_usage_error(args, message):
+    res = run("nf", *args)
+    assert res.exit_code == 2
+    assert [line for line in res.output.splitlines() if line.startswith("Error:")] == \
+        [f"Error: {message}"]
+    assert "Traceback" not in res.output
+
+
 def test_nf_over_the_cap_is_a_usage_error():
     res = run("nf", "m", "--element", "[|1,2|3]", "--m", "3", "--size-cap", "10")
     assert res.exit_code == 2

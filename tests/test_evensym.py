@@ -3,13 +3,12 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorseq import evensym, exterior, perms, tensor
+from tensorseq import evensym, exterior, linalg, perms, tensor
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import GF, QQ
 from tensorseq.evensym import OrbitWord
@@ -189,11 +188,15 @@ def test_basis_words_unique_and_ordered():
     assert b[:len(plains)] == plains  # plain classes first
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+# (3, 6), (4, 5) and (2, 7) visit at most 6144 rows; counting
+# (n!/2 - 1) * m^n even-orbit rows refused them at the default cap
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4),
+                                 (3, 6), (4, 5), (2, 7)])
 def test_verify_relation_span(m, n, fields_qf23):
     for field in fields_qf23:
         cert = evensym.verify_relation_span(tensor.Space(m, field), n)
         assert cert.passed, cert.to_json_dict()
+        assert cert.dims["relation_rank"] == m ** n - evensym.dim_evensym(m, n)
 
 
 def test_relation_span_known_ranks():
@@ -265,22 +268,62 @@ def test_verify_sequence_guards():
         evensym.verify_relation_span(tensor.Space(5, QQ), 5, size_cap=10)
 
 
-def test_relation_span_caps_the_even_orbit_rows(monkeypatch):
+def test_relation_span_caps_its_rows_before_enumerating(monkeypatch):
     """At (2, 14) the tensor dimension 16384 is under the default cap, but
-    the even-orbit rows would number (14!/2 - 1) * 2^14: refused before
-    anything is enumerated."""
+    the three partner rules would visit (12 + 2 + 1) * 2^14 rows: refused
+    before any word is enumerated."""
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(perms, "alternating_perms", no_enumeration)
-    for name in ("all_words", "cyclic_ideal_rows", "even_orbit_rows", "normal_form_matrix"):
+    for name in ("all_words", "normal_form", "_relation_rows"):
         monkeypatch.setattr(evensym, name, no_enumeration)
     start = time.perf_counter()
     with pytest.raises(SizeCapError) as exc:
         evensym.verify_relation_span(tensor.Space(2, QQ), 14)
     assert time.perf_counter() - start < 1.0
-    rows = (factorial(14) // 2 - 1) * 2 ** 14
-    assert str(exc.value) == f"even-orbit rows {rows} exceeds size cap 20000"
+    assert str(exc.value) == f"relation rows {15 * 2 ** 14} exceeds size cap 20000"
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_alternating_generators_generate_the_alternating_group(n):
+    generators = evensym._alternating_generators(n)
+    group = {perms.identity_perm(n)}
+    frontier = list(group)
+    while frontier:
+        frontier = [perms.compose(g, t) for t in frontier for g in generators]
+        frontier = [t for t in set(frontier) if t not in group]
+        group.update(frontier)
+    assert group == set(perms.alternating_perms(n))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3) for n in range(3, 7)])
+def test_relation_rules_match_their_literal_definitions(m, n, fields_qf23):
+    """The ideal rule's rows are the translates l.xyz.r - l.yzx.r, written
+    out; the orbit rule's two generators span every w - s.w, s even."""
+    words = list(tensor.all_words(m, n))
+    index = {w: i for i, w in enumerate(words)}
+    letters = range(1, m + 1)
+    translates = set()
+    for p in range(n - 2):
+        for left in product(letters, repeat=p):
+            for right in product(letters, repeat=n - 3 - p):
+                for x, y, z in product(letters, repeat=3):
+                    i, j = index[left + (x, y, z) + right], index[left + (y, z, x) + right]
+                    if i != j:
+                        translates.add((i, j))
+    pairs = {frozenset((index[w], index[perms.apply_to_positions(s, w)]))
+             for s in perms.alternating_perms(n) for w in words}
+    pairs = sorted(tuple(sorted(p)) for p in pairs if len(p) == 2)
+    generators = evensym._alternating_generators(n)
+    for field in fields_qf23:
+        one, neg_one = field.one, field.neg(field.one)
+        ideal, orbit, _ = evensym._relation_rows(tensor.Space(m, field), n, generators)
+        assert set(ideal) == {evensym._difference_row(i, j, one, neg_one)
+                              for i, j in translates}
+        every_even = [evensym._difference_row(i, j, one, neg_one) for i, j in pairs]
+        assert linalg.echelon_rows(field, orbit)[0] == \
+            linalg.echelon_rows(field, every_even)[0]
 
 
 def test_json_roundtrip():

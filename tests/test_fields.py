@@ -77,3 +77,11 @@ def test_zero_inverse_raises():
         QQ.inv(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         GF(7).inv(0)
+
+
+def test_parse_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="coefficient '1/0' has a zero denominator"):
+        QQ.parse(" 1/0 ")
+    for text in ("1/3", "2/0", "1/-6"):
+        with pytest.raises(ValueError, match=f"coefficient '{text}' has a denominator divisible by 3"):
+            GF(3).parse(text)

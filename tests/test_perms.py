@@ -92,6 +92,9 @@ def test_alt_word_differs_somewhere():
     (perms.perm_word_alt, ((3, 3, 1),)),
     (perms.compose, ((1, 1, 3), (2, 1, 3))),
     (perms.compose, ((2, 1, 3), (1, 1, 3))),
+    (perms.parity, ((1, 1, 3),)),
+    (perms.parity, ((2, 2, 2),)),
+    (perms.parity, ((0, 1),)),
 ], ids=lambda x: x.__name__ if callable(x) else "-".join(map(str, x)))
 def test_non_permutations_are_rejected(fn, args):
     with pytest.raises(ValueError, match="not a permutation"):
