@@ -13,6 +13,38 @@ Both families expand, via the commutator, to zero in the tensor
 algebra, so `expand_wedge` descends to the quotient; the quotient is
 handled concretely through cached row-echelon normal forms.
 
+`verify_sequence` needs only the rank of the relation span R, and it
+takes it from a leading-term witness instead of an elimination.  Order
+the degree-n terms canonically, by (len(left), left, pair, right), as
+`all_bimod_terms` lists them, and call a relation's smallest term its
+leading term.  The argument has four steps:
+
+  * the generators are the two-sided word translates l.core.r of a
+    few cores (`_relation_cores`).  Translation preserves the order,
+    because every term of a core has the same degree, so the leading
+    term of l.core.r is l.lead(core).r and the leading terms are counted
+    as tuples, with no translate built;
+  * one generator per distinct leading term gives rows in echelon form,
+    so k distinct leading terms give k <= rank R;
+  * expansion commutes with two-sided multiplication, and translation by
+    basis words is injective on tensors, so every generator expands to
+    zero exactly when every core does, which is checked once per core.
+    Then R lies in the kernel of the expansion E, and
+    rank R <= ambient - rank E, where `image_equals_kernel` returns
+    rank E as words minus connected components;
+  * so k = ambient - rank E proves rank R = k, and then R = ker E.
+
+When k falls short, the count proves nothing, and `verify_sequence`
+row-reduces the relation span with `build_context` instead.  No cell
+of the acceptance grids falls short.  That the witness closes is the
+situation of Bergman's Diamond Lemma (Adv. Math. 29, 1978): the
+generators behave as a linear Groebner basis of their span for this
+order.  The route to a proof is the free terms: the terms l.(a^b).r with
+the wedge at the last ascent of the word l.a.b.r appear to be exactly the
+free columns of R's RREF, and they form a spanning forest of the
+adjacent-swap graph on words.  Nothing here relies on that; the count
+is checked against the bound on every cell.
+
 `wedge_at` replaces one tensor sign of a word by a wedge; summing its
 images along a factorization of a permutation into adjacent swaps gives
 the telescoping `cocycle` map, whose value is independent of the chosen
@@ -24,7 +56,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,26 +178,58 @@ def _two_sided_closure(space: Space, core: BimodElement, n: int) -> Iterable[Bim
                 yield BimodElement._own(space, n, terms)
 
 
-def relation_generators(space: Space, n: int) -> list[BimodElement]:
-    """A degree-n spanning set of the relation subbimodule.
+def _relation_cores(space: Space, n: int) -> Iterator[BimodElement]:
+    """The nonzero relation cores of degree at most n whose two-sided
+    translates span the degree-n relations: Jacobi cycles, then
+    commutator transfers by middle length.
 
     Cores are instantiated on ordered index tuples only: both families
     are multilinear and alternating in the relevant slots, so unordered
     or repeated instantiations are scalar multiples of ordered ones.
     """
+    letters = range(1, space.dim + 1)
+    jacobi = (jacobi_cycle(space, x, y, z) for x, y, z in combinations(letters, 3))
+    transfers = (commutator_transfer(space, x, y, mid, z, t)
+                 for k in range(n - 3)
+                 for x, y in combinations(letters, 2)
+                 for z, t in combinations(letters, 2)
+                 for mid in all_words(space.dim, k))
+    return (core for core in chain(jacobi if n >= 3 else (), transfers) if not core.is_zero())
+
+
+def relation_generators(space: Space, n: int) -> list[BimodElement]:
+    """A degree-n spanning set of the relation subbimodule: every
+    two-sided translate of every `_relation_cores` core into degree n.
+    Translating by basis words is injective, so none of them is zero."""
+    return [g for core in _relation_cores(space, n) for g in _two_sided_closure(space, core, n)]
+
+
+def _term_order(term: BimodTerm) -> tuple:
+    """Sort key of the canonical term order of `all_bimod_terms`."""
+    left, pair, right = term
+    return len(left), left, pair, right
+
+
+def _leading_terms(space: Space, n: int) -> set | None:
+    """The distinct leading terms of the degree-n relation generators,
+    or None when some relation core does not expand to zero.
+
+    The leading term of l.core.r is l.lead(core).r, so the translates'
+    leading terms are formed as tuples and no translate is built; the
+    expansion is checked once per core (see the module docstring)."""
     m = space.dim
-    gens: list[BimodElement] = []
-    if n >= 3:
-        for x, y, z in combinations(range(1, m + 1), 3):
-            core = jacobi_cycle(space, x, y, z)
-            gens.extend(_two_sided_closure(space, core, n))
-    for k in range(n - 3):
-        for x, y in combinations(range(1, m + 1), 2):
-            for z, t in combinations(range(1, m + 1), 2):
-                for mid in all_words(m, k):
-                    core = commutator_transfer(space, x, y, mid, z, t)
-                    gens.extend(_two_sided_closure(space, core, n))
-    return [g for g in gens if not g.is_zero()]
+    leads: set = set()
+    for core in _relation_cores(space, n):
+        if not expand_wedge(core).is_zero():
+            return None
+        a, pair, b = min(core.terms, key=_term_order)
+        d = core.degree
+        for p in range(n - d + 1):
+            rights = tuple(all_words(m, n - d - p))
+            for left in all_words(m, p):
+                la = left + a
+                leads.update((la, pair, b + right) for right in rights)
+    return leads
 
 
 class QuotientContext(Record):
@@ -360,23 +424,6 @@ def _expansion_rows(field: Field, word_index: dict, terms: Iterable[BimodTerm]) 
             for left, (a, b), right in terms]
 
 
-def _expands_to_zero(field: Field, rows: Iterable[Row], image_rows: Sequence[Row]) -> bool:
-    """True iff every sparse row of term coordinates expands to zero in
-    the tensor algebra.  Term c expands to the two entries of
-    `image_rows[c]`, +1 on one word and -1 on its swap, so each row's
-    expansion is summed from its own values, with no product by a matrix."""
-    p = field.char
-    for row in rows:
-        acc: dict = {}
-        for c, v in row:
-            (i, _), (j, _) = image_rows[c]
-            acc[i] = acc.get(i, 0) + v
-            acc[j] = acc.get(j, 0) - v
-        if any(x % p if p else x for x in acc.values()):
-            return False
-    return True
-
-
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:
     """Certify degree-n exactness of quotient -> tensor -> symmetric:
     the expansion map is well defined and injective on the quotient, its
@@ -386,25 +433,38 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     The expansion E sends each basis term l.(a^b).r to the difference of
     the words l.a.b.r and l.b.a.r, an edge between two words one adjacent
     swap apart, so `image_equals_kernel` certifies its image as the span
-    of a graph's edges, with no elimination.  The ambient space is the
-    relation span R plus the span of the unit vectors on the free
-    columns of R's RREF, a direct sum.  So once E kills every row of R's
-    RREF (well defined on the quotient), E and its restriction to the
-    free columns have the same image: the quotient's injectivity rank is
-    the image rank the check returns, words minus connected components.
-    `injective_rank` fails when E is not well defined.
+    of a graph's edges, with no elimination, and returns rank E.
+
+    The relation rank comes from a leading-term witness (module
+    docstring): k distinct leading terms among the generators give
+    k <= rank R, and once every core expands to zero, R lies in ker E,
+    so rank R <= ambient - rank E.  When k reaches that bound, R = ker E:
+    the relation rank is k and the quotient, of dimension rank E, maps
+    injectively.  Otherwise the relation span is row-reduced by
+    `build_context`, as the witness proves nothing; the check then
+    compares rank E with the quotient dimension.  `injective_rank`
+    fails when some core does not expand to zero, E not being well
+    defined on the quotient.
     """
     start = time.perf_counter()
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
     m = space.dim
     field = space.field
-    ctx = build_context(space, n, size_cap)
+    ambient = ambient_dim(m, n)
+    check_cap(ambient, size_cap)
     t_dim = dim_tensor(m, n)
     s_dim = dim_sym(m, n)
-    q_dim = ctx.quotient_dim
+    leads = _leading_terms(space, n)
+    well_defined = leads is not None
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
-    image_rows = _expansion_rows(field, word_index, ctx.terms)
-    well_defined = _expands_to_zero(field, ctx.rel_rows, image_rows)
+    image_rows = _expansion_rows(field, word_index, all_bimod_terms(m, n))
     exact, inj_rank, _ = image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))
+    if well_defined and inj_rank is not None and len(leads) == ambient - inj_rank:
+        rel_rank = len(leads)
+    else:
+        rel_rank = build_context(space, n, size_cap).rel_rank
+    q_dim = ambient - rel_rank
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
     checks = (
         CheckResult(
@@ -417,6 +477,6 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     )
     return certificate(
         "M->T->S", space, n,
-        {"ambient": ctx.ambient_dim, "wm_rank": ctx.rel_rank, "m_dim": q_dim,
+        {"ambient": ambient, "wm_rank": rel_rank, "m_dim": q_dim,
          "t_dim": t_dim, "s_dim": s_dim},
         checks, start)

@@ -32,13 +32,15 @@ Theory*).  Three facts then certify image = kernel:
   returned (each has 1 in its own free column and 0 in the others), so
   their count is the kernel rank and P's rank is its row count minus it.
 
-The M sequence takes its injectivity rank from the image rank returned
-here.  The ambient bimodule is the relation span R plus the unit vectors
-on the free columns of R's RREF, a direct sum, so once the expansion E
-kills every row of that RREF, the quotient's rank under E is the rank of
-all of E, and the rank of E's rows is the rank of their span: the graph's
-vertices minus components.  A row that is not a nonzero multiple of a
-difference is never re-signed or dropped: the check fails and names it.
+The M sequence takes the rank of its expansion E from the image rank
+returned here: the graph's vertices minus components.  Once every
+relation expands to zero, the relation span R lies in the kernel of E,
+so rank R is at most the ambient dimension minus rank E.  The
+leading-term count in `bimodule` is a lower bound on rank R; where it
+meets that upper bound, R is the kernel of E, and the quotient, of
+dimension rank E, maps injectively, with no elimination of R.  A row
+that is not a nonzero multiple of a difference is never re-signed or
+dropped: the check fails and names it.
 """
 
 from __future__ import annotations

@@ -134,7 +134,10 @@ class PrimeField(Field):
     def normalize(self, x) -> int:
         if isinstance(x, Fraction):
             # a/b makes sense in F_p whenever p does not divide b
-            return self.div(x.numerator % self.p, x.denominator % self.p)
+            den = x.denominator % self.p
+            if den == 0:
+                raise ValueError(f"coefficient {x} has a denominator divisible by {self.p}")
+            return self.div(x.numerator % self.p, den)
         return x % self.p
 
     def add(self, x, y):

@@ -435,6 +435,72 @@ def test_sign_broken_relations_fail_injective_rank(monkeypatch, family, m, n, fi
     assert cert.dims["m_dim"] == cert.dims["t_dim"] - cert.dims["s_dim"]
 
 
+_WITNESS_CELLS = [(m, n) for m in (2, 3) for n in range(2, 6)] + \
+    [(4, 2), (4, 3), (4, 4), (2, 6), (3, 6), (3, 7)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("m,n", _WITNESS_CELLS)
+def test_leading_terms_are_the_pivots_of_the_relation_rref(m, n, field):
+    """Oracle for the witness: the translated leading terms are the
+    generators' first columns, and exactly the pivot columns
+    `echelon_rows` finds for them, so their count is the relation rank."""
+    sp = tensor.Space(m, field)
+    index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
+    rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
+            for g in bimodule.relation_generators(sp, n)]
+    leads = bimodule._leading_terms(sp, n)
+    assert {index[t] for t in leads} == {row[0][0] for row in rows}
+    assert {index[t] for t in leads} == set(linalg.echelon_rows(field, rows)[1])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(bimodule, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bimodule, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m,n,field", [(3, 5, QQ), (3, 4, GF(2)), (2, 6, GF(3)), (4, 4, QQ)])
+def test_passing_cell_runs_no_relation_elimination(monkeypatch, m, n, field):
+    """On a passing cell the witness closes: no context is built and the
+    one `echelon_rows` call is the one inside `kernel_basis`."""
+    contexts = _counting(monkeypatch, "build_context")
+    eliminations = []
+    real = linalg.echelon_rows
+
+    def counted(*args, **kwargs):
+        eliminations.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bimodule, "echelon_rows", counted)
+    monkeypatch.setattr(linalg, "echelon_rows", counted)
+    cert = bimodule.verify_sequence(tensor.Space(m, field), n)
+    assert cert.passed and cert.dims["wm_rank"] > 0
+    assert contexts == [] and len(eliminations) == 1
+
+
+@pytest.mark.parametrize("m,n,field", [(3, 5, QQ), (3, 4, GF(2)), (2, 6, GF(3)), (4, 4, QQ),
+                                       (3, 3, GF(3))])
+def test_witness_short_of_the_bound_falls_back_to_elimination(monkeypatch, m, n, field):
+    """With one leading term dropped the count proves nothing, so the
+    relation span is row-reduced, and the certificate is unchanged."""
+    sp = tensor.Space(m, field)
+    witnessed = bimodule.verify_sequence(sp, n).to_json_dict(include_timing=False)
+    real = bimodule._leading_terms
+    monkeypatch.setattr(bimodule, "_leading_terms", lambda space, k: set(sorted(real(space, k))[1:]))
+    contexts = _counting(monkeypatch, "build_context")
+    cert = bimodule.verify_sequence(sp, n)
+    assert contexts == [(sp, n, None)]
+    assert cert.to_json_dict(include_timing=False) == witnessed
+    assert cert.passed
+
+
 _COCYCLE_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
 _COCYCLE_CELLS = ((2, 3), (3, 3), (2, 4), (3, 4))
 

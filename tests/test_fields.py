@@ -41,6 +41,20 @@ def test_prime_field_normalization_and_parse():
     assert f5.fmt(9) == "4"
 
 
+@pytest.mark.parametrize("p,value", [(3, Fraction(1, 3)), (5, Fraction(-7, 10)),
+                                     (2, Fraction(3, 4))])
+def test_prime_field_rejects_a_fraction_the_modulus_cannot_divide_by(p, value):
+    """A denominator divisible by p is a bad value, not an arithmetic
+    failure: normalize and coerce raise ValueError naming value and p."""
+    f = GF(p)
+    message = f"coefficient {value} has a denominator divisible by {p}"
+    with pytest.raises(ValueError, match=message):
+        f.normalize(value)
+    with pytest.raises(ValueError, match=message):
+        f.coerce(value)
+    assert f.normalize(Fraction(p + 1, p + 1)) == 1
+
+
 def test_field_equality_and_hash():
     assert GF(3) == GF(3) and GF(3) != GF(5) and QQ != GF(2)
     assert len({QQ, GF(3), GF(3), GF(5)}) == 3

@@ -69,6 +69,15 @@ def test_space_mismatch_rejected():
             tensor.tensor_product(a, other)
 
 
+def test_tensor_element_rejects_a_coefficient_undefined_in_the_field():
+    space = tensor.Space(2, GF(3))
+    with pytest.raises(ValueError, match="coefficient 1/3 has a denominator divisible by 3"):
+        tensor.tensor_element(space, 2, {(1, 2): Fraction(1, 3)})
+    with pytest.raises(ValueError, match="divisible by 3"):
+        tensor.word_element(space, (1, 2), Fraction(2, 6))
+    assert tensor.tensor_element(space, 2, {(1, 2): Fraction(1, 2)}).terms == {(1, 2): 2}
+
+
 def test_perm_action_examples():
     sp = tensor.Space(3, QQ)
     w = tensor.word_element(sp, (1, 2, 3))
