@@ -36,7 +36,8 @@ leading term.  The argument has four steps:
 
 When k falls short, the count proves nothing, and `verify_sequence`
 row-reduces the relation span with `build_context` instead.  No cell
-of the acceptance grids falls short.  That the witness closes is the
+with m <= 5 and n <= 7 under the default size cap falls short, over Q,
+F2, F3 or F5.  That the witness closes is the
 situation of Bergman's Diamond Lemma (Adv. Math. 29, 1978): the
 generators behave as a linear Groebner basis of their span for this
 order.  The route to a proof is the free terms: the terms l.(a^b).r with
@@ -440,11 +441,11 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     k <= rank R, and once every core expands to zero, R lies in ker E,
     so rank R <= ambient - rank E.  When k reaches that bound, R = ker E:
     the relation rank is k and the quotient, of dimension rank E, maps
-    injectively.  Otherwise the relation span is row-reduced by
-    `build_context`, as the witness proves nothing; the check then
-    compares rank E with the quotient dimension.  `injective_rank`
-    fails when some core does not expand to zero, E not being well
-    defined on the quotient.
+    injectively.  Otherwise the witness proves nothing, the relation
+    span is row-reduced by `build_context`, and `injective_rank`
+    compares rank E with the quotient dimension that gives.  It fails
+    when some core does not expand to zero, E not being well defined
+    on the quotient.
     """
     start = time.perf_counter()
     if n < 2:
