@@ -10,8 +10,9 @@ out:
 
 with u, v, w, z, t basis vectors and `mid` ranging over basis words.
 Both families expand, via the commutator, to zero in the tensor
-algebra, so `expand_wedge` descends to the quotient; the quotient is
-handled concretely through cached row-echelon normal forms.
+algebra, so `expand_wedge` descends to the quotient; `normal_form` and
+`cocycle` compute in it through the cached row echelon form of
+`build_context`.
 
 `verify_sequence` needs only the rank of the relation span R, and it
 takes it from a leading-term witness instead of an elimination.  Order
@@ -34,17 +35,27 @@ leading term.  The argument has four steps:
     rank E as words minus connected components;
   * so k = ambient - rank E proves rank R = k, and then R = ker E.
 
-When k falls short, the count proves nothing, and `verify_sequence`
-row-reduces the relation span with `build_context` instead.  No cell
-with m <= 5 and n <= 7 under the default size cap falls short, over Q,
-F2, F3 or F5.  That the witness closes is the
-situation of Bergman's Diamond Lemma (Adv. Math. 29, 1978): the
-generators behave as a linear Groebner basis of their span for this
-order.  The route to a proof is the free terms: the terms l.(a^b).r with
-the wedge at the last ascent of the word l.a.b.r appear to be exactly the
-free columns of R's RREF, and they form a spanning forest of the
-adjacent-swap graph on words.  Nothing here relies on that; the count
-is checked against the bound on every cell.
+The witness always closes: k = ambient - rank E on every cell, by a
+lemma in the setting of Bergman's Diamond Lemma (Adv. Math. 29, 1978).
+Call the wedge of a term (l, a^b, r) at the last ascent of its word
+l.a.b.r when b >= r[0] >= r[1] >= ... .  Every other term is the
+leading term of a generator; look at the first ascent after a.b:
+
+  * if it is b < r[0], the term is l.lead(J(a, b, r[0])).r[1:], where
+    the Jacobi core J(x, y, z) has leading term ((), x^y, (z));
+  * if it is r[j] < r[j+1] with j >= 0, the term is
+    l.lead(T(a, b, r[:j], r[j], r[j+1])).r[j+2:], where the transfer core
+    T(x, y, mid, z, t) has leading term ((), x^y, mid.z.t).
+
+Both cores are nonzero members of `_relation_cores` of degree at most
+n.  A leading term has an ascent right after its wedge, so no leading
+term is a last-ascent term.  The last-ascent terms match the words that
+are not weakly decreasing one to one (the wedge marks the word's last
+ascent).  Each component of the adjacent-swap graph holds one weakly
+decreasing word, so there are m^n - C(m+n-1, n) = rank E of them, and
+k = ambient - rank E whenever the relation cores are the real ones.  The
+certificate does not rely on the lemma: the count is checked against
+the bound on every cell, and a cell whose count falls short fails.
 
 `wedge_at` replaces one tensor sign of a word by a wedge; summing its
 images along a factorization of a permutation into adjacent swaps gives
@@ -211,18 +222,19 @@ def _term_order(term: BimodTerm) -> tuple:
     return len(left), left, pair, right
 
 
-def _leading_terms(space: Space, n: int) -> set | None:
+def _leading_terms(space: Space, n: int) -> tuple[set, bool]:
     """The distinct leading terms of the degree-n relation generators,
-    or None when some relation core does not expand to zero.
+    and whether every relation core expands to zero.
 
     The leading term of l.core.r is l.lead(core).r, so the translates'
     leading terms are formed as tuples and no translate is built; the
-    expansion is checked once per core (see the module docstring)."""
+    expansion is checked once per core, up to the first that does not
+    vanish (see the module docstring)."""
     m = space.dim
     leads: set = set()
+    vanish = True
     for core in _relation_cores(space, n):
-        if not expand_wedge(core).is_zero():
-            return None
+        vanish = vanish and expand_wedge(core).is_zero()
         a, pair, b = min(core.terms, key=_term_order)
         d = core.degree
         for p in range(n - d + 1):
@@ -230,7 +242,7 @@ def _leading_terms(space: Space, n: int) -> set | None:
             for left in all_words(m, p):
                 la = left + a
                 leads.update((la, pair, b + right) for right in rights)
-    return leads
+    return leads, vanish
 
 
 class QuotientContext(Record):
@@ -436,16 +448,15 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     swap apart, so `image_equals_kernel` certifies its image as the span
     of a graph's edges, with no elimination, and returns rank E.
 
-    The relation rank comes from a leading-term witness (module
-    docstring): k distinct leading terms among the generators give
-    k <= rank R, and once every core expands to zero, R lies in ker E,
-    so rank R <= ambient - rank E.  When k reaches that bound, R = ker E:
-    the relation rank is k and the quotient, of dimension rank E, maps
-    injectively.  Otherwise the witness proves nothing, the relation
-    span is row-reduced by `build_context`, and `injective_rank`
-    compares rank E with the quotient dimension that gives.  It fails
-    when some core does not expand to zero, E not being well defined
-    on the quotient.
+    The relation rank is k, the number of distinct leading terms among
+    the generators (module docstring): k <= rank R always, and once every
+    core expands to zero, R lies in ker E, so rank R <= ambient - rank E.
+    `injective_rank` passes when every core expands to zero and
+    k = ambient - rank E; then R = ker E, and the quotient, of dimension
+    ambient - k = rank E, maps injectively.  It fails when some core does
+    not expand to zero, E not being well defined on the quotient, or when
+    k falls short of the bound, which the module docstring proves cannot
+    happen for the real relations.  No relation span is row-reduced.
     """
     start = time.perf_counter()
     if n < 2:
@@ -456,21 +467,16 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     check_cap(ambient, size_cap)
     t_dim = dim_tensor(m, n)
     s_dim = dim_sym(m, n)
-    leads = _leading_terms(space, n)
-    well_defined = leads is not None
+    leads, vanish = _leading_terms(space, n)
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     image_rows = _expansion_rows(field, word_index, all_bimod_terms(m, n))
     exact, inj_rank, _ = image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))
-    if well_defined and inj_rank is not None and len(leads) == ambient - inj_rank:
-        rel_rank = len(leads)
-    else:
-        rel_rank = build_context(space, n, size_cap).rel_rank
-    q_dim = ambient - rel_rank
+    q_dim = ambient - len(leads)
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
     checks = (
         CheckResult(
-            "injective_rank", well_defined and inj_rank == q_dim,
-            detail if well_defined else f"{detail}, relations do not expand to zero"),
+            "injective_rank", vanish and inj_rank == q_dim,
+            detail if vanish else f"{detail}, relations do not expand to zero"),
         exact,
         CheckResult(
             "dimension_identity", q_dim == t_dim - s_dim,
@@ -478,6 +484,6 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     )
     return certificate(
         "M->T->S", space, n,
-        {"ambient": ambient, "wm_rank": rel_rank, "m_dim": q_dim,
+        {"ambient": ambient, "wm_rank": len(leads), "m_dim": q_dim,
          "t_dim": t_dim, "s_dim": s_dim},
         checks, start)

@@ -36,11 +36,13 @@ The M sequence takes the rank of its expansion E from the image rank
 returned here: the graph's vertices minus components.  Once every
 relation expands to zero, the relation span R lies in the kernel of E,
 so rank R is at most the ambient dimension minus rank E.  The
-leading-term count in `bimodule` is a lower bound on rank R; where it
-meets that upper bound, R is the kernel of E, and the quotient, of
-dimension rank E, maps injectively, with no elimination of R.  A row
-that is not a nonzero multiple of a difference is never re-signed or
-dropped: the check fails and names it.
+leading-term count in `bimodule` is a lower bound on rank R, and a
+lemma in the `bimodule` docstring shows that it always meets that upper
+bound.  The cell still checks that it does: then R is the kernel of E,
+and the quotient, of dimension rank E, maps injectively.  A count that
+fell short would fail the cell; R is never eliminated.  A row that is
+not a nonzero multiple of a difference is never re-signed or dropped:
+the check fails and names it.
 """
 
 from __future__ import annotations

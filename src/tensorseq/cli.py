@@ -34,6 +34,7 @@ import argparse
 import os
 import re
 import sys
+from itertools import chain
 
 from .errors import DEFAULT_SIZE_CAP, ElementParseError, SizeCapError, check_cap
 
@@ -70,25 +71,37 @@ def _field(name: str):
         raise UsageError(str(e))
 
 
-def _int_range(spec: str) -> list[int]:
-    """Parse '3', '2,4', or '2..5' into a sorted list of ints."""
-    out: set[int] = set()
+def _int_ranges(spec: str) -> tuple[int, list[range]]:
+    """Parse '3', '2,4', or '2..5' into the number of distinct values
+    selected and their ranges, counted from the endpoints: no value is
+    built, so a huge range costs nothing until it passes the grid cap."""
+    ranges = []
     for piece in spec.split(","):
         piece = piece.strip()
         if ".." in piece:
             lo, _, hi = piece.partition("..")
             try:
-                out.update(range(int(lo), int(hi) + 1))
+                ranges.append(range(int(lo), int(hi) + 1))
             except ValueError:
                 raise UsageError(f"bad range {piece!r}")
         else:
             try:
-                out.add(int(piece))
+                ranges.append(range(int(piece), int(piece) + 1))
             except ValueError:
                 raise UsageError(f"bad integer {piece!r}")
-    if not out:
+    count, top = 0, float("-inf")
+    for r in sorted(ranges, key=lambda r: r.start):
+        lo = max(r.start, top)  # the values of r not counted yet start here
+        if lo < r.stop:
+            count += r.stop - lo
+            top = r.stop
+    if not count:
         raise UsageError(f"empty selection {spec!r}")
-    return sorted(out)
+    return count, ranges
+
+
+def _values(ranges: list[range]) -> tuple[int, ...]:
+    return tuple(sorted(set(chain.from_iterable(ranges))))
 
 
 def _capped(e: SizeCapError) -> int:
@@ -107,18 +120,22 @@ def dims(args: argparse.Namespace) -> int:
     space = tensor.Space(args.m, field)
     rows = []
     try:
-        # refuse an over-cap table before building any context
+        # refuse an over-cap table before certifying any degree
         for n in range(2, args.n_max + 1):
             check_cap(bimodule.ambient_dim(args.m, n), args.size_cap)
         for n in range(2, args.n_max + 1):
-            ctx = bimodule.build_context(space, n, args.size_cap)
+            cert = bimodule.verify_sequence(space, n, args.size_cap)
+            if not cert.passed:
+                # the table never shows an uncertified dimension
+                print(cert.summary(), file=sys.stderr)
+                return EXIT_CHECK_FAILED
             rows.append({
                 "n": n,
-                "t": tensor.dim_tensor(args.m, n),
-                "s": tensor.dim_sym(args.m, n),
+                "t": cert.dims["t_dim"],
+                "s": cert.dims["s_dim"],
                 "lambda": exterior.dim_wedge(args.m, n),
-                "ambient": ctx.ambient_dim,
-                "m": ctx.quotient_dim,
+                "ambient": cert.dims["ambient"],
+                "m": cert.dims["m_dim"],
                 "sprime": evensym.dim_evensym(args.m, n),
             })
     except SizeCapError as e:
@@ -140,10 +157,15 @@ def check(args: argparse.Namespace) -> int:
     """Certify exactness over a grid of (m, n, field) cells."""
     fields = tuple(_field(x) for x in args.field.split(","))
     cap = DEFAULT_SIZE_CAP if args.size_cap is None else args.size_cap
+    (m_count, m_ranges), (n_count, n_ranges) = _int_ranges(args.m), _int_ranges(args.n)
+    try:
+        # refuse an oversized grid before any of its values is built
+        check_cap(m_count * n_count * len(set(fields)), cap, "grid cells")
+    except SizeCapError as e:
+        return _capped(e)
     from . import certify
     try:
-        grid = certify.CheckGrid(tuple(_int_range(args.m)), tuple(_int_range(args.n)),
-                                 fields, cap)
+        grid = certify.CheckGrid(_values(m_ranges), _values(n_ranges), fields, cap)
     except ValueError as e:
         raise UsageError(str(e))
     fh = None

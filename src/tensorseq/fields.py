@@ -14,16 +14,40 @@ from typing import Union
 Scalar = Union[Fraction, int]
 
 
+# Miller-Rabin to the first 13 prime bases, 2..41, is exact below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin; a modulus at or
+    above `_MR_BOUND`, where no fixed base set is proven, is a ValueError.
+
+    >>> _is_prime(2**61 - 1), _is_prime(561), _is_prime(2**61 + 1)
+    (True, False, False)
+    """
+    if p >= _MR_BOUND:
+        raise ValueError(f"modulus {p} is too large: primality is decided below {_MR_BOUND}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

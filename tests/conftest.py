@@ -21,3 +21,23 @@ def ctx_cache():
 @pytest.fixture(scope="session")
 def fields_qf23():
     return (QQ, GF(2), GF(3))
+
+
+@pytest.fixture
+def break_sign(monkeypatch):
+    """Patch a relation family of `bimodule` so that each element it
+    builds has the sign of its first term flipped: still nonzero, but
+    its expansion no longer vanishes."""
+    def patch(family):
+        real = getattr(bimodule, family)
+
+        def broken(space, *args):
+            elem = real(space, *args)
+            terms = dict(elem.terms)
+            first = min(terms)
+            terms[first] = space.field.neg(terms[first])
+            return bimodule.BimodElement(space, elem.degree, terms)
+
+        monkeypatch.setattr(bimodule, family, broken)
+
+    return patch

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -404,29 +405,17 @@ def test_normal_form_answers_share_their_nonzero_scalars(ctx_cache, scale):
     assert all(type(x) is Fraction for x in nonzero)
 
 
-def _sign_broken(core):
-    """`core` with the sign of its first term flipped: still nonzero, but
-    its expansion no longer vanishes."""
-    def broken(space, *args):
-        elem = core(space, *args)
-        terms = dict(elem.terms)
-        first = min(terms)
-        terms[first] = space.field.neg(terms[first])
-        return bimodule.BimodElement(space, elem.degree, terms)
-    return broken
-
-
 @pytest.mark.parametrize("family,m,n", [
     ("jacobi_cycle", 3, 3), ("jacobi_cycle", 4, 3), ("jacobi_cycle", 3, 4),
     ("commutator_transfer", 2, 4), ("commutator_transfer", 2, 5),
     ("commutator_transfer", 3, 4)])
 @pytest.mark.parametrize("field", [QQ, GF(3)])
-def test_sign_broken_relations_fail_injective_rank(monkeypatch, family, m, n, field):
+def test_sign_broken_relations_fail_injective_rank(break_sign, family, m, n, field):
     """The broken family spans a space of the same rank, so every dimension
     still matches and the image is still the kernel; only the check that
     each relation expands to zero sees that the expansion is not well
     defined on the quotient."""
-    monkeypatch.setattr(bimodule, family, _sign_broken(getattr(bimodule, family)))
+    break_sign(family)
     cert = bimodule.verify_sequence(tensor.Space(m, field), n)
     checks = {c.name: c for c in cert.checks}
     assert not checks["injective_rank"].passed and not cert.passed
@@ -449,7 +438,8 @@ def test_leading_terms_are_the_pivots_of_the_relation_rref(m, n, field):
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
             for g in bimodule.relation_generators(sp, n)]
-    leads = bimodule._leading_terms(sp, n)
+    leads, vanish = bimodule._leading_terms(sp, n)
+    assert vanish
     assert {index[t] for t in leads} == {row[0][0] for row in rows}
     assert {index[t] for t in leads} == set(linalg.echelon_rows(field, rows)[1])
 
@@ -485,20 +475,50 @@ def test_passing_cell_runs_no_relation_elimination(monkeypatch, m, n, field):
     assert contexts == [] and len(eliminations) == 1
 
 
+def _at_last_ascent(term):
+    """True iff the wedge of `term` sits at the last ascent of its word:
+    b >= r[0] >= r[1] >= ... for the term (l, a^b, r)."""
+    _, (_, b), right = term
+    tail = (b,) + right
+    return all(x >= y for x, y in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("m,n", _WITNESS_CELLS)
+def test_leading_terms_are_the_terms_off_the_last_ascent(m, n, field):
+    """The closure lemma of the module docstring: the leading terms and
+    the last-ascent terms split the term basis, and there is one
+    last-ascent term per word that is not weakly decreasing, so the
+    witness count always meets the bound ambient - rank E."""
+    terms = bimodule.all_bimod_terms(m, n)
+    leads, vanish = bimodule._leading_terms(tensor.Space(m, field), n)
+    last = {t for t in terms if _at_last_ascent(t)}
+    assert vanish and not leads & last
+    assert leads | last == set(terms)
+    assert len(last) == m ** n - comb(m + n - 1, n)
+
+
 @pytest.mark.parametrize("m,n,field", [(3, 5, QQ), (3, 4, GF(2)), (2, 6, GF(3)), (4, 4, QQ),
                                        (3, 3, GF(3))])
-def test_witness_short_of_the_bound_falls_back_to_elimination(monkeypatch, m, n, field):
-    """With one leading term dropped the count proves nothing, so the
-    relation span is row-reduced, and the certificate is unchanged."""
+def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, field):
+    """With one leading term dropped the count proves nothing: the cell
+    fails its `injective_rank` check, and no relation span is
+    row-reduced to rescue it."""
     sp = tensor.Space(m, field)
-    witnessed = bimodule.verify_sequence(sp, n).to_json_dict(include_timing=False)
     real = bimodule._leading_terms
-    monkeypatch.setattr(bimodule, "_leading_terms", lambda space, k: set(sorted(real(space, k))[1:]))
+
+    def short(space, k):
+        leads, vanish = real(space, k)
+        return set(sorted(leads)[1:]), vanish
+
+    monkeypatch.setattr(bimodule, "_leading_terms", short)
     contexts = _counting(monkeypatch, "build_context")
     cert = bimodule.verify_sequence(sp, n)
-    assert contexts == [(sp, n, None)]
-    assert cert.to_json_dict(include_timing=False) == witnessed
-    assert cert.passed
+    checks = {c.name: c for c in cert.checks}
+    assert contexts == []
+    assert not checks["injective_rank"].passed and not cert.passed
+    assert checks["image_equals_kernel"].passed
+    assert cert.dims["m_dim"] == cert.dims["t_dim"] - cert.dims["s_dim"] + 1
 
 
 _COCYCLE_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))

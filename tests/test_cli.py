@@ -4,6 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tensorseq import bimodule, certify, cli, evensym, linalg
 from tensorseq.certificates import Certificate, CheckResult
@@ -72,6 +74,41 @@ def test_dims_cap_refuses_before_building(monkeypatch):
     res = run("dims", "--m", "3", "--n-max", "9")
     assert res.exit_code == 3
     assert "ambient dimension 52488 exceeds size cap 20000" in res.output
+
+
+_DIMS_3_8 = """\
+n     T   S  Lambda  ambient     M  S'
+2     9   6       3        3     3   9
+3    27  10       1       18    17  11
+4    81  15       0       81    66  15
+5   243  21       0      324   222  21
+6   729  28       0     1215   701  28
+7  2187  36       0     4374  2151  36
+8  6561  45       0    15309  6516  45
+"""
+
+
+def test_dims_reads_m_from_the_certificate(monkeypatch):
+    """The table's ambient and M columns come from the M->T->S
+    certificate of each degree: no relation span is row-reduced."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_context called")
+
+    monkeypatch.setattr(bimodule, "build_context", no_build)
+    res = run("dims", "--m", "3", "--n-max", "8")
+    assert res.exit_code == 0
+    assert res.output == _DIMS_3_8
+
+
+def test_dims_exits_1_on_a_failed_certificate(break_sign):
+    """With the Jacobi cycle's first sign flipped its expansion no longer
+    vanishes: degree 3 fails, its summary goes to stderr and no table
+    row is printed."""
+    break_sign("jacobi_cycle")
+    res = run("dims", "--m", "3", "--n-max", "4")
+    assert res.exit_code == 1
+    assert res.stdout_bytes == b""
+    assert res.output == "[FAIL] M->T->S m=3 n=3 field=Q\n"
 
 
 def test_dims_cap_env_var(monkeypatch):
@@ -148,6 +185,36 @@ def test_check_stdout_deterministic():
 def test_check_cap_exit_code():
     res = run("check", "m", "--m", "3", "--n", "5", "--size-cap", "10")
     assert res.exit_code == 3
+
+
+def test_check_refuses_an_oversized_grid_before_building_it(monkeypatch):
+    """The grid is counted from its range endpoints: a billion degrees is
+    refused with exit 3 at once, and no certificate is computed."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(certify, "CheckGrid", no_grid)
+    res = run("check", "m", "--m", "2", "--n", "2..1000000000", "--no-timing")
+    assert res.exit_code == 3
+    assert res.stdout_bytes == b""
+    assert res.output == "size cap exceeded: grid cells 999999999 exceeds size cap 20000\n"
+    res = run("check", "both", "--m", "2..3,3", "--n", "2..4,3", "--field", "q,f3,q",
+              "--size-cap", "11")
+    assert res.exit_code == 3
+    assert res.output == "size cap exceeded: grid cells 12 exceeds size cap 11\n"
+
+
+@given(st.lists(st.tuples(st.integers(-5, 12), st.integers(-5, 12)), min_size=1, max_size=5))
+def test_range_count_matches_the_values(pieces):
+    spec = ",".join(f"{lo}..{hi}" if lo != hi else str(lo) for lo, hi in pieces)
+    values = {v for lo, hi in pieces for v in range(lo, hi + 1)}
+    if not values:
+        with pytest.raises(cli.UsageError):
+            cli._int_ranges(spec)
+        return
+    count, ranges = cli._int_ranges(spec)
+    assert count == len(values)
+    assert cli._values(ranges) == tuple(sorted(values))
 
 
 def test_check_usage_errors():

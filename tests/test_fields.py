@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorseq.fields import GF, QQ, parse_field
+from tensorseq.fields import _MR_BOUND, GF, QQ, _is_prime, parse_field
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -24,6 +25,32 @@ def test_prime_validation():
     with pytest.raises(ValueError):
         GF(91)  # 7 * 13
     assert GF(2).p == 2 and GF(97).p == 97
+
+
+def test_large_prime_moduli_are_decided_quickly():
+    """Deterministic Miller-Rabin: a Mersenne prime far beyond trial
+    division is accepted at once; a Carmichael number and 2^61 + 1 (a
+    multiple of 3) are rejected; a modulus beyond the proven bound is a
+    ValueError rather than a guess."""
+    start = time.perf_counter()
+    assert parse_field("f2305843009213693951").char == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    for composite in (561, 2**61 + 1):
+        with pytest.raises(ValueError, match="is not prime"):
+            GF(composite)
+    with pytest.raises(ValueError, match="too large"):
+        GF(_MR_BOUND)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    assert [p for p in range(5000) if _is_prime(p)] == [p for p in range(5000) if by_trial(p)]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, and Carmichael numbers
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461,
+                      41041, 825265, 321197185):
+        assert not _is_prime(composite)
 
 
 def test_rational_normalization():
