@@ -70,16 +70,15 @@ import time
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import perms
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
 from .errors import Record, check_cap
 from .fields import Field, Scalar
 from .linalg import Row, echelon_rows, residue_list
-from .tensor import (Space, TensorElement, Word, _SparseElement, _normalized_terms,
-                     all_words, check_word, collect, dim_sym, dim_tensor, perm_action,
-                     symmetrize_matrix)
+from .tensor import (Space, TensorElement, Word, _SparseElement, all_words, check_word,
+                     collect, dim_sym, dim_tensor, perm_action, symmetrize_matrix)
 
 BimodTerm = tuple  # (left word, (a, b), right word)
 
@@ -116,19 +115,18 @@ def all_bimod_terms(m: int, n: int) -> list[BimodTerm]:
 class BimodElement(_SparseElement):
     """Homogeneous element of the wedge-carrying bimodule."""
 
-
-def bimod_element(space: Space, degree: int, terms: Mapping[BimodTerm, Scalar]) -> BimodElement:
-    checked = {}
-    for (left, pair, right), c in terms.items():
-        left = check_word(space, left)
-        right = check_word(space, right)
-        a, b = pair
+    @staticmethod
+    def _check_key(space: Space, degree: int, key) -> BimodTerm:
+        try:
+            left, (a, b), right = key
+        except (TypeError, ValueError):
+            raise ValueError(f"term {key!r} is not (left word, (a, b), right word)") from None
+        left, right = check_word(space, left), check_word(space, right)
         if not (1 <= a < b <= space.dim):
-            raise ValueError(f"wedge pair {pair} is not strictly increasing in range")
+            raise ValueError(f"wedge pair {(a, b)} is not strictly increasing in range")
         if len(left) + 2 + len(right) != degree:
-            raise ValueError(f"term {(left, pair, right)} does not have degree {degree}")
-        checked[(left, (a, b), right)] = c
-    return BimodElement._own(space, degree, _normalized_terms(space.field, checked))
+            raise ValueError(f"term {(left, (a, b), right)} does not have degree {degree}")
+        return left, (a, b), right
 
 
 def bimodule_mult(l: TensorElement, x: BimodElement, r: TensorElement) -> BimodElement:

@@ -120,7 +120,7 @@ def verify_degree2_agreement(space: tensor.Space) -> Certificate:
             break
     if maps_ok:
         for pair in exterior.all_wedge_words(m, 2):
-            ext = exterior.ext_element(space, 2, {pair: 1})
+            ext = exterior.ExtElement(space, 2, {pair: 1})
             via_tensor = exterior.wedge_to_tensor(ext)
             transported = evensym.EvenSymElement(space, 2, {})
             for w, c in via_tensor.terms.items():

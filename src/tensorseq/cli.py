@@ -109,6 +109,18 @@ def _capped(e: SizeCapError) -> int:
     return EXIT_SIZE_CAP
 
 
+def _certified(space, n: int, size_cap: int | None):
+    """The degree-n M->T->S certificate of `space`, or None, with its
+    summary on stderr, when it fails: no command answers from an
+    uncertified cell."""
+    from . import bimodule
+    cert = bimodule.verify_sequence(space, n, size_cap)
+    if cert.passed:
+        return cert
+    print(cert.summary(), file=sys.stderr)
+    return None
+
+
 def dims(args: argparse.Namespace) -> int:
     """Dimension table for degrees 2..N_MAX."""
     if args.m < 0:
@@ -124,10 +136,8 @@ def dims(args: argparse.Namespace) -> int:
         for n in range(2, args.n_max + 1):
             check_cap(bimodule.ambient_dim(args.m, n), args.size_cap)
         for n in range(2, args.n_max + 1):
-            cert = bimodule.verify_sequence(space, n, args.size_cap)
-            if not cert.passed:
-                # the table never shows an uncertified dimension
-                print(cert.summary(), file=sys.stderr)
+            cert = _certified(space, n, args.size_cap)
+            if cert is None:
                 return EXIT_CHECK_FAILED
             rows.append({
                 "n": n,
@@ -224,9 +234,11 @@ def nf(args: argparse.Namespace) -> int:
             elem = None
             for coeff, (left, pair, right) in parsing.parse_bimod_combo(args.element):
                 degree = len(left) + 2 + len(right)
-                part = bimodule.bimod_element(space, degree,
-                                              {(left, pair, right): field.parse(coeff)})
+                part = bimodule.BimodElement(space, degree,
+                                             {(left, pair, right): field.parse(coeff)})
                 elem = part if elem is None else elem + part
+            if _certified(space, elem.degree, args.size_cap) is None:
+                return EXIT_CHECK_FAILED
             ctx = bimodule.build_context(space, elem.degree, args.size_cap)
             vec = bimodule.normal_form(ctx, elem)
             print(parsing.render_bimod(bimodule.element_of(ctx, vec)))
@@ -251,6 +263,8 @@ def cocycle(args: argparse.Namespace) -> int:
     from . import bimodule, perms, tensor
     space = tensor.Space(m_dim, field)
     try:
+        if _certified(space, degree, args.size_cap) is None:
+            return EXIT_CHECK_FAILED
         ctx = bimodule.build_context(space, degree, args.size_cap)
     except SizeCapError as e:
         return _capped(e)

@@ -33,9 +33,8 @@ from .errors import Record, check_cap
 from .exterior import ExtElement, all_wedge_words, dim_wedge
 from .fields import Scalar
 from .linalg import Matrix, Row, echelon_rows
-from .tensor import (Space, SymElement, Word, _SparseElement, _normalized_terms,
-                     all_monomials, all_words, check_word, coeff_to_json, collect,
-                     dim_sym, dim_tensor)
+from .tensor import (Space, SymElement, Word, _JsonElement, all_monomials, all_words,
+                     check_word, collect, dim_sym, dim_tensor)
 
 
 class OrbitWord(Record):
@@ -106,22 +105,29 @@ def representative(e: OrbitWord) -> Word:
     return e.word
 
 
-class EvenSymElement(_SparseElement):
+class EvenSymElement(_JsonElement):
     """Homogeneous element on the orbit-word basis."""
 
+    @staticmethod
+    def _check_key(space: Space, degree: int, key) -> OrbitWord:
+        if not isinstance(key, OrbitWord):
+            raise ValueError(f"class {key!r} is not an OrbitWord")
+        check_word(space, key.word)
+        if key.degree != degree:
+            raise ValueError(f"class {key} does not have degree {degree}")
+        return key
 
-def orbit_element(space: Space, degree: int,
-                  terms: Mapping[OrbitWord, Scalar]) -> EvenSymElement:
-    for k in terms:
-        check_word(space, k.word)
-        if k.degree != degree:
-            raise ValueError(f"class {k} does not have degree {degree}")
-    return EvenSymElement._own(space, degree, _normalized_terms(space.field, terms))
+    @staticmethod
+    def _key_to_json(key: OrbitWord) -> dict:
+        return {"word": list(key.word), "twisted": key.twisted}
+
+    @staticmethod
+    def _key_from_json(term: Mapping) -> OrbitWord:
+        return OrbitWord(tuple(term["word"]), bool(term["twisted"]))
 
 
 def from_word(space: Space, word: Word, coeff: Scalar = 1) -> EvenSymElement:
-    word = check_word(space, word)
-    return orbit_element(space, len(word), {normal_form(word): coeff})
+    return EvenSymElement(space, len(word), {normal_form(word): coeff})
 
 
 def swap_first_two(a: EvenSymElement) -> EvenSymElement:
@@ -349,20 +355,3 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
         {"lambda_dim": lam_dim, "sprime_dim": q_dim, "s_dim": s_dim},
         checks, start)
 
-
-def element_to_json(a: EvenSymElement) -> dict:
-    f = a.space.field
-    return {
-        "degree": a.degree,
-        "terms": [{"word": list(k.word), "twisted": k.twisted,
-                   "coeff": coeff_to_json(f, c)}
-                  for k, c in a.sorted_terms()],
-    }
-
-
-def element_from_json(space: Space, doc: Mapping) -> EvenSymElement:
-    terms = {
-        OrbitWord(tuple(t["word"]), bool(t["twisted"])): space.field.parse(str(t["coeff"]))
-        for t in doc["terms"]
-    }
-    return orbit_element(space, doc["degree"], terms)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import linalg, perms
 from .fields import Scalar
-from .tensor import (Space, TensorElement, Word, _SparseElement,
-                     _normalized_terms, check_word, coeff_to_json, collect)
+from .tensor import Space, TensorElement, Word, _JsonElement, check_word, collect
 
 
 def wedge_canon(letters: Word) -> tuple[int, Word] | None:
@@ -34,20 +33,17 @@ def wedge_canon(letters: Word) -> tuple[int, Word] | None:
     return (-1 if perms._parity(perms.sorting_perm(letters)) else 1), tuple(sorted(letters))
 
 
-class ExtElement(_SparseElement):
+class ExtElement(_JsonElement):
     """Homogeneous alternating element on strictly increasing words."""
 
+    _json_flags = {"wedge": True}
 
-def ext_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> ExtElement:
-    checked = {}
-    for w, c in terms.items():
-        w = check_word(space, w)
-        if len(w) != degree:
-            raise ValueError(f"word {w} does not have degree {degree}")
+    @staticmethod
+    def _check_key(space: Space, degree: int, key) -> Word:
+        w = TensorElement._check_key(space, degree, key)
         if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
             raise ValueError(f"word {w} is not strictly increasing")
-        checked[w] = c
-    return ExtElement._own(space, degree, _normalized_terms(space.field, checked))
+        return w
 
 
 def wedge_word_element(space: Space, letters: Word, coeff: Scalar = 1) -> ExtElement:
@@ -56,10 +52,7 @@ def wedge_word_element(space: Space, letters: Word, coeff: Scalar = 1) -> ExtEle
     if canon is None:
         return ExtElement._own(space, len(tuple(letters)), {})
     sign, w = canon
-    c = space.field.coerce(coeff)
-    if sign < 0:
-        c = space.field.neg(c)
-    return ext_element(space, len(w), {w: c})
+    return ExtElement(space, len(w), {w: coeff}).scale(sign)
 
 
 def all_wedge_words(m: int, n: int) -> Iterator[Word]:
@@ -100,17 +93,3 @@ def wedge_to_tensor_matrix(space: Space) -> linalg.Matrix:
                  for (i, j) in all_wedge_words(m, 2))
     return linalg.Matrix(field, m * m, rows)
 
-
-def element_to_json(a: ExtElement) -> dict:
-    f = a.space.field
-    return {
-        "degree": a.degree,
-        "wedge": True,
-        "terms": [{"word": list(w), "coeff": coeff_to_json(f, c)}
-                  for w, c in a.sorted_terms()],
-    }
-
-
-def element_from_json(space: Space, doc: Mapping) -> ExtElement:
-    terms = {tuple(t["word"]): space.field.parse(str(t["coeff"])) for t in doc["terms"]}
-    return ext_element(space, doc["degree"], terms)

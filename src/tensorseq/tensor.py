@@ -13,13 +13,22 @@ one place where such pairs are summed, with one exception:
 its own single loop, because the same pass summed by `collect` made a
 query 6-9% slower.
 
-An element owns its `terms` dict.  The public constructors
-(`TensorElement(...)` and the other classes, `tensor_element`,
-`word_element`, `sym_element`, ...) copy or rebuild what a caller
-passes, so mutating the caller's dict later leaves the element alone.
-Element maps hand over a dict they have just built with the private
-`_SparseElement._own`, which stores it without a copy; no element map
-mutates an operand's `terms`.
+Each element class is its own checked constructor:
+`TensorElement(space, degree, terms)` (and `SymElement`, `ExtElement`,
+`EvenSymElement`, `BimodElement` alike) passes every key through the
+class's `_check_key`, which returns the canonical key or raises a
+`ValueError` naming it, coerces every coefficient into the field and
+drops zeros.  It builds a new dict, so mutating the caller's dict later
+leaves the element alone; `word_element`, `from_word` and
+`wedge_word_element` build single-word elements.  Element maps hand over
+a dict of canonical keys and nonzero field scalars that they have just
+built with the private `_SparseElement._own`, which checks nothing and
+stores it without a copy; no element map mutates an operand's `terms`.
+
+Tensor, exterior and orbit elements share one JSON form (`to_json`,
+`from_json`): `{"degree": n, "terms": [{"word": [...], "coeff": c}]}`,
+with `"wedge": true` after the degree for exterior elements and
+`"twisted": flag` after each orbit term's word.
 """
 
 from __future__ import annotations
@@ -89,14 +98,29 @@ class _SparseElement:
     __slots__ = ("space", "degree", "terms")
 
     def __init__(self, space: Space, degree: int, terms: Mapping):
+        """Pass each key through the class's `_check_key(space, degree,
+        key)`, which returns the canonical key or raises a `ValueError`
+        naming it; coerce each coefficient (an int, `Fraction` or numeric
+        string) into the field and drop the zeros."""
+        coerce = space.field.coerce
+        own = {}
+        for k, c in terms.items():
+            try:
+                key = self._check_key(space, degree, k)
+            except TypeError:
+                raise ValueError(f"malformed key {k!r}") from None
+            c = coerce(c)
+            if c:
+                own[key] = c
         self.space = space
         self.degree = degree
-        self.terms = dict(terms)
+        self.terms = own
 
     @classmethod
     def _own(cls, space: Space, degree: int, terms: dict):
-        """An element that takes `terms` as its own dict, without a copy:
-        only for a dict the caller has just built and will not touch."""
+        """An element that takes `terms` as its own dict, unchecked and
+        without a copy: only for a dict of canonical keys and nonzero field
+        scalars that the caller has just built and will not touch."""
         self = object.__new__(cls)
         self.space = space
         self.degree = degree
@@ -155,43 +179,62 @@ def _check_compatible(a: _SparseElement, b: _SparseElement) -> None:
         raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
 
 
-class TensorElement(_SparseElement):
+class _JsonElement(_SparseElement):
+    """An element kind with a JSON form (module docstring); its keys are
+    spelled as words unless a subclass spells them otherwise."""
+
+    _json_flags: dict = {}
+
+    @staticmethod
+    def _key_to_json(key) -> dict:
+        return {"word": list(key)}
+
+    @staticmethod
+    def _key_from_json(term: Mapping):
+        return tuple(term["word"])
+
+    def to_json(self) -> dict:
+        """Rational coefficients as 'p/q' strings, prime-field ones as ints."""
+        f = self.space.field
+        fmt = f.fmt if f.char == 0 else int
+        return {"degree": self.degree, **self._json_flags,
+                "terms": [{**self._key_to_json(k), "coeff": fmt(c)}
+                          for k, c in self.sorted_terms()]}
+
+    @classmethod
+    def from_json(cls, space: Space, doc: Mapping):
+        return cls(space, doc["degree"],
+                   {cls._key_from_json(t): str(t["coeff"]) for t in doc["terms"]})
+
+
+class TensorElement(_JsonElement):
     """Homogeneous element of the degree-n tensor component."""
+
+    @staticmethod
+    def _check_key(space: Space, degree: int, key) -> Word:
+        w = check_word(space, key)
+        if len(w) != degree:
+            raise ValueError(f"word {w} does not have degree {degree}")
+        return w
 
 
 class SymElement(_SparseElement):
     """Homogeneous element of the degree-n symmetric component."""
 
-
-def _normalized_terms(field: Field, terms: Mapping) -> dict:
-    coerced = ((k, field.coerce(c)) for k, c in terms.items())
-    return {k: c for k, c in coerced if c}
-
-
-def tensor_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> TensorElement:
-    checked = {check_word(space, w): c for w, c in terms.items()}
-    for w in checked:
+    @staticmethod
+    def _check_key(space: Space, degree: int, key) -> Word:
+        w = check_word(space, key)
         if len(w) != degree:
-            raise ValueError(f"word {w} does not have degree {degree}")
-    return TensorElement._own(space, degree, _normalized_terms(space.field, checked))
+            raise ValueError(f"monomial {w} does not have degree {degree}")
+        if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
+            raise ValueError(f"monomial {w} is not weakly increasing")
+        return w
 
 
 def word_element(space: Space, word: Word, coeff: Scalar = 1) -> TensorElement:
     word = check_word(space, word)
     c = space.field.coerce(coeff)
     return TensorElement._own(space, len(word), {word: c} if c else {})
-
-
-def sym_element(space: Space, degree: int, terms: Mapping[Word, Scalar]) -> SymElement:
-    checked = {}
-    for w, c in terms.items():
-        w = check_word(space, w)
-        if len(w) != degree:
-            raise ValueError(f"monomial {w} does not have degree {degree}")
-        if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
-            raise ValueError(f"monomial {w} is not weakly increasing")
-        checked[w] = c
-    return SymElement._own(space, degree, _normalized_terms(space.field, checked))
 
 
 def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -271,24 +314,3 @@ def symmetrize_matrix(space: Space, n: int) -> linalg.Matrix:
     one = space.field.one
     rows = tuple(((mono_index[tuple(sorted(w))], one),) for w in all_words(space.dim, n))
     return linalg.Matrix(space.field, len(mono_index), rows)
-
-
-def coeff_to_json(field: Field, c) -> str | int:
-    """Rationals serialize as 'p/q' strings, prime-field values as ints."""
-    if field.char == 0:
-        return field.fmt(c)
-    return int(c)
-
-
-def element_to_json(a: TensorElement) -> dict:
-    f = a.space.field
-    return {
-        "degree": a.degree,
-        "terms": [{"word": list(w), "coeff": coeff_to_json(f, c)}
-                  for w, c in a.sorted_terms()],
-    }
-
-
-def element_from_json(space: Space, doc: Mapping) -> TensorElement:
-    terms = {tuple(t["word"]): space.field.parse(str(t["coeff"])) for t in doc["terms"]}
-    return tensor_element(space, doc["degree"], terms)

@@ -224,7 +224,7 @@ def test_criterion_8_algebra_laws():
     failures = 0
     for m in (1, 2, 3):
         sp = tensor.Space(m, QQ)
-        basis_by_degree = {d: [evensym.orbit_element(sp, d, {k: 1})
+        basis_by_degree = {d: [evensym.EvenSymElement(sp, d, {k: 1})
                                for k in evensym.basis_words(m, d)]
                            for d in range(5)}
         for d in (2, 3, 4):
@@ -264,7 +264,7 @@ def test_criterion_8_algebra_laws():
                 k = evensym.normal_form(w)
                 c = field.coerce(rng.randint(-5, 5))
                 terms[k] = field.add(terms.get(k, field.zero), c)
-            return evensym.orbit_element(sp, d, terms)
+            return evensym.EvenSymElement(sp, d, terms)
 
         for _ in range(400):
             a, b, c = rand_elem(), rand_elem(), rand_elem()

@@ -25,16 +25,16 @@ def test_ambient_dim():
 def test_bimod_element_validation():
     sp = tensor.Space(3, QQ)
     with pytest.raises(ValueError):
-        bimodule.bimod_element(sp, 3, {((1,), (2, 1), ()): 1})
+        bimodule.BimodElement(sp, 3, {((1,), (2, 1), ()): 1})
     with pytest.raises(ValueError):
-        bimodule.bimod_element(sp, 3, {((1,), (1, 4), ()): 1})
+        bimodule.BimodElement(sp, 3, {((1,), (1, 4), ()): 1})
     with pytest.raises(ValueError):
-        bimodule.bimod_element(sp, 4, {((1,), (1, 2), ()): 1})
+        bimodule.BimodElement(sp, 4, {((1,), (1, 2), ()): 1})
 
 
 def test_bimodule_mult_examples():
     sp = tensor.Space(2, QQ)
-    x = bimodule.bimod_element(sp, 2, {((), (1, 2), ()): 1})
+    x = bimodule.BimodElement(sp, 2, {((), (1, 2), ()): 1})
     one = tensor.word_element(sp, ())
     assert bimodule.bimodule_mult(one, x, one) == x
     v1 = tensor.word_element(sp, (1,))
@@ -134,14 +134,14 @@ def test_normal_form_examples(ctx_cache):
         assert not any(bimodule.normal_form(c33, g))
     assert not any(bimodule.normal_form(c33, bimodule.jacobi_cycle(sp3, 1, 2, 3)))
     c23 = ctx_cache(2, 3)
-    single = bimodule.bimod_element(c23.space, 3, {((1,), (1, 2), ()): 1})
+    single = bimodule.BimodElement(c23.space, 3, {((1,), (1, 2), ()): 1})
     vec = bimodule.normal_form(c23, single)
     assert bimodule.element_of(c23, vec) == single
 
 
 def test_normal_form_degree_mismatch(ctx_cache):
     c23 = ctx_cache(2, 3)
-    wrong = bimodule.bimod_element(c23.space, 2, {((), (1, 2), ()): 1})
+    wrong = bimodule.BimodElement(c23.space, 2, {((), (1, 2), ()): 1})
     with pytest.raises(ValueError):
         bimodule.normal_form(c23, wrong)
 
@@ -150,16 +150,16 @@ def test_normal_form_separates_classes(ctx_cache):
     """Equal residues exactly when the difference lies in the span."""
     ctx = ctx_cache(3, 3)
     sp = ctx.space
-    x = bimodule.bimod_element(sp, 3, {((1,), (2, 3), ()): 1})
+    x = bimodule.BimodElement(sp, 3, {((1,), (2, 3), ()): 1})
     jac = bimodule.jacobi_cycle(sp, 1, 2, 3)
     assert bimodule.normal_form(ctx, x) == bimodule.normal_form(ctx, x + jac)
-    y = bimodule.bimod_element(sp, 3, {((2,), (1, 3), ()): 1})
+    y = bimodule.BimodElement(sp, 3, {((2,), (1, 3), ()): 1})
     assert bimodule.normal_form(ctx, x) != bimodule.normal_form(ctx, y)
 
 
 def test_expand_wedge_example():
     sp = tensor.Space(2, QQ)
-    x = bimodule.bimod_element(sp, 2, {((), (1, 2), ()): 1})
+    x = bimodule.BimodElement(sp, 2, {((), (1, 2), ()): 1})
     assert bimodule.expand_wedge(x).terms == {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
 
 
@@ -383,7 +383,7 @@ def test_normal_form_over_q_returns_fractions(ctx_cache):
         terms = {ctx.terms[rng.randrange(ctx.ambient_dim)]: Fraction(rng.randint(-3, 3),
                                                                       rng.randint(1, 3))
                  for _ in range(4)}
-        nf = bimodule.normal_form(ctx, bimodule.bimod_element(space, 4, terms))
+        nf = bimodule.normal_form(ctx, bimodule.BimodElement(space, 4, terms))
         assert all(type(x) is Fraction for x in nf)
     word = tensor.word_element(space, (1, 2, 3, 1))
     value = bimodule.cocycle(ctx, (2, 3, 4, 1), word)
@@ -563,7 +563,7 @@ def test_cocycle_matches_the_summing_loop(ctx_cache, data):
     terms: dict = {}
     for w, c in zip(words, coeffs):
         terms[w] = field.add(terms.get(w, field.zero), field.coerce(c))
-    a = tensor.tensor_element(sp, n, terms)
+    a = tensor.TensorElement(sp, n, terms)
     a_terms = dict(a.terms)
     if data.draw(st.booleans()):
         t, word = tuple(data.draw(st.permutations(range(1, n + 1)))), None
@@ -598,8 +598,8 @@ def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
     monkeypatch.setattr(bimodule, "wedge_at", counted("wedge_at", bimodule.wedge_at))
     monkeypatch.setattr(bimodule, "perm_action", counted("perm_action", bimodule.perm_action))
     monkeypatch.setattr(perms, "is_perm", counted("is_perm", perms.is_perm))
-    a = tensor.tensor_element(ctx.space, 4, {(1, 2, 3, 1): 1, (2, 1, 3, 3): 2,
-                                             (3, 3, 2, 1): -1, (1, 1, 1, 2): 5})
+    a = tensor.TensorElement(ctx.space, 4, {(1, 2, 3, 1): 1, (2, 1, 3, 3): 2,
+                                            (3, 3, 2, 1): -1, (1, 1, 1, 2): 5})
     cases = [(perms.compose_word(4, word), word)
              for word in [(), (1,), (1, 2, 1), (3, 3, 2, 1, 2)]]
     cases.append(((4, 3, 2, 1), None))

@@ -88,7 +88,7 @@ def test_image_equals_kernel_flags(field, change, img_in_ker, ker_in_img):
     word_index = {w: i for i, w in enumerate(tensor.all_words(3, 3))}
     image = []
     for term in bimodule.all_bimod_terms(3, 3):
-        expanded = bimodule.expand_wedge(bimodule.bimod_element(space, 3, {term: 1}))
+        expanded = bimodule.expand_wedge(bimodule.BimodElement(space, 3, {term: 1}))
         image.append(tuple(sorted((word_index[w], c) for w, c in expanded.terms.items())))
     projection = _symmetrize_variant(space, 3, change)
     assert all(_maps_to_zero(field, row, projection) for row in image) == img_in_ker

@@ -111,6 +111,32 @@ def test_dims_exits_1_on_a_failed_certificate(break_sign):
     assert res.output == "[FAIL] M->T->S m=3 n=3 field=Q\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("nf", "m", "--element", "[|1,2|3]", "--m", "3"),
+    ("cocycle", "--m", "3", "--n", "3", "--samples", "0"),
+], ids=["nf-m", "cocycle"])
+def test_answers_need_a_certified_cell(break_sign, monkeypatch, args):
+    """`nf m` and `cocycle` certify their cell before building its
+    quotient: with the Jacobi cycle's first sign flipped they print the
+    failed summary to stderr, build nothing and exit 1."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_context called")
+
+    break_sign("jacobi_cycle")
+    monkeypatch.setattr(bimodule, "build_context", no_build)
+    res = run(*args)
+    assert res.exit_code == 1
+    assert res.stdout_bytes == b""
+    assert res.output == "[FAIL] M->T->S m=3 n=3 field=Q\n"
+
+
+def test_cocycle_over_the_cap_exits_3():
+    res = run("cocycle", "--m", "3", "--n", "3", "--samples", "0", "--size-cap", "10")
+    assert res.exit_code == 3
+    assert res.stdout_bytes == b""
+    assert res.output == "size cap exceeded: ambient dimension 18 exceeds size cap 10\n"
+
+
 def test_dims_cap_env_var(monkeypatch):
     monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "10")
     res = run("dims", "--m", "3", "--n-max", "5")

@@ -53,10 +53,10 @@ def test_orbit_word_validation():
 
 def test_swap_first_two():
     sp = tensor.Space(3, QQ)
-    plain = evensym.orbit_element(sp, 3, {OrbitWord((1, 2, 3), False): 1})
+    plain = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 2, 3), False): 1})
     twisted = evensym.swap_first_two(plain)
     assert twisted.terms == {OrbitWord((1, 2, 3), True): Fraction(1)}
-    rep = evensym.orbit_element(sp, 3, {OrbitWord((1, 1, 2), False): 1})
+    rep = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 1, 2), False): 1})
     assert evensym.swap_first_two(rep) == rep
     assert evensym.swap_first_two(twisted) == plain
     with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ def test_swap_is_involution_and_projection_invariant():
     sp = tensor.Space(3, QQ)
     for n in (2, 3, 4):
         for k in evensym.basis_words(3, n):
-            e = evensym.orbit_element(sp, n, {k: 1})
+            e = evensym.EvenSymElement(sp, n, {k: 1})
             assert evensym.swap_first_two(evensym.swap_first_two(e)) == e
             assert evensym.to_sym(evensym.swap_first_two(e)) == evensym.to_sym(e)
 
@@ -78,7 +78,7 @@ def test_product_examples():
     e2 = evensym.from_word(sp, (2,))
     assert evensym.evensym_product(e1, e2).terms == {OrbitWord((1, 2), False): Fraction(1)}
     assert evensym.evensym_product(e2, e1).terms == {OrbitWord((1, 2), True): Fraction(1)}
-    twisted12 = evensym.orbit_element(sp, 2, {OrbitWord((1, 2), True): 1})
+    twisted12 = evensym.EvenSymElement(sp, 2, {OrbitWord((1, 2), True): 1})
     p = evensym.evensym_product(e1, twisted12)
     assert p.terms == {OrbitWord((1, 1, 2), False): Fraction(1)}
 
@@ -115,7 +115,7 @@ def _rand_elem(rng, sp, degree):
         k = evensym.normal_form(w)
         c = rng.randint(-4, 4)
         terms[k] = sp.field.add(terms.get(k, sp.field.zero), sp.field.coerce(c))
-    return evensym.orbit_element(sp, degree, terms)
+    return evensym.EvenSymElement(sp, degree, terms)
 
 
 def test_product_associative_randomized():
@@ -132,11 +132,11 @@ def test_product_associative_randomized():
 
 def test_to_sym_examples_and_multiplicativity():
     sp = tensor.Space(3, QQ)
-    twisted = evensym.orbit_element(sp, 3, {OrbitWord((1, 2, 3), True): 1})
+    twisted = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 2, 3), True): 1})
     assert evensym.to_sym(twisted).terms == {(1, 2, 3): Fraction(1)}
-    pair = evensym.orbit_element(sp, 2, {OrbitWord((1, 1), False): 1})
+    pair = evensym.EvenSymElement(sp, 2, {OrbitWord((1, 1), False): 1})
     assert evensym.to_sym(pair).terms == {(1, 1): Fraction(1)}
-    plain = evensym.orbit_element(sp, 3, {OrbitWord((1, 2, 3), False): 1})
+    plain = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 2, 3), False): 1})
     assert evensym.to_sym(plain - twisted).is_zero()
     rng = random.Random(47)
     for _ in range(40):
@@ -148,14 +148,14 @@ def test_to_sym_examples_and_multiplicativity():
 
 def test_wedge_embed():
     sp = tensor.Space(3, QQ)
-    w = exterior.ext_element(sp, 3, {(1, 2, 3): 1})
+    w = exterior.ExtElement(sp, 3, {(1, 2, 3): 1})
     e = evensym.wedge_embed(w)
     assert e.terms == {OrbitWord((1, 2, 3), False): Fraction(1),
                        OrbitWord((1, 2, 3), True): Fraction(-1)}
-    assert evensym.wedge_embed(exterior.ext_element(sp, 2, {})).is_zero()
+    assert evensym.wedge_embed(exterior.ExtElement(sp, 2, {})).is_zero()
     assert evensym.to_sym(e).is_zero()
     with pytest.raises(ValueError):
-        evensym.wedge_embed(exterior.ext_element(sp, 1, {}))
+        evensym.wedge_embed(exterior.ExtElement(sp, 1, {}))
 
 
 def test_dims_against_orbit_count():
@@ -236,13 +236,13 @@ def test_projection_and_embedding_matrices_match_the_maps(field):
             assert sym_m.ncols == len(monomials)
             assert [dict(row) for row in sym_m.rows] == [
                 {monomials.index(w): c for w, c in evensym.to_sym(
-                    evensym.orbit_element(sp, n, {k: 1})).terms.items()}
+                    evensym.EvenSymElement(sp, n, {k: 1})).terms.items()}
                 for k in classes]
             emb = evensym.wedge_embed_matrix(sp, n)
             assert emb.ncols == len(classes)
             assert [dict(row) for row in emb.rows] == [
                 {classes.index(k): c for k, c in evensym.wedge_embed(
-                    exterior.ext_element(sp, n, {w: 1})).terms.items()}
+                    exterior.ExtElement(sp, n, {w: 1})).terms.items()}
                 for w in exterior.all_wedge_words(m, n)]
 
 
@@ -328,10 +328,10 @@ def test_relation_rules_match_their_literal_definitions(m, n, fields_qf23):
 
 def test_json_roundtrip():
     sp = tensor.Space(3, QQ)
-    a = evensym.orbit_element(sp, 3, {OrbitWord((1, 2, 3), True): Fraction(-2, 5),
-                                      OrbitWord((1, 1, 3), False): 3})
-    doc = evensym.element_to_json(a)
-    assert evensym.element_from_json(sp, doc) == a
+    a = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 2, 3), True): Fraction(-2, 5),
+                                       OrbitWord((1, 1, 3), False): 3})
+    doc = a.to_json()
+    assert evensym.EvenSymElement.from_json(sp, doc) == a
     twisted_flags = [t["twisted"] for t in doc["terms"]]
     assert twisted_flags == [False, True]
 

@@ -39,22 +39,22 @@ def test_wedge_word_element_folds_sign():
 def test_strictly_increasing_enforced():
     sp = tensor.Space(3, QQ)
     with pytest.raises(ValueError):
-        exterior.ext_element(sp, 2, {(2, 1): 1})
+        exterior.ExtElement(sp, 2, {(2, 1): 1})
     with pytest.raises(ValueError):
-        exterior.ext_element(sp, 2, {(1, 1): 1})
+        exterior.ExtElement(sp, 2, {(1, 1): 1})
 
 
 def test_wedge_to_tensor_examples():
     sp = tensor.Space(2, QQ)
-    e = exterior.ext_element(sp, 2, {(1, 2): 1})
+    e = exterior.ExtElement(sp, 2, {(1, 2): 1})
     assert exterior.wedge_to_tensor(e).terms == {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
-    zero = exterior.ext_element(sp, 2, {})
+    zero = exterior.ExtElement(sp, 2, {})
     assert exterior.wedge_to_tensor(zero).is_zero()
     flipped = exterior.wedge_word_element(sp, (2, 1))
     assert exterior.wedge_to_tensor(flipped).terms == \
         {(2, 1): Fraction(1), (1, 2): Fraction(-1)}
     with pytest.raises(ValueError):
-        exterior.wedge_to_tensor(exterior.ext_element(sp, 3, {}))
+        exterior.wedge_to_tensor(exterior.ExtElement(sp, 3, {}))
 
 
 def test_dim_wedge():
@@ -80,7 +80,10 @@ def test_degree_two_sequence_is_exact(m):
 
 def test_json_roundtrip():
     sp = tensor.Space(4, QQ)
-    a = exterior.ext_element(sp, 2, {(1, 3): Fraction(2, 7), (2, 4): -1})
-    doc = exterior.element_to_json(a)
+    a = exterior.ExtElement(sp, 2, {(1, 3): Fraction(2, 7), (2, 4): -1})
+    doc = a.to_json()
     assert doc["wedge"] is True
-    assert exterior.element_from_json(sp, doc) == a
+    assert exterior.ExtElement.from_json(sp, doc) == a
+    doc["terms"][0]["word"] = [3, 1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        exterior.ExtElement.from_json(sp, doc)

@@ -57,13 +57,13 @@ def test_render_parse_roundtrip_bimod():
         for _ in range(rng.randint(1, 5)):
             t = rng.choice(terms)
             picked[t] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-        elem = bimodule.bimod_element(sp, 4, picked)
+        elem = bimodule.BimodElement(sp, 4, picked)
         if elem.is_zero():
             continue
         rendered = parsing.render_bimod(elem)
         rebuilt = None
         for coeff, (left, pair, right) in parsing.parse_bimod_combo(rendered):
-            part = bimodule.bimod_element(sp, 4, {(left, pair, right): QQ.parse(coeff)})
+            part = bimodule.BimodElement(sp, 4, {(left, pair, right): QQ.parse(coeff)})
             rebuilt = part if rebuilt is None else rebuilt + part
         assert rebuilt == elem
 
@@ -88,12 +88,12 @@ def test_render_parse_roundtrip_words():
             word_part, flag = rest.rsplit(") ", 1)
             word = tuple(int(x) for x in word_part.lstrip("(").split(","))
             key = evensym.OrbitWord(word, flag == "twisted")
-            part = evensym.orbit_element(sp, 3, {key: sp.field.parse(coeff)})
+            part = evensym.EvenSymElement(sp, 3, {key: sp.field.parse(coeff)})
             total = part if total is None else total + part
         assert total == elem
 
 
 def test_render_zero():
     sp = tensor.Space(2, QQ)
-    assert parsing.render_bimod(bimodule.bimod_element(sp, 2, {})) == "0"
-    assert parsing.render_evensym(evensym.orbit_element(sp, 1, {})) == "0"
+    assert parsing.render_bimod(bimodule.BimodElement(sp, 2, {})) == "0"
+    assert parsing.render_evensym(evensym.EvenSymElement(sp, 1, {})) == "0"

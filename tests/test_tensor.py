@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ def elements(space, degree):
     coeffs = st.integers(-6, 6)
     words = st.tuples(*[st.integers(1, space.dim)] * degree)
     return st.dictionaries(words, coeffs, max_size=4).map(
-        lambda terms: tensor.tensor_element(space, degree, terms))
+        lambda terms: tensor.TensorElement(space, degree, terms))
 
 
 def rand_element(rng, space, degree, nterms=3):
@@ -24,7 +25,7 @@ def rand_element(rng, space, degree, nterms=3):
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if space.field.char == 0 \
             else rng.randint(0, space.field.char - 1)
         terms[w] = space.field.add(terms.get(w, space.field.zero), space.field.coerce(c))
-    return tensor.tensor_element(space, degree, terms)
+    return tensor.TensorElement(space, degree, terms)
 
 
 def test_product_is_concatenation():
@@ -72,10 +73,10 @@ def test_space_mismatch_rejected():
 def test_tensor_element_rejects_a_coefficient_undefined_in_the_field():
     space = tensor.Space(2, GF(3))
     with pytest.raises(ValueError, match="coefficient 1/3 has a denominator divisible by 3"):
-        tensor.tensor_element(space, 2, {(1, 2): Fraction(1, 3)})
+        tensor.TensorElement(space, 2, {(1, 2): Fraction(1, 3)})
     with pytest.raises(ValueError, match="divisible by 3"):
         tensor.word_element(space, (1, 2), Fraction(2, 6))
-    assert tensor.tensor_element(space, 2, {(1, 2): Fraction(1, 2)}).terms == {(1, 2): 2}
+    assert tensor.TensorElement(space, 2, {(1, 2): Fraction(1, 2)}).terms == {(1, 2): 2}
 
 
 def test_perm_action_examples():
@@ -92,7 +93,7 @@ def test_perm_action_examples():
 
 def test_perm_action_rejects_non_permutations():
     sp = tensor.Space(3, QQ)
-    for a in (tensor.word_element(sp, (1, 2, 3)), tensor.tensor_element(sp, 3, {})):
+    for a in (tensor.word_element(sp, (1, 2, 3)), tensor.TensorElement(sp, 3, {})):
         for t in [(1, 1, 3), (3, 3, 1), (0, 1, 2), (1, 2, 4)]:
             with pytest.raises(ValueError, match="not a permutation"):
                 tensor.perm_action(t, a)
@@ -196,7 +197,7 @@ def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         tensor.word_element(sp, (1,)) + tensor.word_element(sp, (1, 2))
     with pytest.raises(ValueError):
-        tensor.tensor_element(sp, 2, {(1,): 1})
+        tensor.TensorElement(sp, 2, {(1,): 1})
 
 
 def test_letter_range_checked():
@@ -207,15 +208,39 @@ def test_letter_range_checked():
         tensor.word_element(sp, (0,))
 
 
+def test_json_spellings_are_pinned():
+    q, f7 = tensor.Space(3, QQ), tensor.Space(3, GF(7))
+    docs = [
+        tensor.TensorElement(q, 2, {(2, 1): "-1/3", (1, 1): 2}).to_json(),
+        exterior.ExtElement(f7, 2, {(1, 3): 3, (2, 3): -1}).to_json(),
+        evensym.EvenSymElement(f7, 2, {OrbitWord((1, 2), True): -1,
+                                       OrbitWord((1, 1)): 9}).to_json(),
+    ]
+    assert [json.dumps(d) for d in docs] == [
+        '{"degree": 2, "terms": [{"word": [1, 1], "coeff": "2"}, '
+        '{"word": [2, 1], "coeff": "-1/3"}]}',
+        '{"degree": 2, "wedge": true, "terms": [{"word": [1, 3], "coeff": 3}, '
+        '{"word": [2, 3], "coeff": 6}]}',
+        '{"degree": 2, "terms": [{"word": [1, 1], "twisted": false, "coeff": 2}, '
+        '{"word": [1, 2], "twisted": true, "coeff": 6}]}',
+    ]
+    # symmetric and bimodule elements have no JSON form
+    for cls in (tensor.SymElement, bimodule.BimodElement):
+        assert not hasattr(cls, "to_json") and not hasattr(cls, "from_json")
+
+
 def test_json_roundtrip():
     sp = tensor.Space(3, QQ)
-    a = tensor.tensor_element(sp, 2, {(1, 2): Fraction(-1, 3), (3, 3): 2})
-    doc = tensor.element_to_json(a)
+    a = tensor.TensorElement(sp, 2, {(1, 2): Fraction(-1, 3), (3, 3): 2})
+    doc = a.to_json()
     assert doc["terms"][0]["coeff"] == "-1/3"
-    assert tensor.element_from_json(sp, doc) == a
+    assert tensor.TensorElement.from_json(sp, doc) == a
     sp2 = tensor.Space(3, GF(5))
-    b = tensor.tensor_element(sp2, 2, {(1, 2): 3})
-    assert tensor.element_from_json(sp2, tensor.element_to_json(b)) == b
+    b = tensor.TensorElement(sp2, 2, {(1, 2): 3})
+    assert tensor.TensorElement.from_json(sp2, b.to_json()) == b
+    # loading checks each term as the constructor does
+    with pytest.raises(ValueError, match="out of range"):
+        tensor.TensorElement.from_json(sp, {"degree": 2, "terms": [{"word": [1, 4], "coeff": 1}]})
 
 
 _COLLECT_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
@@ -252,13 +277,13 @@ def test_collect_sums_by_key_and_drops_zeros(data):
     assert out == _summed_then_filtered(field, pairs, prefilled)
 
 
-_CONSTRUCTORS = [
-    (tensor.tensor_element, [(1, 2), (2, 1), (2, 2)]),
-    (tensor.sym_element, [(1, 2), (1, 1), (2, 3)]),
-    (exterior.ext_element, [(1, 2), (1, 3), (2, 3)]),
-    (evensym.orbit_element, [OrbitWord((1, 2)), OrbitWord((1, 2), True), OrbitWord((3, 3))]),
-    (bimodule.bimod_element, [((), (1, 2), ()), ((), (1, 3), ()), ((), (2, 3), ())]),
-]
+_CONSTRUCTORS = [pytest.param(cls, keys, id=cls.__name__) for cls, keys in [
+    (tensor.TensorElement, [(1, 2), (2, 1), (2, 2)]),
+    (tensor.SymElement, [(1, 2), (1, 1), (2, 3)]),
+    (exterior.ExtElement, [(1, 2), (1, 3), (2, 3)]),
+    (evensym.EvenSymElement, [OrbitWord((1, 2)), OrbitWord((1, 2), True), OrbitWord((3, 3))]),
+    (bimodule.BimodElement, [((), (1, 2), ()), ((), (1, 3), ()), ((), (2, 3), ())]),
+]]
 
 
 @pytest.mark.parametrize("make,keys", _CONSTRUCTORS)
@@ -266,7 +291,7 @@ _CONSTRUCTORS = [
     (QQ, (Fraction(3), Fraction(-1, 2))),
     (GF(3), (None, 1)),        # 3 is 0 and -1/2 is 1 in F3
     (GF(5), (3, 2)),           # -1/2 is 2 in F5
-])
+], ids=["Q", "F3", "F5"])
 def test_element_constructors_coerce_coefficients_alike(make, keys, field, values):
     sp = tensor.Space(3, field)
     spellings = [
@@ -293,30 +318,60 @@ def test_public_constructors_copy_the_callers_dict(make, keys):
     assert x.terms == want
 
 
-@pytest.mark.parametrize("cls", [tensor.TensorElement, tensor.SymElement, exterior.ExtElement,
-                                 evensym.EvenSymElement, bimodule.BimodElement])
-def test_element_classes_copy_the_callers_dict(cls):
-    sp = tensor.Space(3, QQ)
-    terms = {(1, 2): Fraction(1)}
-    x = cls(sp, 2, terms)
-    terms[(1, 2)] = Fraction(4)
-    terms[(2, 3)] = Fraction(1)
-    assert x.terms == {(1, 2): Fraction(1)}
+# Per class, over {1..3}: a key of degree 2 with a letter out of range, a
+# key of degree 3, non-canonical keys and malformed keys.  Tensor words and
+# orbit classes have no non-canonical spelling (`OrbitWord` refuses one).
+_BAD_KEYS = [pytest.param(*row, id=row[0].__name__) for row in [
+    (tensor.TensorElement, (1, 4), (1, 2, 3), [], [5, ("a", "b"), None]),
+    (tensor.SymElement, (1, 4), (1, 2, 3), [(2, 1)], [5, ("a", "b")]),
+    (exterior.ExtElement, (1, 4), (1, 2, 3), [(2, 1), (1, 1)], [5, ("a", "b")]),
+    (evensym.EvenSymElement, OrbitWord((1, 4)), OrbitWord((1, 2, 3)), [],
+     [(1, 2), (9, 9), "ab"]),
+    (bimodule.BimodElement, ((4,), (1, 2), ()), ((), (1, 2), (3,)),
+     [((), (2, 1), ()), ((), (1, 1), ())],
+     [(1, 2), ((), (1, 2, 3), ()), ((), ("a", "b"), ()), ((), (1, 2), 5)]),
+]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("cls,out_of_range,wrong_degree,non_canonical,malformed", _BAD_KEYS)
+def test_constructors_refuse_bad_keys(field, cls, out_of_range, wrong_degree,
+                                      non_canonical, malformed):
+    sp = tensor.Space(3, field)
+    cases = [(out_of_range, "out of range"), (wrong_degree, "degree 2")]
+    cases += [(k, "increasing") for k in non_canonical]
+    cases += [(k, "malformed|not an OrbitWord|is not \\(left word") for k in malformed]
+    for key, message in cases:
+        # a zero coefficient does not excuse a bad key
+        for c in (1, 0):
+            with pytest.raises(ValueError, match=message):
+                cls(sp, 2, {key: c})
+
+
+def test_constructors_hold_field_scalars():
+    f3, q = tensor.Space(2, GF(3)), tensor.Space(2, QQ)
+    assert tensor.TensorElement(f3, 1, {(1,): 4}) == tensor.TensorElement(f3, 1, {(1,): 1})
+    assert tensor.TensorElement(f3, 1, {(1,): 4}).terms == {(1,): 1}
+    half = tensor.TensorElement(q, 1, {(1,): "1/2"})
+    assert half.terms == {(1,): Fraction(1, 2)}
+    assert half + half == tensor.word_element(q, (1,))
+    assert tensor.TensorElement(q, 1, {(1,): 0, (2,): "0/3"}).is_zero()
+    assert evensym.EvenSymElement(tensor.Space(3, QQ), 2, {OrbitWord((3, 3)): 0}).is_zero()
 
 
 def test_word_element_checks_its_word_and_drops_a_zero_coefficient():
     sp = tensor.Space(3, GF(3))
     assert tensor.word_element(sp, (1, 3), 4).terms == {(1, 3): 1}
     assert tensor.word_element(sp, (1, 3), 3).is_zero()
-    assert tensor.word_element(sp, (), 2) == tensor.tensor_element(sp, 0, {(): 2})
+    assert tensor.word_element(sp, (), 2) == tensor.TensorElement(sp, 0, {(): 2})
     with pytest.raises(ValueError, match="out of range"):
         tensor.word_element(sp, (1, 4))
 
 
 def test_element_maps_leave_their_operands_alone():
     sp = tensor.Space(3, QQ)
-    x = tensor.tensor_element(sp, 3, {(1, 2, 3): 1, (2, 1, 3): 2, (3, 3, 1): -1})
-    y = tensor.tensor_element(sp, 3, {(1, 2, 3): -1, (2, 2, 2): 4})
+    x = tensor.TensorElement(sp, 3, {(1, 2, 3): 1, (2, 1, 3): 2, (3, 3, 1): -1})
+    y = tensor.TensorElement(sp, 3, {(1, 2, 3): -1, (2, 2, 2): 4})
     x_terms, y_terms = dict(x.terms), dict(y.terms)
     results = [x + y, x - y, y - x, tensor.perm_action((2, 3, 1), x), -y, x.scale(3)]
     assert x.terms == x_terms and y.terms == y_terms
