@@ -57,6 +57,29 @@ k = ambient - rank E whenever the relation cores are the real ones.  The
 certificate does not rely on the lemma: the count is checked against
 the bound on every cell, and a cell whose count falls short fails.
 
+`verify_sequence` computes over the integers (`fields._ZZ`), once per
+(m, n), and its certificate holds over Q and every F_p.  Reducing the
+integer data into a field F keeps every step of the argument:
+
+  * every relation core has integer coefficients, and the cell checks
+    that each core's leading coefficient is +-1, a unit in F.  Reduced
+    into F, each generator keeps its leading term, so k distinct
+    leading terms still give k <= rank R over F; a core that expands to
+    zero over Z expands to zero over F, because expansion has integer
+    coefficients;
+  * every expansion row is e_u - e_v, a column of a graph's oriented
+    incidence matrix, whose rank over any field is vertices minus
+    components (Biggs, *Algebraic Graph Theory*), so rank E is the same
+    over every F;
+  * every projection row holds one 1, so over any F the kernel of the
+    projection is spanned by the differences inside its fibres, and the
+    kernel vectors found over Z, each e_j minus the first word of j's
+    fibre, reduce to a basis of it.  Image and kernel are then compared
+    on the graph and the fibres alone.
+
+`certify.run_grid` therefore runs one computation per (m, n) and stamps
+a copy of its certificate with each field's name.
+
 `wedge_at` replaces one tensor sign of a word by a wedge; summing its
 images along a factorization of a permutation into adjacent swaps gives
 the telescoping `cocycle` map, whose value is independent of the chosen
@@ -75,7 +98,7 @@ from typing import Iterable, Iterator, Sequence
 from . import perms
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
 from .errors import Record, check_cap
-from .fields import Field, Scalar
+from .fields import _ZZ, Field, Scalar
 from .linalg import Row, echelon_rows, residue_list
 from .tensor import (Space, TensorElement, Word, _SparseElement, all_words, check_word,
                      collect, dim_sym, dim_tensor, perm_action, symmetrize_matrix)
@@ -220,27 +243,35 @@ def _term_order(term: BimodTerm) -> tuple:
     return len(left), left, pair, right
 
 
-def _leading_terms(space: Space, n: int) -> tuple[set, bool]:
+def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
     """The distinct leading terms of the degree-n relation generators,
-    and whether every relation core expands to zero.
+    and the first fault among the relation cores, or None: a leading
+    coefficient other than +-1, or an expansion that is not zero.
 
     The leading term of l.core.r is l.lead(core).r, so the translates'
-    leading terms are formed as tuples and no translate is built; the
-    expansion is checked once per core, up to the first that does not
-    vanish (see the module docstring)."""
+    leading terms are formed as tuples and no translate is built; each
+    core is checked once, up to the first fault (see the module
+    docstring)."""
     m = space.dim
+    units = (space.field.one, space.field.neg(space.field.one))
     leads: set = set()
-    vanish = True
+    fault = None
     for core in _relation_cores(space, n):
-        vanish = vanish and expand_wedge(core).is_zero()
-        a, pair, b = min(core.terms, key=_term_order)
+        lead = min(core.terms, key=_term_order)
+        if fault is None:
+            if core.terms[lead] not in units:
+                fault = (f"relation core led by {lead} has leading coefficient "
+                         f"{core.terms[lead]}, not +-1")
+            elif not expand_wedge(core).is_zero():
+                fault = "relations do not expand to zero"
+        a, pair, b = lead
         d = core.degree
         for p in range(n - d + 1):
             rights = tuple(all_words(m, n - d - p))
             for left in all_words(m, p):
                 la = left + a
                 leads.update((la, pair, b + right) for right in rights)
-    return leads, vanish
+    return leads, fault
 
 
 class QuotientContext(Record):
@@ -441,6 +472,12 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     image is exactly the kernel of symmetrization, and the dimensions
     agree.
 
+    The computation runs over the integers whatever field `space` names,
+    and the certificate, stamped with that field's name, holds over Q
+    and over every F_p alike (module docstring).  The cap bounds both
+    the ambient dimension and the tensor dimension m^n, the rows of the
+    projection, before anything is built.
+
     The expansion E sends each basis term l.(a^b).r to the difference of
     the words l.a.b.r and l.b.a.r, an edge between two words one adjacent
     swap apart, so `image_equals_kernel` certifies its image as the span
@@ -449,32 +486,36 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     The relation rank is k, the number of distinct leading terms among
     the generators (module docstring): k <= rank R always, and once every
     core expands to zero, R lies in ker E, so rank R <= ambient - rank E.
-    `injective_rank` passes when every core expands to zero and
-    k = ambient - rank E; then R = ker E, and the quotient, of dimension
-    ambient - k = rank E, maps injectively.  It fails when some core does
-    not expand to zero, E not being well defined on the quotient, or when
-    k falls short of the bound, which the module docstring proves cannot
-    happen for the real relations.  No relation span is row-reduced.
+    `injective_rank` passes when every core has leading coefficient +-1
+    and expands to zero, and k = ambient - rank E; then R = ker E, and
+    the quotient, of dimension ambient - k = rank E, maps injectively.
+    It fails, naming the fault, when some core has another leading
+    coefficient, so that its leading term might vanish in some F_p, or
+    does not expand to zero, E not being well defined on the quotient,
+    or when k falls short of the bound, which the module docstring
+    proves cannot happen for the real relations.  No relation span is
+    row-reduced.
     """
     start = time.perf_counter()
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
     m = space.dim
-    field = space.field
     ambient = ambient_dim(m, n)
     check_cap(ambient, size_cap)
     t_dim = dim_tensor(m, n)
+    check_cap(t_dim, size_cap, "tensor dimension")
     s_dim = dim_sym(m, n)
-    leads, vanish = _leading_terms(space, n)
+    ring = Space(m, _ZZ)
+    leads, fault = _leading_terms(ring, n)
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
-    image_rows = _expansion_rows(field, word_index, all_bimod_terms(m, n))
-    exact, inj_rank, _ = image_equals_kernel(field, image_rows, symmetrize_matrix(space, n))
+    image_rows = _expansion_rows(_ZZ, word_index, all_bimod_terms(m, n))
+    exact, inj_rank, _ = image_equals_kernel(_ZZ, image_rows, symmetrize_matrix(ring, n))
     q_dim = ambient - len(leads)
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
     checks = (
         CheckResult(
-            "injective_rank", vanish and inj_rank == q_dim,
-            detail if vanish else f"{detail}, relations do not expand to zero"),
+            "injective_rank", fault is None and inj_rank == q_dim,
+            detail if fault is None else f"{detail}, {fault}"),
         exact,
         CheckResult(
             "dimension_identity", q_dim == t_dim - s_dim,

@@ -43,6 +43,16 @@ and the quotient, of dimension rank E, maps injectively.  A count that
 fell short would fail the cell; R is never eliminated.  A row that is
 not a nonzero multiple of a difference is never re-signed or dropped:
 the check fails and names it.
+
+None of the three facts above depends on the field: they are statements
+about a graph and about the fibres of P.  So the M sequence, whose image
+rows are e_u - e_v and whose projection rows each hold one 1, calls
+`image_equals_kernel` once, over the integers, and the outcome holds
+over Q and every F_p.  With the +-1 leading coefficients that
+`bimodule` checks for its relation cores, that makes one integer
+computation a certificate for every field, and `certify.run_grid`
+stamps a copy of it with each field's name.  The S' sequence is still
+checked once per field.
 """
 
 from __future__ import annotations
@@ -107,6 +117,12 @@ class Certificate(Record):
         if include_timing and self.elapsed_ms is not None:
             doc["elapsed_ms"] = self.elapsed_ms
         return doc
+
+    def stamped(self, field_name: str) -> "Certificate":
+        """This certificate under the name of another field, for a
+        result computed once for every field."""
+        return Certificate(self.sequence, self.m, self.n, field_name, self.dims,
+                           self.checks, self.error, self.elapsed_ms)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else ("CAP" if self.capped else "FAIL")

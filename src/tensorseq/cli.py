@@ -136,6 +136,8 @@ def dims(args: argparse.Namespace) -> int:
         for n in range(2, args.n_max + 1):
             check_cap(bimodule.ambient_dim(args.m, n), args.size_cap)
         for n in range(2, args.n_max + 1):
+            check_cap(tensor.dim_tensor(args.m, n), args.size_cap, "tensor dimension")
+        for n in range(2, args.n_max + 1):
             cert = _certified(space, n, args.size_cap)
             if cert is None:
                 return EXIT_CHECK_FAILED

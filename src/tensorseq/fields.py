@@ -3,11 +3,13 @@
 Scalars are plain Python values (`Fraction` for the rationals, `int` in
 ``[0, p)`` for F_p); a `Field` object supplies the arithmetic.  Everything
 is exact: rationals stay in lowest terms with positive denominator (the
-`Fraction` invariant), prime-field values stay reduced mod p.
+`Fraction` invariant), prime-field values stay reduced mod p.  A private
+integer ring, `_ZZ`, serves a certificate computed once for every field.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -55,7 +57,7 @@ class Field:
     """Arithmetic context for exact scalars.  Subclasses are immutable."""
 
     name: str
-    char: int  # 0 for the rationals, p for F_p
+    char: int  # 0 for the rationals (and `_ZZ`), p for F_p
     one: Scalar
 
     def normalize(self, x: Scalar) -> Scalar:
@@ -202,7 +204,33 @@ class PrimeField(Field):
         return hash(("F", self.p))
 
 
+class _IntegerRing(Field):
+    """The integers, for computations whose result holds over every field
+    at once (the M certificate, see `bimodule`): scalars are ints and
+    there is no `inv`.  No command offers it as a field."""
+
+    name = "Z"
+    char = 0
+    one = 1
+
+    def normalize(self, x) -> int:
+        return operator.index(x)
+
+    def add(self, x, y):
+        return x + y
+
+    def mul(self, x, y):
+        return x * y
+
+    def neg(self, x):
+        return -x
+
+    def fmt(self, x) -> str:
+        return str(x)
+
+
 QQ = RationalField()
+_ZZ = _IntegerRing()
 
 
 def GF(p: int) -> PrimeField:

@@ -58,8 +58,11 @@ class Space(Record):
 
 
 def check_word(space: Space, word: Word) -> Word:
+    """`word` as a tuple, each letter an `int` (not a `bool`) in 1..m."""
     word = tuple(word)
     for x in word:
+        if x.__class__ is not int:
+            raise ValueError(f"malformed letter {x!r}: a letter is an int in 1..{space.dim}")
         if not 1 <= x <= space.dim:
             raise ValueError(f"letter {x} out of range 1..{space.dim}")
     return word

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorseq import bimodule, linalg, perms, tensor
+from tensorseq import bimodule, certify, linalg, perms, tensor
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import GF, QQ
 
@@ -424,6 +425,40 @@ def test_sign_broken_relations_fail_injective_rank(break_sign, family, m, n, fie
     assert cert.dims["m_dim"] == cert.dims["t_dim"] - cert.dims["s_dim"]
 
 
+@pytest.mark.parametrize("family,m,n", [("jacobi_cycle", 3, 3), ("commutator_transfer", 2, 4)])
+def test_leading_coefficient_two_fails_injective_rank(monkeypatch, family, m, n):
+    """A family scaled by 2 still expands to zero and keeps its leading
+    terms, so only its leading coefficient shows that over F2 it would
+    vanish.  The integer pass checks that coefficient: every field's
+    copy of the cell fails `injective_rank`, and the detail names the
+    core by its leading term."""
+    real = getattr(bimodule, family)
+    monkeypatch.setattr(bimodule, family, lambda space, *args: real(space, *args).scale(2))
+    certs = certify.run_grid(certify.CheckGrid((m,), (n,), (QQ, GF(2), GF(3))), "m")
+    assert len(certs) == 3
+    for cert in certs:
+        checks = {c.name: c for c in cert.checks}
+        assert not checks["injective_rank"].passed and not cert.passed
+        assert re.search(r", relation core led by \(\(\), \(1, 2\), \(.*\)\) "
+                         r"has leading coefficient -2, not \+-1$",
+                         checks["injective_rank"].detail)
+        assert checks["image_equals_kernel"].passed and checks["dimension_identity"].passed
+
+
+def test_tensor_dimension_cap_refuses_before_building(monkeypatch):
+    """At (200, 2) the ambient dimension, 19,900, is under the default
+    cap, but the projection would have 40,000 rows: the cell is refused
+    before any word is drawn."""
+    def no_words(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(bimodule, "all_words", no_words)
+    monkeypatch.setattr(bimodule, "symmetrize_matrix", no_words)
+    assert bimodule.ambient_dim(200, 2) == 19_900
+    with pytest.raises(SizeCapError, match="tensor dimension 40000 exceeds size cap 20000"):
+        bimodule.verify_sequence(tensor.Space(200, QQ), 2)
+
+
 _WITNESS_CELLS = [(m, n) for m in (2, 3) for n in range(2, 6)] + \
     [(4, 2), (4, 3), (4, 4), (2, 6), (3, 6), (3, 7)]
 
@@ -438,8 +473,8 @@ def test_leading_terms_are_the_pivots_of_the_relation_rref(m, n, field):
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
             for g in bimodule.relation_generators(sp, n)]
-    leads, vanish = bimodule._leading_terms(sp, n)
-    assert vanish
+    leads, fault = bimodule._leading_terms(sp, n)
+    assert fault is None
     assert {index[t] for t in leads} == {row[0][0] for row in rows}
     assert {index[t] for t in leads} == set(linalg.echelon_rows(field, rows)[1])
 
@@ -491,9 +526,9 @@ def test_leading_terms_are_the_terms_off_the_last_ascent(m, n, field):
     last-ascent term per word that is not weakly decreasing, so the
     witness count always meets the bound ambient - rank E."""
     terms = bimodule.all_bimod_terms(m, n)
-    leads, vanish = bimodule._leading_terms(tensor.Space(m, field), n)
+    leads, fault = bimodule._leading_terms(tensor.Space(m, field), n)
     last = {t for t in terms if _at_last_ascent(t)}
-    assert vanish and not leads & last
+    assert fault is None and not leads & last
     assert leads | last == set(terms)
     assert len(last) == m ** n - comb(m + n - 1, n)
 
@@ -508,8 +543,8 @@ def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, fiel
     real = bimodule._leading_terms
 
     def short(space, k):
-        leads, vanish = real(space, k)
-        return set(sorted(leads)[1:]), vanish
+        leads, fault = real(space, k)
+        return set(sorted(leads)[1:]), fault
 
     monkeypatch.setattr(bimodule, "_leading_terms", short)
     contexts = _counting(monkeypatch, "build_context")

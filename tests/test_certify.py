@@ -256,8 +256,9 @@ def test_non_difference_rows_fail_closed(field, bad, at):
 def test_echelon_rows_calls_per_cell(monkeypatch):
     """Regression guard: no image and no relation span is eliminated.
     Every cell, M (whose relation rank comes from the leading-term
-    witness) and S' alike, eliminates only the projection's transpose.
-    `echelon_rows` is counted at every module that binds it."""
+    witness) and S' alike, eliminates only the projection's transpose,
+    and an M cell is computed once for both fields.  `echelon_rows` is
+    counted at every module that binds it."""
     for info in pkgutil.iter_modules(tensorseq.__path__):
         importlib.import_module(f"tensorseq.{info.name}")
     real = linalg.echelon_rows
@@ -282,8 +283,8 @@ def test_echelon_rows_calls_per_cell(monkeypatch):
         monkeypatch.setattr(mod, "verify_sequence", recorded)
     certs = certify.run_grid(certify.CheckGrid((2, 3), (2, 3, 4), (QQ, GF(3))), "both")
     assert len(certs) == 24 and all(c.passed for c in certs)
-    assert sorted(per_cell) == [("Lambda->S'->S", 1)] * 12 + [("M->T->S", 1)] * 12
-    assert len(calls) == 24
+    assert sorted(per_cell) == [("Lambda->S'->S", 1)] * 12 + [("M->T->S", 1)] * 6
+    assert len(calls) == 18
 
 
 def test_kernel_basis_eliminates_only_rows_with_two_entries(monkeypatch):
@@ -320,6 +321,67 @@ def test_benchmark_grids_reproduce_reference_bytes(workload, which, ms, ns):
     grid = certify.CheckGrid(ms, ns, (QQ, GF(3)))
     doc = certificates_to_json(certify.run_grid(grid, which), include_timing=False)
     assert doc.encode("utf-8") == (REFERENCE / f"{workload}.json").read_bytes()
+
+
+def _counting_verify_sequence(monkeypatch):
+    calls = []
+    real = bimodule.verify_sequence
+
+    def counted(space, n, size_cap=None):
+        calls.append((space.dim, n))
+        return real(space, n, size_cap)
+
+    monkeypatch.setattr(bimodule, "verify_sequence", counted)
+    return calls
+
+
+def test_m_cells_are_computed_once_and_stamped_per_field(monkeypatch):
+    """A q,f2,f3 grid runs one M computation per (m, n); the three
+    certificates of a cell differ only in their field name, and share
+    the `elapsed_ms` of that computation."""
+    calls = _counting_verify_sequence(monkeypatch)
+    fields = (QQ, GF(2), GF(3))
+    certs = certify.run_grid(certify.CheckGrid((2, 3), (2, 3, 4), fields), "m")
+    cells = [(m, n) for m in (2, 3) for n in (2, 3, 4)]
+    assert sorted(calls) == cells
+    assert len(certs) == 18 and all(c.passed for c in certs)
+    by_cell = {}
+    for c in certs:
+        by_cell.setdefault((c.m, c.n), []).append(c)
+    for copies in by_cell.values():
+        assert sorted(c.field_name for c in copies) == ["F2", "F3", "Q"]
+        first = copies[0]
+        assert all(c.stamped(first.field_name) == first for c in copies)
+        assert first.elapsed_ms is not None
+
+
+def test_m_cap_refusal_is_stamped_per_field(monkeypatch):
+    calls = _counting_verify_sequence(monkeypatch)
+    grid = certify.CheckGrid((3,), (5,), (QQ, GF(2)), size_cap=20)
+    certs = certify.run_grid(grid, "m")
+    assert calls == [(3, 5)]
+    assert [c.field_name for c in certs] == ["F2", "Q"]
+    assert all(c.capped and c.error == certs[0].error for c in certs)
+
+
+_ACCEPTANCE_CELLS = [(m, n) for m in (2, 3) for n in (2, 3, 4, 5)] + [(4, 2), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("m,n", _ACCEPTANCE_CELLS)
+def test_stamped_relation_rank_matches_elimination_over_each_field(m, n):
+    """Field-agreement oracle: the one integer M computation, stamped
+    with each field's name, gives the relation rank that `build_context`
+    finds by eliminating the relation span over that field."""
+    fields = (QQ, GF(2), GF(3), GF(5))
+    certs = certify.run_grid(certify.CheckGrid((m,), (n,), fields), "m")
+    by_name = {c.field_name: c for c in certs}
+    assert sorted(by_name) == sorted(f.name for f in fields)
+    for field in fields:
+        cert = by_name[field.name]
+        ctx = bimodule.build_context(tensor.Space(m, field), n)
+        assert cert.passed
+        assert cert.dims["wm_rank"] == ctx.rel_rank
+        assert cert.dims["m_dim"] == ctx.quotient_dim
 
 
 def test_run_grid_cap_isolated_per_cell():

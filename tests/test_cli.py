@@ -213,6 +213,33 @@ def test_check_cap_exit_code():
     assert res.exit_code == 3
 
 
+def _no_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(bimodule, "verify_sequence", refuse)
+
+
+def test_check_caps_the_tensor_dimension(monkeypatch):
+    """(200, 2) has ambient dimension 19,900, under the default cap, but
+    a projection of 40,000 rows: it exits 3 before any cell runs."""
+    res = run("check", "m", "--m", "200", "--n", "2", "--no-timing")
+    assert res.exit_code == 3
+    assert "tensor dimension 40000 exceeds size cap 20000" in res.output
+
+
+def test_dims_caps_the_tensor_dimension_before_certifying(monkeypatch):
+    _no_certificate(monkeypatch)
+    res = run("dims", "--m", "150", "--n-max", "2")
+    assert res.exit_code == 3
+    assert res.output == "size cap exceeded: tensor dimension 22500 exceeds size cap 20000\n"
+    # the ambient dimension is checked first, for every degree, so a
+    # table refused before keeps its message
+    res = run("dims", "--m", "150", "--n-max", "3")
+    assert res.exit_code == 3
+    assert res.output == "size cap exceeded: ambient dimension 3352500 exceeds size cap 20000\n"
+
+
 def test_check_refuses_an_oversized_grid_before_building_it(monkeypatch):
     """The grid is counted from its range endpoints: a billion degrees is
     refused with exit 3 at once, and no certificate is computed."""

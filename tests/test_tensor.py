@@ -243,6 +243,19 @@ def test_json_roundtrip():
         tensor.TensorElement.from_json(sp, {"degree": 2, "terms": [{"word": [1, 4], "coeff": 1}]})
 
 
+@pytest.mark.parametrize("letter", [1.5, 2.0, True, False, "1", Fraction(1)])
+def test_letters_must_be_ints(letter):
+    """A letter is an int in 1..m: a float, a bool, a string or a
+    `Fraction` is refused even where it compares equal to one."""
+    sp = tensor.Space(3, QQ)
+    with pytest.raises(ValueError, match="malformed letter"):
+        tensor.word_element(sp, (letter, 2))
+    with pytest.raises(ValueError, match="malformed letter"):
+        tensor.TensorElement(sp, 2, {(2, letter): 1})
+    with pytest.raises(ValueError, match="malformed letter"):
+        bimodule.BimodElement(sp, 3, {((letter,), (1, 2), ()): 1})
+
+
 _COLLECT_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
 
 
