@@ -220,9 +220,9 @@ def _no_certificate(monkeypatch):
     monkeypatch.setattr(bimodule, "verify_sequence", refuse)
 
 
-def test_check_caps_the_tensor_dimension(monkeypatch):
+def test_check_caps_the_tensor_dimension():
     """(200, 2) has ambient dimension 19,900, under the default cap, but
-    a projection of 40,000 rows: it exits 3 before any cell runs."""
+    a projection of 40,000 rows: the cell is refused and the run exits 3."""
     res = run("check", "m", "--m", "200", "--n", "2", "--no-timing")
     assert res.exit_code == 3
     assert "tensor dimension 40000 exceeds size cap 20000" in res.output
