@@ -48,11 +48,12 @@ None of the three facts above depends on the field: they are statements
 about a graph and about the fibres of P.  So the M sequence, whose image
 rows are e_u - e_v and whose projection rows each hold one 1, calls
 `image_equals_kernel` once, over the integers, and the outcome holds
-over Q and every F_p.  With the +-1 leading coefficients that
-`bimodule` checks for its relation cores, that makes one integer
-computation a certificate for every field, and `certify.run_grid`
-stamps a copy of it with each field's name.  The S' sequence is still
-checked once per field.
+over Q and every F_p.  Over the integers the check accepts an image row
+only as +-(e_u - e_v), never as 2(e_u - e_v), an edge over Q but zero
+over F2.  With the +-1 leading coefficients that `bimodule` checks for
+its relation cores, that makes one integer computation a certificate
+for every field, and `certify.run_grid` stamps a copy of it with each
+field's name.  The S' sequence is still checked once per field.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import time
 from typing import Iterable, Sequence
 
 from .errors import Record
-from .fields import Field
+from .fields import _ZZ, Field
 from .linalg import Matrix, Row, kernel_basis, transpose
 from .tensor import Space
 
@@ -139,9 +140,11 @@ def certificate(sequence: str, space: Space, n: int, dims: dict,
         dims=dims, checks=tuple(checks), elapsed_ms=round(elapsed, 3))
 
 
-def _is_difference(p: int, nv: int, row: Row) -> bool:
-    """True iff the sparse `row` is a * (e_u - e_v) with a != 0 and u != v
-    both in range(nv), over F_p (p > 0) or Q (p == 0)."""
+def _is_difference(p: int, nv: int, row: Row, integral: bool = False) -> bool:
+    """True iff the sparse `row` is a * (e_u - e_v) with u != v both in
+    range(nv) and a a unit: a != 0 over F_p (p > 0) or Q (p == 0), and
+    a = +-1 over the integers (`integral`), where a row 2(e_u - e_v)
+    would be a difference over Q but vanish over F2."""
     if len(row) != 2:
         return False
     (u, a), (v, b) = row
@@ -149,6 +152,8 @@ def _is_difference(p: int, nv: int, row: Row) -> bool:
         return False
     if p:
         return a % p != 0 and (a + b) % p == 0
+    if integral:
+        return a in (1, -1) and a + b == 0
     # Q values are ints or Fractions in lowest terms, so a + b == 0 iff the
     # numerators are opposite and the denominators equal, with no Fraction sum
     return a.numerator != 0 and a.numerator == -b.numerator and a.denominator == b.denominator
@@ -170,7 +175,9 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
     `projection` (rows = source basis, columns = target basis).
 
     Each image row must be a nonzero multiple of e_u - e_v, an edge
-    (u, v) on the source basis; the module docstring gives the argument.
+    (u, v) on the source basis, and over the integers (`fields._ZZ`) a
+    multiple by +-1, so that the edge stays an edge over every F_p; the
+    module docstring gives the argument.
     Returns (check, image rank, projection rank).  A row that is not
     such a difference fails the check, named in its detail, and leaves
     the image rank undetermined: None.
@@ -179,6 +186,7 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
     nv = projection.nrows
     projection_rank = nv - len(kernel)
     p = field.char
+    integral = field is _ZZ
     parent = list(range(nv))
 
     def find(x: int) -> int:
@@ -190,7 +198,7 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
     img_in_ker = True
     merges = 0
     for i, row in enumerate(image_rows):
-        if not _is_difference(p, nv, row):
+        if not _is_difference(p, nv, row, integral):
             check = CheckResult("image_equals_kernel", False,
                                 f"image row {i} is not a difference of two basis vectors")
             return check, None, projection_rank

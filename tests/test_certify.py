@@ -13,7 +13,7 @@ import tensorseq
 from tensorseq import bimodule, certify, evensym, linalg, tensor
 from tensorseq.certificates import (Certificate, CheckResult, certificates_to_json,
                                     image_equals_kernel)
-from tensorseq.fields import GF, QQ
+from tensorseq.fields import _ZZ, GF, QQ
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -251,6 +251,25 @@ def test_non_difference_rows_fail_closed(field, bad, at):
     assert check.detail == f"image row {at} is not a difference of two basis vectors"
     assert image_rank is None
     assert projection_rank == tensor.dim_sym(3, 3)
+
+
+@pytest.mark.parametrize("field,a,passed", [
+    (_ZZ, 1, True), (_ZZ, -1, True), (_ZZ, 2, False), (_ZZ, -2, False),
+    (QQ, 2, True), (GF(3), 2, True)], ids=str)
+def test_integer_image_rows_must_be_unit_differences(field, a, passed):
+    """Over the integers an image row must be +-(e_u - e_v): 2(e_u - e_v)
+    is an edge over Q and F3 but zero over F2, so the integer check,
+    which stands for every field, must not count it.  Q and F_p accept
+    any nonzero multiple."""
+    projection = linalg.Matrix(field, 1, (((0, field.one),),) * 2)
+    row = ((0, field.normalize(a)), (1, field.normalize(-a)))
+    check, image_rank, _ = image_equals_kernel(field, [row], projection)
+    assert check.passed == passed
+    if passed:
+        assert image_rank == 1
+    else:
+        assert check.detail == "image row 0 is not a difference of two basis vectors"
+        assert image_rank is None
 
 
 def test_echelon_rows_calls_per_cell(monkeypatch):

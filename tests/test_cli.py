@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorseq import bimodule, certify, cli, evensym, linalg
+from tensorseq import bimodule, certify, cli, evensym, linalg, tensor
 from tensorseq.certificates import Certificate, CheckResult
 
 
@@ -238,6 +238,48 @@ def test_dims_caps_the_tensor_dimension_before_certifying(monkeypatch):
     res = run("dims", "--m", "150", "--n-max", "3")
     assert res.exit_code == 3
     assert res.output == "size cap exceeded: ambient dimension 3352500 exceeds size cap 20000\n"
+
+
+def test_dims_caps_the_number_of_degrees_before_certifying(monkeypatch):
+    """With m <= 1 no dimension exceeds 1 in any degree, so the table is
+    bounded by its count of degrees, as `check` counts its grid cells: a
+    billion degrees is refused with exit 3 at once."""
+    _no_certificate(monkeypatch)
+    res = run("dims", "--m", "1", "--n-max", "50", "--size-cap", "10")
+    assert res.exit_code == 3
+    assert res.output == "size cap exceeded: degrees 49 exceeds size cap 10\n"
+    res = run("dims", "--m", "0", "--n-max", "1000000000")
+    assert res.exit_code == 3
+    assert res.output == "size cap exceeded: degrees 999999999 exceeds size cap 20000\n"
+
+
+def _refusal_checking_every_degree(m, n_max, cap):
+    """The refusal of a pre-check that tries the ambient dimension of
+    every degree 2..n_max, then the tensor dimension of every degree,
+    then the count of degrees; None when the table passes."""
+    for what, dim in (("ambient dimension", bimodule.ambient_dim),
+                      ("tensor dimension", tensor.dim_tensor)):
+        for n in range(2, n_max + 1):
+            if dim(m, n) > cap:
+                return f"size cap exceeded: {what} {dim(m, n)} exceeds size cap {cap}\n"
+    if n_max - 1 > cap:
+        return f"size cap exceeded: degrees {n_max - 1} exceeds size cap {cap}\n"
+    return None
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_dims_pre_check_stops_at_degree_cap_plus_two(m):
+    """The pre-check tries degrees only up to cap + 2, by which any
+    m >= 2 exceeds the cap, so every table refused for a dimension keeps
+    its message, and the count of degrees is refused only after them."""
+    for cap in (-1, 0, 1, 4, 12):
+        for n_max in (2, 3, 5, 9, 16):
+            expected = _refusal_checking_every_degree(m, n_max, cap)
+            res = run("dims", "--m", str(m), "--n-max", str(n_max), "--size-cap", str(cap))
+            if expected is None:
+                assert res.exit_code == 0
+            else:
+                assert (res.exit_code, res.output) == (3, expected)
 
 
 def test_check_refuses_an_oversized_grid_before_building_it(monkeypatch):

@@ -1,19 +1,33 @@
 """Start-up: what importing the package and launching the command line
-load, checked in fresh interpreters, and the benchmark grids' bytes as a
-launched command line writes them."""
+load, checked in fresh interpreters, the benchmark grids' bytes as a
+launched command line writes them, and the process entry `cli.run`
+that every launch goes through."""
 
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import tensorseq
+from tensorseq import cli
 
 SRC = Path(tensorseq.__file__).resolve().parent.parent
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference"
+
+# The two ways a launch enters: `python -m tensorseq.cli`, and the
+# `tensorseq` console script, which calls its entry point the way the
+# script that pip generates does.
+_ENTRIES = {
+    "module": ["-m", "tensorseq.cli"],
+    "script": ["-c", "import sys; from tensorseq.cli import run; sys.exit(run())"],
+}
 
 # Runs the CLI on argv[2:] and writes its exit code and the names in
 # sys.modules at exit to argv[1].
@@ -94,7 +108,132 @@ def test_each_command_imports_only_what_it_runs(tmp_path, args, absent):
                      "--no-timing"]),
 ])
 def test_cli_reproduces_the_benchmark_reference_bytes(workload, args):
-    proc = subprocess.run([sys.executable, "-m", "tensorseq.cli", *args], env=_env(),
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0
-    assert proc.stdout == (REFERENCE / f"{workload}.json").read_bytes()
+    for entry in _ENTRIES.values():
+        proc = subprocess.run([sys.executable, *entry, *args], env=_env(),
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout == (REFERENCE / f"{workload}.json").read_bytes()
+
+
+def test_console_script_enters_through_run():
+    assert 'tensorseq = "tensorseq.cli:run"' in (ROOT / "pyproject.toml").read_text()
+
+
+def _in_process(args):
+    """Exit code, stdout and stderr of `cli.main(args)` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(args, standalone_mode=False)
+            code = 0
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_OUTCOMES = [
+    (["dims", "--m", "2", "--n-max", "3"], 0),
+    (["check", "m", "--m", "200", "--n", "2", "--no-timing"], 3),
+    (["check", "m", "--field", "bogus"], 2),
+    (["check"], 2),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_collector_as_it_finds_it(enabled):
+    """Only the process entry pauses the collector: tests, the benchmark's
+    tracer and library callers run `main` in-process."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for args, code in _OUTCOMES:
+            assert _in_process(args)[0] == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("args,code", _OUTCOMES)
+def test_a_launch_keeps_the_exit_code_and_bytes_of_main(entry, args, code):
+    proc = subprocess.run([sys.executable, *_ENTRIES[entry], *args], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(args)
+    assert proc.returncode == code
+
+
+# Records, at interpreter exit, whether the collector is enabled and how
+# many objects are frozen, in the file named by argv[1], then launches
+# through the entry given as the rest of the program.
+_AT_EXIT = """
+import atexit, gc, json, sys
+out = sys.argv.pop(1)
+
+def record():
+    with open(out, "w") as fh:
+        json.dump([gc.isenabled(), gc.get_freeze_count()], fh)
+
+atexit.register(record)
+"""
+_LAUNCH_FROM_PROBE = {
+    "module": "import runpy; runpy.run_module('tensorseq.cli', run_name='__main__')",
+    "script": _ENTRIES["script"][1],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_LAUNCH_FROM_PROBE))
+@pytest.mark.parametrize("args,code", _OUTCOMES)
+def test_every_launch_ends_with_the_collector_paused_and_the_heap_frozen(
+        tmp_path, entry, args, code):
+    out = tmp_path / "gc.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _AT_EXIT + _LAUNCH_FROM_PROBE[entry], str(out), *args],
+        env=_env(), capture_output=True, timeout=120)
+    assert proc.returncode == code
+    enabled, frozen = json.loads(out.read_text())
+    assert not enabled
+    assert frozen > 0
+
+
+# Runs `cli.main` on argv[2:] with the collector on, and writes to argv[1]
+# how many objects the collector freed from the first command on: its
+# own collections during the run and one full collection after it.
+_GARBAGE = """
+import gc, sys
+from tensorseq import cli
+freed = []
+gc.collect()
+gc.callbacks.append(
+    lambda phase, info: freed.append(info["collected"]) if phase == "stop" else None)
+try:
+    cli.main(sys.argv[2:])
+except SystemExit:
+    pass
+gc.collect()
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(sum(freed)))
+"""
+
+
+def _garbage(tmp_path, *args):
+    out = tmp_path / "freed.txt"
+    subprocess.run([sys.executable, "-c", _GARBAGE, str(out), *args], env=_env(),
+                   capture_output=True, timeout=300)
+    return int(out.read_text())
+
+
+@pytest.mark.parametrize("small,large", [
+    (("check", "m", "--m", "2", "--n", "2", "--field", "q,f3", "--no-timing"),
+     ("check", "m", "--m", "2..3", "--n", "2..6", "--field", "q,f3", "--no-timing")),
+    (("check", "sprime", "--m", "6", "--n", "4", "--field", "q,f3", "--no-timing"),
+     ("check", "sprime", "--m", "6..8", "--n", "4..6", "--field", "q,f3", "--no-timing")),
+    (("cocycle", "--m", "2", "--n", "4", "--samples", "10"),
+     ("cocycle", "--m", "2", "--n", "4", "--samples", "300")),
+], ids=["check-m", "check-sprime", "cocycle"])
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, small, large):
+    """Why the process entry may pause the collector: a command leaves
+    the same cyclic garbage over 2 cells as over 20, and over 10 samples
+    as over 300, so a launch without collections holds no memory that
+    grows with its input."""
+    assert _garbage(tmp_path, *small) == _garbage(tmp_path, *large)
