@@ -140,7 +140,7 @@ def certificate(sequence: str, space: Space, n: int, dims: dict,
         dims=dims, checks=tuple(checks), elapsed_ms=round(elapsed, 3))
 
 
-def _is_difference(p: int, nv: int, row: Row, integral: bool = False) -> bool:
+def _is_difference(p: int, nv: int, row: Row, integral: bool) -> bool:
     """True iff the sparse `row` is a * (e_u - e_v) with u != v both in
     range(nv) and a a unit: a != 0 over F_p (p > 0) or Q (p == 0), and
     a = +-1 over the integers (`integral`), where a row 2(e_u - e_v)

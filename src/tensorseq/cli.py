@@ -30,9 +30,9 @@ library's class decorator, whose module imports it.
 Every launch, `python -m tensorseq.cli` and the `tensorseq` console
 script alike, enters through `run`, which pauses the cyclic garbage
 collector for the command and freezes the heap before the interpreter
-exits.  A command leaves about 220 objects of cyclic garbage however
-large its grid or sample count, so pausing the collector lets no memory
-grow with the input; what it saves is the full collection the
+exits.  A command leaves the same few hundred objects of cyclic garbage
+however large its grid or sample count, so pausing the collector lets
+no memory grow with the input; what it saves is the full collection the
 interpreter would otherwise make at exit over every object the launch
 created, about a tenth of a grid launch.  `main` leaves the collector
 as it finds it, for callers that run commands in-process.
