@@ -4,6 +4,11 @@ exact sequences over the rationals and prime fields.
 Submodules:
 
 * `fields`, `linalg`: exact scalars and sparse row reduction.
+* `bases`: the base space, the word bases of the graded components and
+  their dimensions.
+* `mseq`, `sprimeseq`: the certifiers of M -> T -> S and
+  Lambda -> S' -> S, which build no element.
+* `certify`, `certificates`: grid verification and certificate JSON.
 * `perms`: symmetric-group helpers and transposition factorizations.
 * `tensor`: the graded tensor algebra and its symmetric projection.
 * `exterior`: exterior powers with canonical signs.
@@ -11,8 +16,11 @@ Submodules:
   wedge-insertion maps and the telescoping cocycle.
 * `evensym`: the quotient algebra identifying words up to even
   permutations, with its twisted-word basis.
-* `certify`, `certificates`: grid verification and certificate JSON.
-* `cli`: the `tensorseq` command.
+* `degree2`: the degree-2 agreement of both quotients with the
+  classical sequence.
+* `parsing`: the element syntax of the command line.
+* `cli`, `commands`: the `tensorseq` command; `commands` holds the
+  query commands `dims`, `nf` and `cocycle`.
 """
 
 from importlib import import_module
@@ -21,12 +29,13 @@ from importlib import import_module
 # (PEP 562), so `import tensorseq` loads no submodule and a command line
 # run loads only what its command uses.
 _EXPORTS = {
+    "Space": "bases",
     "Certificate": "certificates",
     "CheckResult": "certificates",
     "certificates_to_json": "certificates",
     "CheckGrid": "certify",
     "run_grid": "certify",
-    "verify_degree2_agreement": "certify",
+    "verify_degree2_agreement": "degree2",
     "ElementParseError": "errors",
     "SizeCapError": "errors",
     "Field": "fields",
@@ -35,7 +44,6 @@ _EXPORTS = {
     "QQ": "fields",
     "RationalField": "fields",
     "parse_field": "fields",
-    "Space": "tensor",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -36,8 +36,8 @@ The M sequence takes the rank of its expansion E from the image rank
 returned here: the graph's vertices minus components.  Once every
 relation expands to zero, the relation span R lies in the kernel of E,
 so rank R is at most the ambient dimension minus rank E.  The
-leading-term count in `bimodule` is a lower bound on rank R, and a
-lemma in the `bimodule` docstring shows that it always meets that upper
+leading-term count in `mseq` is a lower bound on rank R, and a
+lemma in the `mseq` docstring shows that it always meets that upper
 bound.  The cell still checks that it does: then R is the kernel of E,
 and the quotient, of dimension rank E, maps injectively.  A count that
 fell short would fail the cell; R is never eliminated.  A row that is
@@ -50,7 +50,7 @@ rows are e_u - e_v and whose projection rows each hold one 1, calls
 `image_equals_kernel` once, over the integers, and the outcome holds
 over Q and every F_p.  Over the integers the check accepts an image row
 only as +-(e_u - e_v), never as 2(e_u - e_v), an edge over Q but zero
-over F2.  With the +-1 leading coefficients that `bimodule` checks for
+over F2.  With the +-1 leading coefficients that `mseq` checks for
 its relation cores, that makes one integer computation a certificate
 for every field, and `certify.run_grid` stamps a copy of it with each
 field's name.  The S' sequence is still checked once per field.
@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 from .errors import Record
 from .fields import _ZZ, Field
 from .linalg import Matrix, Row, kernel_basis, transpose
-from .tensor import Space
+from .bases import Space
 
 
 class CheckResult(Record):

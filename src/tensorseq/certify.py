@@ -2,19 +2,16 @@
 
 Runs the two sequence verifications over a grid of (m, n, field) cells,
 one cell after another, isolating failures and size-cap refusals per
-cell (an M->T->S cell is computed once for all its fields), and
-performs the degree-2 agreement checks tying the two quotient
-constructions to the classical wedge -> tensor -> symmetric sequence.
-Results are reported in canonical (m, n, field name, sequence) order.
+cell (an M->T->S cell is computed once for all its fields).  Results
+are reported in canonical (m, n, field name, sequence) order.  A grid
+loads the certifier of each sequence it runs, `mseq` or `sprimeseq`,
+and none of the element-algebra modules.
 """
 
 from __future__ import annotations
 
-import time
-from math import comb
-
-from . import tensor
-from .certificates import Certificate, CheckResult, certificate
+from .bases import Space
+from .certificates import Certificate
 from .errors import DEFAULT_SIZE_CAP, Record, SizeCapError
 from .fields import Field
 
@@ -45,14 +42,14 @@ class CheckGrid(Record):
 
 
 def _verify_cell(m: int, n: int, field: Field, sequence: str, size_cap: int) -> Certificate:
-    space = tensor.Space(m, field)
+    space = Space(m, field)
     try:
-        # each sequence loads only its own module
+        # each sequence loads only its own certifier
         if sequence == "M->T->S":
-            from . import bimodule
-            return bimodule.verify_sequence(space, n, size_cap)
-        from . import evensym
-        return evensym.verify_sequence(space, n, size_cap)
+            from . import mseq
+            return mseq.verify_sequence(space, n, size_cap)
+        from . import sprimeseq
+        return sprimeseq.verify_sequence(space, n, size_cap)
     except SizeCapError as e:
         return Certificate(
             sequence=sequence, m=m, n=n, field_name=field.name,
@@ -65,7 +62,7 @@ def run_grid(grid: CheckGrid, which: str = "both") -> list[Certificate]:
     M->T->S is computed once per (m, n), over the integers, and its
     certificate, a size-cap refusal included, is stamped with each
     field's name: one integer computation proves the cell over every
-    field (`bimodule` docstring), and every copy carries the
+    field (`mseq` docstring), and every copy carries the
     `elapsed_ms` of that one computation.  Lambda->S'->S is computed
     per field.
 
@@ -87,66 +84,3 @@ def run_grid(grid: CheckGrid, which: str = "both") -> list[Certificate]:
                                  for field in fields)
     certs.sort(key=lambda c: (c.m, c.n, c.field_name, c.sequence))
     return certs
-
-
-def verify_degree2_agreement(space: tensor.Space) -> Certificate:
-    """Certify that in degree 2 both quotients collapse onto the
-    classical sequence: the relation span is zero, the quotient is the
-    wedge square, the expansion matrix literally equals the degree-2
-    wedge embedding, and the orbit algebra is the full tensor square
-    with matching maps."""
-    from . import bimodule, evensym, exterior
-    start = time.perf_counter()
-    m = space.dim
-    field = space.field
-    checks = []
-
-    # the witness: every nonzero relation has a leading term, so none means R = 0
-    rel_rank = len(bimodule._leading_terms(space, 2)[0])
-    terms = bimodule.all_bimod_terms(m, 2)
-    lam2 = comb(m, 2)
-    checks.append(CheckResult(
-        "relation_rank_zero", rel_rank == 0,
-        f"degree-2 relation rank {rel_rank}"))
-    checks.append(CheckResult(
-        "quotient_is_wedge_square", len(terms) - rel_rank == lam2,
-        f"quotient dim {len(terms) - rel_rank}, wedge dim {lam2}"))
-
-    word_index = {w: i for i, w in enumerate(tensor.all_words(m, 2))}
-    expansion_rows = tuple(bimodule._expansion_rows(field, word_index, terms))
-    wedge_rows = exterior.wedge_to_tensor_matrix(space).rows
-    checks.append(CheckResult(
-        "expansion_matrix_matches_wedge", expansion_rows == wedge_rows,
-        f"{len(expansion_rows)} rows compared entrywise"))
-
-    t2 = m * m
-    checks.append(CheckResult(
-        "orbit_degree2_is_tensor_square", evensym.dim_evensym(m, 2) == t2,
-        f"orbit basis size {evensym.dim_evensym(m, 2)}, tensor dim {t2}"))
-
-    # Identify each length-2 word with its orbit class and compare maps.
-    maps_ok = True
-    for w in tensor.all_words(m, 2):
-        word_sym = tensor.symmetrize(tensor.word_element(space, w))
-        orbit_sym = evensym.to_sym(evensym.from_word(space, w))
-        if word_sym != orbit_sym:
-            maps_ok = False
-            break
-    if maps_ok:
-        for pair in exterior.all_wedge_words(m, 2):
-            ext = exterior.ExtElement(space, 2, {pair: 1})
-            via_tensor = exterior.wedge_to_tensor(ext)
-            transported = evensym.EvenSymElement(space, 2, {})
-            for w, c in via_tensor.terms.items():
-                transported = transported + evensym.from_word(space, w, c)
-            if transported != evensym.wedge_embed(ext):
-                maps_ok = False
-                break
-    checks.append(CheckResult(
-        "orbit_maps_match_degree2", maps_ok,
-        "projection and embedding agree under the word/class identification"))
-
-    return certificate(
-        "degree2", space, 2,
-        {"lambda_dim": lam2, "t_dim": t2, "s_dim": tensor.dim_sym(m, 2)},
-        checks, start)

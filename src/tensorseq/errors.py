@@ -1,10 +1,22 @@
-"""Exception types, limits and the value-class base shared across the package."""
+"""Exception types, limits and the value-class base shared across the
+package, and the error vocabulary of the command line: its exit codes,
+`UsageError` and two helpers.
+
+Both `cli` and `commands` use that vocabulary, so it lives here and not
+in `cli`: `python -m tensorseq.cli` runs `cli` as `__main__`, and a
+module importing from `tensorseq.cli` would load a second copy of it,
+with a `UsageError` that the running `main` does not catch."""
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 
 DEFAULT_SIZE_CAP = 20_000
+
+EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
+EXIT_SIZE_CAP = 3
 
 
 class SizeCapError(ValueError):
@@ -30,6 +42,25 @@ class ElementParseError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at position {position})")
+
+
+class UsageError(Exception):
+    """A usage or syntax error found by a command: exit code 2."""
+
+
+def field_option(name: str):
+    """The field a `--field` value names; a bad name is a usage error."""
+    from .fields import parse_field
+    try:
+        return parse_field(name)
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
+def report_capped(e: SizeCapError) -> int:
+    """Report a size-cap refusal on stderr; the exit code of one."""
+    print(f"size cap exceeded: {e}", file=sys.stderr)
+    return EXIT_SIZE_CAP
 
 
 class Record:

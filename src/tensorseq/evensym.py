@@ -19,22 +19,31 @@ any word for s in the generators.  The normal-form kernel pairs w with
 the first word of its class.  The three spans are compared by their
 unique RREFs, so the oracle does not reuse `image_equals_kernel`'s graph
 argument.
+
+The matrices of the wedge embedding and the flag-forgetting projection,
+and the certificate of 0 -> Lambda^{>=2} -> S' -> S -> 0, live in
+`sprimeseq`, which builds no element: its `verify_sequence`,
+`to_sym_matrix`, `wedge_embed_matrix` and `dim_evensym` are importable
+from here as the same objects.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from typing import Mapping
 
 from . import perms
-from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
+from .bases import (Space, Word, all_monomials, all_wedge_words, all_words, check_word,
+                    collect, dim_tensor)
+from .certificates import Certificate, CheckResult, certificate
 from .errors import Record, check_cap
-from .exterior import ExtElement, all_wedge_words, dim_wedge
+from .exterior import ExtElement
 from .fields import Scalar
-from .linalg import Matrix, Row, echelon_rows
-from .tensor import (Space, SymElement, Word, _JsonElement, all_monomials, all_words,
-                     check_word, collect, dim_sym, dim_tensor)
+from .linalg import Row, echelon_rows
+from .sprimeseq import dim_evensym
+# defined in `sprimeseq`, and still importable from here, as the same objects
+from .sprimeseq import to_sym_matrix, verify_sequence, wedge_embed_matrix  # noqa: F401
+from .tensor import SymElement, _JsonElement
 
 
 class OrbitWord(Record):
@@ -174,16 +183,6 @@ def wedge_embed(a: ExtElement) -> EvenSymElement:
     return EvenSymElement._own(a.space, a.degree, out)
 
 
-def dim_evensym(m: int, n: int) -> int:
-    """Plain classes count weakly increasing words; twisted classes count
-    strictly increasing words and need degree >= 2.
-
-    >>> dim_evensym(3, 3), dim_evensym(2, 3), dim_evensym(3, 2)
-    (11, 4, 9)
-    """
-    return dim_sym(m, n) + (dim_wedge(m, n) if n >= 2 else 0)
-
-
 def basis_words(m: int, n: int) -> list[OrbitWord]:
     """Canonical basis order: plain classes lexicographically, then
     twisted classes lexicographically."""
@@ -191,46 +190,6 @@ def basis_words(m: int, n: int) -> list[OrbitWord]:
     if n >= 2:
         out.extend(OrbitWord(w, True) for w in all_wedge_words(m, n))
     return out
-
-
-# cached: an S' cell needs it for both P and the embedding, and the cells
-# of one (m, n) over different fields need the same one
-@lru_cache(maxsize=32)
-def _twisted_columns(m: int, n: int) -> tuple[int, ...]:
-    """Monomial index of each strictly increasing word, in order: the
-    column that twisted class s + k forgets its flag onto.  Outside
-    2 <= n <= m there is no twisted class, and no monomial is built."""
-    if not 2 <= n <= m:
-        return ()
-    mono_index = {w: j for j, w in enumerate(all_monomials(m, n))}
-    return tuple(mono_index[w] for w in all_wedge_words(m, n))
-
-
-def to_sym_matrix(space: Space, n: int) -> Matrix:
-    """Rows = basis classes (canonical order), columns = monomials.
-
-    Plain class i is monomial i; twisted class s + k forgets its flag
-    onto the monomial of the k-th strictly increasing word."""
-    s = dim_sym(space.dim, n)
-    one = space.field.one
-    rows = [((j, one),) for j in range(s)]
-    rows.extend(((j, one),) for j in _twisted_columns(space.dim, n))
-    return Matrix(space.field, s, tuple(rows))
-
-
-def wedge_embed_matrix(space: Space, n: int) -> Matrix:
-    """Rows = strictly increasing words, columns = basis classes: the
-    k-th word maps to its plain class minus twisted class s + k, with s
-    the number of plain classes."""
-    if n < 2:
-        raise ValueError("need degree >= 2")
-    field = space.field
-    s = dim_sym(space.dim, n)
-    one, neg_one = field.one, field.neg(field.one)
-    # plain classes precede twisted ones in the basis order
-    rows = tuple(((j, one), (s + k, neg_one))
-                 for k, j in enumerate(_twisted_columns(space.dim, n)))
-    return Matrix(field, s + len(rows), rows)
 
 
 def _difference_row(i: int, j: int, one: Scalar, neg_one: Scalar) -> Row:
@@ -313,45 +272,3 @@ def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> C
         "S'-relations", space, n,
         {"t_dim": t_dim, "sprime_dim": q_dim, "relation_rank": len(ideal)},
         checks, start)
-
-
-def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:
-    """Certify degree-n exactness of wedge -> quotient -> symmetric:
-    the wedge embedding is injective, its image is exactly the kernel of
-    the flag-forgetting projection, that projection is onto, and the
-    dimensions add up.
-
-    The embedding sends a strictly increasing word to its plain class
-    minus its twisted class, one edge between the two classes, so
-    `image_equals_kernel` certifies its image as the span of a graph's
-    edges, with no elimination: the injective rank is classes minus
-    connected components, and the surjective rank is the class count
-    minus the size of the projection's kernel basis."""
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
-    start = time.perf_counter()
-    m = space.dim
-    q_dim = dim_evensym(m, n)
-    check_cap(q_dim, size_cap, "basis size")
-    lam_dim = dim_wedge(m, n)
-    s_dim = dim_sym(m, n)
-    emb = wedge_embed_matrix(space, n)
-    sym_m = to_sym_matrix(space, n)
-    exact, emb_rank, sym_rank = image_equals_kernel(space.field, emb.rows, sym_m)
-    checks = (
-        CheckResult(
-            "injective_rank", emb_rank == lam_dim,
-            f"rank of wedge embedding = {emb_rank}, wedge dim = {lam_dim}"),
-        CheckResult(
-            "surjective_rank", sym_rank == s_dim,
-            f"rank of projection = {sym_rank}, symmetric dim = {s_dim}"),
-        exact,
-        CheckResult(
-            "dimension_identity", q_dim == s_dim + lam_dim,
-            f"basis size {q_dim}, symmetric dim {s_dim}, wedge dim {lam_dim}"),
-    )
-    return certificate(
-        "Lambda->S'->S", space, n,
-        {"lambda_dim": lam_dim, "sprime_dim": q_dim, "s_dim": s_dim},
-        checks, start)
-

@@ -8,13 +8,12 @@ parity of the sorting permutation, which works in every characteristic.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
-from typing import Iterator
-
 from . import linalg, perms
+from .bases import Space, Word, all_wedge_words, check_word, collect
+# defined in `bases`, and still importable from here, as the same object
+from .bases import dim_wedge  # noqa: F401
 from .fields import Scalar
-from .tensor import Space, TensorElement, Word, _JsonElement, check_word, collect
+from .tensor import TensorElement, _JsonElement
 
 
 def wedge_canon(letters: Word) -> tuple[int, Word] | None:
@@ -53,21 +52,6 @@ def wedge_word_element(space: Space, letters: Word, coeff: Scalar = 1) -> ExtEle
         return ExtElement._own(space, len(tuple(letters)), {})
     sign, w = canon
     return ExtElement(space, len(w), {w: coeff}).scale(sign)
-
-
-def all_wedge_words(m: int, n: int) -> Iterator[Word]:
-    """Strictly increasing length-n words over {1..m}, lexicographically."""
-    return combinations(range(1, m + 1), n)
-
-
-def dim_wedge(m: int, n: int) -> int:
-    """
-    >>> dim_wedge(3, 2), dim_wedge(2, 3), dim_wedge(4, 2)
-    (3, 0, 6)
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    return comb(m, n)
 
 
 def wedge_to_tensor(a: ExtElement) -> TensorElement:

@@ -203,13 +203,6 @@ def residue_list(field: Field, vec: Iterable[tuple], basis: Mapping[int, Row]) -
     return sorted(v.items())
 
 
-def contained(field: Field, rows: Sequence[Row], pivots: Sequence[int],
-              vectors: Iterable[Iterable[tuple]]) -> bool:
-    """True iff every sparse vector lies in the span of the RREF (rows, pivots)."""
-    basis = dict(zip(pivots, rows))
-    return not any(residue_list(field, v, basis) for v in vectors)
-
-
 def kernel_basis(m: Matrix) -> list[Row]:
     """Basis of the right null space {v : m @ v = 0}, one sparse vector
     per free (non-pivot) column in increasing order; ncols - rank vectors.

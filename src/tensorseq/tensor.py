@@ -6,6 +6,7 @@ words (monomials).  `symmetrize` is the degreewise projection sending a
 word to its sorted monomial; its kernel is the two-sided ideal generated
 by the commutators uv - vu.
 
+The word bases, their sizes, `Space` and `collect` live in `bases`.
 Every element map, here and in the other element modules, is linear on
 the basis: it generates (basis key, value) pairs, and `collect` is the
 one place where such pairs are summed, with one exception:
@@ -33,66 +34,13 @@ with `"wedge": true` after the degree for exterior elements and
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from itertools import product as _iproduct
-from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
-from . import linalg, perms
-from .errors import Record
-from .fields import Field, Scalar
-
-Word = tuple
-
-
-class Space(Record):
-    """An m-dimensional base space with a totally ordered basis 1..m."""
-
-    __slots__ = ("dim", "field")
-
-    def __init__(self, dim: int, field: Field):
-        if dim < 0:
-            raise ValueError("dimension must be >= 0")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field", field)
-
-
-def check_word(space: Space, word: Word) -> Word:
-    """`word` as a tuple, each letter an `int` (not a `bool`) in 1..m."""
-    word = tuple(word)
-    for x in word:
-        if x.__class__ is not int:
-            raise ValueError(f"malformed letter {x!r}: a letter is an int in 1..{space.dim}")
-        if not 1 <= x <= space.dim:
-            raise ValueError(f"letter {x} out of range 1..{space.dim}")
-    return word
-
-
-def all_words(m: int, n: int) -> Iterator[Word]:
-    """All length-n words over {1..m} in lexicographic order."""
-    return _iproduct(range(1, m + 1), repeat=n)
-
-
-def all_monomials(m: int, n: int) -> Iterator[Word]:
-    """All weakly increasing length-n words, lexicographically."""
-    return combinations_with_replacement(range(1, m + 1), n)
-
-
-def collect(field: Field, pairs: Iterable[tuple], out: dict | None = None) -> dict:
-    """Sum the nonzero values of (key, value) `pairs` by key into `out`
-    (a new dict by default), whose values are nonzero too; a key whose
-    sum is zero is dropped.  Returns `out`."""
-    if out is None:
-        out = {}
-    add = field.add
-    for k, v in pairs:
-        if k in out:
-            v = add(out[k], v)
-            if not v:
-                del out[k]
-                continue
-        out[k] = v
-    return out
+from . import perms
+from .bases import Space, Word, check_word, collect
+# defined in `bases`, and still importable from here, as the same objects
+from .bases import all_monomials, all_words, dim_sym, dim_tensor, symmetrize_matrix  # noqa: F401
+from .fields import Scalar
 
 
 class _SparseElement:
@@ -281,39 +229,3 @@ def sym_product(a: SymElement, b: SymElement) -> SymElement:
                                     for wa, ca in a.terms.items()
                                     for wb, cb in b.terms.items()))
     return SymElement._own(a.space, a.degree + b.degree, terms)
-
-
-def dim_tensor(m: int, n: int) -> int:
-    """m**n words of length n.
-
-    >>> dim_tensor(2, 3)
-    8
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    return m ** n
-
-
-def dim_sym(m: int, n: int) -> int:
-    """Weakly increasing words: C(m+n-1, n).
-
-    >>> dim_sym(2, 3), dim_sym(3, 3)
-    (4, 10)
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    return comb(m + n - 1, n)
-
-
-def symmetrize_matrix(space: Space, n: int) -> linalg.Matrix:
-    """Matrix of the degree-n projection, one row per word (lex order),
-    columns indexed by monomials (lex order); its transpose has one row
-    per monomial, holding the words that sort to it."""
-    mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
-    one = space.field.one
-    rows = tuple(((mono_index[tuple(sorted(w))], one),) for w in all_words(space.dim, n))
-    return linalg.Matrix(space.field, len(mono_index), rows)

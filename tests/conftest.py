@@ -1,7 +1,13 @@
 import pytest
 
-from tensorseq import bimodule, tensor
+from tensorseq import bimodule, linalg, mseq, tensor
 from tensorseq.fields import GF, QQ
+
+
+def contained(field, rows, pivots, vectors) -> bool:
+    """True iff every sparse vector lies in the span of the RREF (rows, pivots)."""
+    basis = dict(zip(pivots, rows))
+    return not any(linalg.residue_list(field, v, basis) for v in vectors)
 
 
 @pytest.fixture(scope="session")
@@ -23,21 +29,24 @@ def fields_qf23():
     return (QQ, GF(2), GF(3))
 
 
+# relation family -> the `mseq` function building its cores as {term: coeff}
+CORES = {"jacobi_cycle": "_jacobi_core", "commutator_transfer": "_transfer_core"}
+
+
 @pytest.fixture
 def break_sign(monkeypatch):
-    """Patch a relation family of `bimodule` so that each element it
-    builds has the sign of its first term flipped: still nonzero, but
-    its expansion no longer vanishes."""
+    """Patch a relation family (`CORES`) so that each core it builds has
+    the sign of its first term flipped: still nonzero, but its expansion
+    no longer vanishes."""
     def patch(family):
-        real = getattr(bimodule, family)
+        real = getattr(mseq, CORES[family])
 
-        def broken(space, *args):
-            elem = real(space, *args)
-            terms = dict(elem.terms)
+        def broken(field, *args):
+            terms = real(field, *args)
             first = min(terms)
-            terms[first] = space.field.neg(terms[first])
-            return bimodule.BimodElement(space, elem.degree, terms)
+            terms[first] = field.neg(terms[first])
+            return terms
 
-        monkeypatch.setattr(bimodule, family, broken)
+        monkeypatch.setattr(mseq, CORES[family], broken)
 
     return patch

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorseq import bimodule, certify, linalg, perms, tensor
+from tensorseq import bimodule, certify, linalg, mseq, perms, tensor
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import GF, QQ
+
+from conftest import CORES, contained
 
 
 def test_ambient_dim():
@@ -76,7 +78,7 @@ def _full_relation_rows(space, n):
     for core in cores:
         if core.is_zero():
             continue
-        for g in bimodule._two_sided_closure(space, core, n):
+        for g in bimodule._two_sided_closure(space, core.terms, n):
             rows.append(tuple(sorted((index[key], c) for key, c in g.terms.items())))
     return rows
 
@@ -91,8 +93,8 @@ def test_reduced_generators_span_the_full_family(m, n, field):
     ctx = bimodule.build_context(sp, n)
     full, piv = linalg.echelon_rows(field, _full_relation_rows(sp, n))
     assert len(full) == ctx.rel_rank
-    assert linalg.contained(field, full, piv, ctx.rel_rows)
-    assert linalg.contained(field, ctx.rel_rows, ctx.rel_pivots, full)
+    assert contained(field, full, piv, ctx.rel_rows)
+    assert contained(field, ctx.rel_rows, ctx.rel_pivots, full)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
@@ -339,7 +341,7 @@ def test_verify_sequence_degenerate_line(n):
 def test_all_bimod_terms_draws_no_word_without_a_wedge_pair(monkeypatch):
     """m = 1 has no wedge pair, so no degree has a term, and no word may
     be drawn: its ambient dimension is 0, so no size cap bounds the work."""
-    real = bimodule.all_words
+    real = mseq.all_words
     drawn = []
 
     def counted(m, n):
@@ -347,8 +349,8 @@ def test_all_bimod_terms_draws_no_word_without_a_wedge_pair(monkeypatch):
             drawn.append(n)
             yield w
 
-    monkeypatch.setattr(bimodule, "all_words", counted)
-    assert bimodule.all_bimod_terms(1, 2000) == []
+    monkeypatch.setattr(mseq, "all_words", counted)
+    assert mseq.all_bimod_terms(1, 2000) == []
     assert drawn == []
 
 
@@ -432,8 +434,9 @@ def test_leading_coefficient_two_fails_injective_rank(monkeypatch, family, m, n)
     vanish.  The integer pass checks that coefficient: every field's
     copy of the cell fails `injective_rank`, and the detail names the
     core by its leading term."""
-    real = getattr(bimodule, family)
-    monkeypatch.setattr(bimodule, family, lambda space, *args: real(space, *args).scale(2))
+    real = getattr(mseq, CORES[family])
+    monkeypatch.setattr(mseq, CORES[family],
+                        lambda field, *args: {k: 2 * c for k, c in real(field, *args).items()})
     certs = certify.run_grid(certify.CheckGrid((m,), (n,), (QQ, GF(2), GF(3))), "m")
     assert len(certs) == 3
     for cert in certs:
@@ -452,11 +455,11 @@ def test_tensor_dimension_cap_refuses_before_building(monkeypatch):
     def no_words(*args):
         raise AssertionError("a word was drawn")
 
-    monkeypatch.setattr(bimodule, "all_words", no_words)
-    monkeypatch.setattr(bimodule, "symmetrize_matrix", no_words)
-    assert bimodule.ambient_dim(200, 2) == 19_900
+    monkeypatch.setattr(mseq, "all_words", no_words)
+    monkeypatch.setattr(mseq, "symmetrize_matrix", no_words)
+    assert mseq.ambient_dim(200, 2) == 19_900
     with pytest.raises(SizeCapError, match="tensor dimension 40000 exceeds size cap 20000"):
-        bimodule.verify_sequence(tensor.Space(200, QQ), 2)
+        mseq.verify_sequence(tensor.Space(200, QQ), 2)
 
 
 _WITNESS_CELLS = [(m, n) for m in (2, 3) for n in range(2, 6)] + \
@@ -473,7 +476,7 @@ def test_leading_terms_are_the_pivots_of_the_relation_rref(m, n, field):
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
             for g in bimodule.relation_generators(sp, n)]
-    leads, fault = bimodule._leading_terms(sp, n)
+    leads, fault = mseq._leading_terms(sp, n)
     assert fault is None
     assert {index[t] for t in leads} == {row[0][0] for row in rows}
     assert {index[t] for t in leads} == set(linalg.echelon_rows(field, rows)[1])
@@ -526,7 +529,7 @@ def test_leading_terms_are_the_terms_off_the_last_ascent(m, n, field):
     last-ascent term per word that is not weakly decreasing, so the
     witness count always meets the bound ambient - rank E."""
     terms = bimodule.all_bimod_terms(m, n)
-    leads, fault = bimodule._leading_terms(tensor.Space(m, field), n)
+    leads, fault = mseq._leading_terms(tensor.Space(m, field), n)
     last = {t for t in terms if _at_last_ascent(t)}
     assert fault is None and not leads & last
     assert leads | last == set(terms)
@@ -540,13 +543,13 @@ def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, fiel
     fails its `injective_rank` check, and no relation span is
     row-reduced to rescue it."""
     sp = tensor.Space(m, field)
-    real = bimodule._leading_terms
+    real = mseq._leading_terms
 
     def short(space, k):
         leads, fault = real(space, k)
         return set(sorted(leads)[1:]), fault
 
-    monkeypatch.setattr(bimodule, "_leading_terms", short)
+    monkeypatch.setattr(mseq, "_leading_terms", short)
     contexts = _counting(monkeypatch, "build_context")
     cert = bimodule.verify_sequence(sp, n)
     checks = {c.name: c for c in cert.checks}

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorseq
-from tensorseq import bimodule, certify, evensym, linalg, tensor
+from tensorseq import bimodule, certify, degree2, evensym, linalg, mseq, sprimeseq, tensor
 from tensorseq.certificates import (Certificate, CheckResult, certificates_to_json,
                                     image_equals_kernel)
 from tensorseq.fields import _ZZ, GF, QQ
+
+from conftest import contained
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -105,8 +107,8 @@ def _image_equals_kernel_oracle(field, image_rows, projection):
     img_rows, img_piv = linalg.echelon_rows(field, image_rows)
     ker_rows, ker_piv = linalg.echelon_rows(
         field, linalg.kernel_basis(linalg.transpose(projection)))
-    img_in_ker = linalg.contained(field, ker_rows, ker_piv, img_rows)
-    ker_in_img = linalg.contained(field, img_rows, img_piv, ker_rows)
+    img_in_ker = contained(field, ker_rows, ker_piv, img_rows)
+    ker_in_img = contained(field, img_rows, img_piv, ker_rows)
     return CheckResult(
         "image_equals_kernel", img_in_ker and ker_in_img,
         f"image rank {len(img_rows)}, kernel rank {len(ker_rows)}, "
@@ -222,8 +224,8 @@ def test_image_equals_kernel_matches_oracle(field, data):
 def _m_sequence_image(space, n):
     """The expansion rows of the degree-n M sequence and its projection."""
     word_index = {w: i for i, w in enumerate(tensor.all_words(space.dim, n))}
-    terms = bimodule.all_bimod_terms(space.dim, n)
-    return (bimodule._expansion_rows(space.field, word_index, terms),
+    terms = mseq.all_bimod_terms(space.dim, n)
+    return (mseq._expansion_rows(space.field, word_index, terms),
             tensor.symmetrize_matrix(space, n))
 
 
@@ -293,7 +295,7 @@ def test_echelon_rows_calls_per_cell(monkeypatch):
     for mod in bound:
         monkeypatch.setattr(mod, "echelon_rows", counted)
     per_cell = []
-    for mod in (bimodule, evensym):
+    for mod in (mseq, sprimeseq):
         def recorded(space, n, size_cap=None, verify=mod.verify_sequence):
             before = len(calls)
             cert = verify(space, n, size_cap)
@@ -344,13 +346,13 @@ def test_benchmark_grids_reproduce_reference_bytes(workload, which, ms, ns):
 
 def _counting_verify_sequence(monkeypatch):
     calls = []
-    real = bimodule.verify_sequence
+    real = mseq.verify_sequence
 
     def counted(space, n, size_cap=None):
         calls.append((space.dim, n))
         return real(space, n, size_cap)
 
-    monkeypatch.setattr(bimodule, "verify_sequence", counted)
+    monkeypatch.setattr(mseq, "verify_sequence", counted)
     return calls
 
 
@@ -425,7 +427,7 @@ def test_degree2_cells_reproduce_classical_sequence():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_degree2_agreement(m):
     for field in (QQ, GF(2), GF(3), GF(5)):
-        cert = certify.verify_degree2_agreement(tensor.Space(m, field))
+        cert = degree2.verify_degree2_agreement(tensor.Space(m, field))
         assert cert.passed, cert.to_json_dict()
 
 

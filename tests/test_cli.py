@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorseq import bimodule, certify, cli, evensym, linalg, tensor
+from tensorseq import bimodule, certify, cli, linalg, mseq, sprimeseq, tensor
 from tensorseq.certificates import Certificate, CheckResult
 
 
@@ -217,7 +217,7 @@ def _no_certificate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a certificate was computed")
 
-    monkeypatch.setattr(bimodule, "verify_sequence", refuse)
+    monkeypatch.setattr(mseq, "verify_sequence", refuse)
 
 
 def test_check_caps_the_tensor_dimension():
@@ -370,14 +370,14 @@ def test_plain_plus_twisted_embedding_fails_image_equals_kernel(monkeypatch):
     """A wedge embedding onto plain + twisted is not a difference of two
     classes: outside characteristic 2 every S' cell must fail the check,
     naming the row, while the grid runs to the end and the M cells pass."""
-    real = evensym.wedge_embed_matrix
+    real = sprimeseq.wedge_embed_matrix
 
     def plain_plus_twisted(space, n):
         emb = real(space, n)
         return linalg.Matrix(emb.field, emb.ncols,
                              tuple(((u, a), (v, a)) for (u, a), (v, _) in emb.rows))
 
-    monkeypatch.setattr(evensym, "wedge_embed_matrix", plain_plus_twisted)
+    monkeypatch.setattr(sprimeseq, "wedge_embed_matrix", plain_plus_twisted)
     res = run("check", "both", "--m", "2..3", "--n", "2..4", "--field", "q,f3", "--no-timing")
     assert res.exit_code == 1
     docs = json.loads(res.stdout_bytes)

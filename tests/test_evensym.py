@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorseq import evensym, exterior, linalg, perms, tensor
+from tensorseq import evensym, exterior, linalg, perms, sprimeseq, tensor
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import GF, QQ
 from tensorseq.evensym import OrbitWord
@@ -362,10 +362,10 @@ def test_sorting_parity_matches_inversion_count(letters):
 
 
 def test_twisted_columns_are_built_once_per_cell_shape():
-    evensym._twisted_columns.cache_clear()
+    sprimeseq._twisted_columns.cache_clear()
     for field in (QQ, GF(3)):
         assert evensym.verify_sequence(tensor.Space(5, field), 3).passed
-    info = evensym._twisted_columns.cache_info()
+    info = sprimeseq._twisted_columns.cache_info()
     # P and the embedding of both fields read one tuple
     assert (info.misses, info.hits) == (1, 3)
-    assert evensym._twisted_columns(5, 3) == evensym._twisted_columns(5, 3)
+    assert sprimeseq._twisted_columns(5, 3) == sprimeseq._twisted_columns(5, 3)

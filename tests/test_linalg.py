@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from tensorseq import bimodule, linalg, tensor
 from tensorseq.fields import GF, QQ
 
+from conftest import contained
+
 
 def _sparse(field, v):
     """Sparse row of a dense vector."""
@@ -136,9 +138,9 @@ def test_rref_preserves_row_space_and_rank():
             red2, _ = linalg.echelon_rows(field, red)
             assert red2 == red  # rref is a fixed point
             again, again_piv = linalg.echelon_rows(field, m.rows)
-            assert linalg.contained(field, red, pivots, again)
-            assert linalg.contained(field, again, again_piv, red)
-            assert linalg.contained(field, red, pivots, m.rows)
+            assert contained(field, red, pivots, again)
+            assert contained(field, again, again_piv, red)
+            assert contained(field, red, pivots, m.rows)
 
 
 def test_residue_zero_iff_membership():
@@ -347,8 +349,8 @@ def test_equal_rref_iff_equal_span(field, mat, data, rng):
                                         max_size=ncols), max_size=7))
     a, a_piv = linalg.echelon_rows(field, linalg.matrix(field, ints, ncols=ncols).rows)
     b, b_piv = linalg.echelon_rows(field, linalg.matrix(field, other, ncols=ncols).rows)
-    same_span = (linalg.contained(field, a, a_piv, b)
-                 and linalg.contained(field, b, b_piv, a))
+    same_span = (contained(field, a, a_piv, b)
+                 and contained(field, b, b_piv, a))
     assert (a == b) == same_span
     mixed = linalg.matrix(field, _recombined(field, ints, rng), ncols=ncols)
     assert linalg.echelon_rows(field, mixed.rows) == (a, a_piv)
