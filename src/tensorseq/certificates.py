@@ -41,19 +41,21 @@ lemma in the `mseq` docstring shows that it always meets that upper
 bound.  The cell still checks that it does: then R is the kernel of E,
 and the quotient, of dimension rank E, maps injectively.  A count that
 fell short would fail the cell; R is never eliminated.  A row that is
-not a nonzero multiple of a difference is never re-signed or dropped:
-the check fails and names it.
+not a unit multiple of a difference is never re-signed or dropped: the
+check fails and names it.
 
 None of the three facts above depends on the field: they are statements
 about a graph and about the fibres of P.  So the M sequence, whose image
 rows are e_u - e_v and whose projection rows each hold one 1, calls
 `image_equals_kernel` once, over the integers, and the outcome holds
-over Q and every F_p.  Over the integers the check accepts an image row
-only as +-(e_u - e_v), never as 2(e_u - e_v), an edge over Q but zero
-over F2.  With the +-1 leading coefficients that `mseq` checks for
-its relation cores, that makes one integer computation a certificate
-for every field, and `certify.run_grid` stamps a copy of it with each
-field's name.  The S' sequence is still checked once per field.
+over Q and every F_p.  The check accepts an image row a(e_u - e_v) only
+when the ring calls a a unit (`Field.is_unit`): any nonzero a in a
+field, but only +-1 in the integers, so never 2(e_u - e_v), an edge over
+Q but zero over F2.  With the unit leading coefficients that `mseq`
+asks the same ring for on its relation cores, that makes one integer
+computation a certificate for every field, and `certify.run_grid` stamps
+a copy of it with each field's name.  The S' sequence is still checked
+once per field.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ import time
 from typing import Iterable, Sequence
 
 from .errors import Record
-from .fields import _ZZ, Field
+from .fields import Field
 from .linalg import Matrix, Row, kernel_basis, transpose
-from .bases import Space
+from .bases import Space, collect
 
 
 class CheckResult(Record):
@@ -140,33 +142,21 @@ def certificate(sequence: str, space: Space, n: int, dims: dict,
         dims=dims, checks=tuple(checks), elapsed_ms=round(elapsed, 3))
 
 
-def _is_difference(p: int, nv: int, row: Row, integral: bool) -> bool:
+def _is_difference(field: Field, nv: int, row: Row) -> bool:
     """True iff the sparse `row` is a * (e_u - e_v) with u != v both in
-    range(nv) and a a unit: a != 0 over F_p (p > 0) or Q (p == 0), and
-    a = +-1 over the integers (`integral`), where a row 2(e_u - e_v)
-    would be a difference over Q but vanish over F2."""
+    range(nv) and a a unit of `field`: over the integers only +-1, for a
+    row 2(e_u - e_v) would be a difference over Q but vanish over F2."""
     if len(row) != 2:
         return False
     (u, a), (v, b) = row
-    if not (u != v and 0 <= u < nv and 0 <= v < nv):
-        return False
-    if p:
-        return a % p != 0 and (a + b) % p == 0
-    if integral:
-        return a in (1, -1) and a + b == 0
-    # Q values are ints or Fractions in lowest terms, so a + b == 0 iff the
-    # numerators are opposite and the denominators equal, with no Fraction sum
-    return a.numerator != 0 and a.numerator == -b.numerator and a.denominator == b.denominator
+    return (u != v and 0 <= u < nv and 0 <= v < nv
+            and field.is_unit(a) and not field.add(a, b))
 
 
-def _zero_on_components(p: int, root: Sequence[int], vec: Row) -> bool:
+def _zero_on_components(field: Field, root: Sequence[int], vec: Row) -> bool:
     """True iff the entries of the sparse `vec` sum to zero on every
     component, `root[j]` naming the component of column j."""
-    sums: dict = {}
-    for j, x in vec:
-        r = root[j]
-        sums[r] = sums.get(r, 0) + x
-    return not any(x % p if p else x for x in sums.values())
+    return not collect(field, ((root[j], x) for j, x in vec))
 
 
 def image_equals_kernel(field: Field, image_rows: Sequence[Row],
@@ -174,10 +164,10 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
     """Check that the span of the sparse `image_rows` is the kernel of
     `projection` (rows = source basis, columns = target basis).
 
-    Each image row must be a nonzero multiple of e_u - e_v, an edge
-    (u, v) on the source basis, and over the integers (`fields._ZZ`) a
-    multiple by +-1, so that the edge stays an edge over every F_p; the
-    module docstring gives the argument.
+    Each image row must be a unit multiple of e_u - e_v, an edge (u, v)
+    on the source basis: `field.is_unit` decides, so that over the
+    integers the edge stays an edge over every F_p; the module docstring
+    gives the argument.
     Returns (check, image rank, projection rank).  A row that is not
     such a difference fails the check, named in its detail, and leaves
     the image rank undetermined: None.
@@ -185,8 +175,6 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
     kernel = kernel_basis(transpose(projection))
     nv = projection.nrows
     projection_rank = nv - len(kernel)
-    p = field.char
-    integral = field is _ZZ
     parent = list(range(nv))
 
     def find(x: int) -> int:
@@ -198,7 +186,7 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
     img_in_ker = True
     merges = 0
     for i, row in enumerate(image_rows):
-        if not _is_difference(p, nv, row, integral):
+        if not _is_difference(field, nv, row):
             check = CheckResult("image_equals_kernel", False,
                                 f"image row {i} is not a difference of two basis vectors")
             return check, None, projection_rank
@@ -210,7 +198,7 @@ def image_equals_kernel(field: Field, image_rows: Sequence[Row],
             parent[ru] = rv
             merges += 1
     root = [find(x) for x in range(nv)]
-    ker_in_img = all(_zero_on_components(p, root, vec) for vec in kernel)
+    ker_in_img = all(_zero_on_components(field, root, vec) for vec in kernel)
     check = CheckResult(
         "image_equals_kernel", img_in_ker and ker_in_img,
         f"image rank {merges}, kernel rank {len(kernel)}, "

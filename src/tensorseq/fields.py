@@ -1,10 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 Scalars are plain Python values (`Fraction` for the rationals, `int` in
-``[0, p)`` for F_p); a `Field` object supplies the arithmetic.  Everything
-is exact: rationals stay in lowest terms with positive denominator (the
-`Fraction` invariant), prime-field values stay reduced mod p.  A private
-integer ring, `_ZZ`, serves a certificate computed once for every field.
+``[0, p)`` for F_p); a `Field` object, the one ring interface, supplies
+the arithmetic.  Everything is exact: rationals stay in lowest terms
+with positive denominator (the `Fraction` invariant), prime-field values
+stay reduced mod p.  A private integer ring, `_ZZ`, serves a certificate
+computed once for every field.
 """
 
 from __future__ import annotations
@@ -54,11 +55,22 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Arithmetic context for exact scalars.  Subclasses are immutable."""
+    """The one ring interface for exact scalars.  Subclasses are immutable.
+
+    `add`, `sub`, `mul` and `neg` are Python's exact operators, right for
+    the rationals and the integers; `PrimeField` reduces them mod p.
+    `is_unit` is what a certificate asks of a coefficient that must stay
+    invertible in every field it stands for.  Rings are equal when they
+    have the same type and name."""
 
     name: str
     char: int  # 0 for the rationals (and `_ZZ`), p for F_p
     one: Scalar
+
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
 
     def normalize(self, x: Scalar) -> Scalar:
         raise NotImplementedError
@@ -73,17 +85,9 @@ class Field:
     def zero(self) -> Scalar:
         return self.normalize(0)
 
-    def add(self, x: Scalar, y: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def mul(self, x: Scalar, y: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def neg(self, x: Scalar) -> Scalar:
-        raise NotImplementedError
+    def is_unit(self, x: Scalar) -> bool:
+        """True iff x is invertible: in a field, iff it is nonzero."""
+        return self.normalize(x) != 0
 
     def inv(self, x: Scalar) -> Scalar:
         raise NotImplementedError
@@ -95,7 +99,13 @@ class Field:
         raise NotImplementedError
 
     def fmt(self, x: Scalar) -> str:
-        raise NotImplementedError
+        return str(self.normalize(x))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name
@@ -111,18 +121,6 @@ class RationalField(Field):
     def normalize(self, x) -> Fraction:
         return Fraction(x)
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -134,15 +132,6 @@ class RationalField(Field):
             return Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"coefficient {s!r} has a zero denominator") from None
-
-    def fmt(self, x) -> str:
-        return str(Fraction(x))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("Q")
 
 
 class PrimeField(Field):
@@ -194,20 +183,11 @@ class PrimeField(Field):
             return self.div(int(num) % self.p, den)
         return int(s) % self.p
 
-    def fmt(self, x) -> str:
-        return str(x % self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("F", self.p))
-
 
 class _IntegerRing(Field):
     """The integers, for computations whose result holds over every field
-    at once (the M certificate, see `bimodule`): scalars are ints and
-    there is no `inv`.  No command offers it as a field."""
+    at once (the M certificate, see `mseq`): scalars are ints, the units
+    are +-1 and there is no `inv`.  No command offers it as a field."""
 
     name = "Z"
     char = 0
@@ -216,17 +196,8 @@ class _IntegerRing(Field):
     def normalize(self, x) -> int:
         return operator.index(x)
 
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def fmt(self, x) -> str:
-        return str(x)
+    def is_unit(self, x) -> bool:
+        return x in (1, -1)
 
 
 QQ = RationalField()

@@ -2,10 +2,9 @@
 
 A row is a tuple of (column, value) pairs sorted by column that holds
 only nonzero field scalars; a `Matrix` pairs such rows with a field and
-a width.  The relation, expansion and symmetrization matrices of this
-package have one to six entries per row, and their reduced row-echelon
-forms stay well under one percent dense, so nothing here ever builds a
-dense row.
+a width.  The relation and symmetrization matrices of this package have
+one to six entries per row, and their reduced row-echelon forms stay
+well under one percent dense, so nothing here ever builds a dense row.
 
 `echelon_rows` builds the fully reduced row-echelon form (RREF: unit
 pivots, zeros in every other pivot column) one row at a time, in the
@@ -39,9 +38,9 @@ otherwise, in the spirit of fraction-free elimination (Bareiss, Math.
 Comp. 1968): every incoming row is converted once, a pivot of 1 needs no
 scaling, a pivot of -1 negates its row, and only another pivot scales by
 an exact `Fraction` whose integral results turn back into ints.  The
-relation, expansion and symmetrization matrices hold only 0 and +-1, and
-on the certification grids every value entering or leaving their
-eliminations is +-1, so those eliminations build no `Fraction`.  The
+relation and symmetrization matrices hold only 0 and +-1, and on the
+certification grids every value entering or leaving their eliminations
+is +-1, so those eliminations build no `Fraction`.  The
 rows and residues returned by `echelon_rows`, `kernel_basis` and
 `residue_list` may therefore hold ints over Q; an int compares and
 hashes equal to the `Fraction` of the same value, and callers that hand

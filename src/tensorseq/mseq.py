@@ -194,7 +194,8 @@ def _term_order(term: BimodTerm) -> tuple:
 def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
     """The distinct leading terms of the degree-n relation generators,
     and the first fault among the relation cores, or None: a leading
-    coefficient other than +-1, or an expansion that is not zero.
+    coefficient that is not a unit of the ring (over the integers, not
+    +-1), or an expansion that is not zero.
 
     The leading term of l.core.r is l.lead(core).r, so the translates'
     leading terms are formed as tuples and no translate is built; each
@@ -202,13 +203,12 @@ def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
     docstring)."""
     m = space.dim
     field = space.field
-    units = (field.one, field.neg(field.one))
     leads: set = set()
     fault = None
     for core in _relation_cores(space, n):
         lead = min(core, key=_term_order)
         if fault is None:
-            if core[lead] not in units:
+            if not field.is_unit(core[lead]):
                 fault = (f"relation core led by {lead} has leading coefficient "
                          f"{core[lead]}, not +-1")
             elif _expand(field, core):

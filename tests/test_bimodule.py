@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tensorseq import bimodule, certify, linalg, mseq, perms, tensor
 from tensorseq.errors import SizeCapError
-from tensorseq.fields import GF, QQ
+from tensorseq.fields import _ZZ, GF, QQ
 
 from conftest import CORES, contained
 
@@ -480,6 +480,47 @@ def test_leading_terms_are_the_pivots_of_the_relation_rref(m, n, field):
     assert fault is None
     assert {index[t] for t in leads} == {row[0][0] for row in rows}
     assert {index[t] for t in leads} == set(linalg.echelon_rows(field, rows)[1])
+
+
+def _integer_echelon(rows):
+    """Row echelon form over the integers of the sparse `rows` ({column:
+    int}), by Euclid on each pivot column: every step adds an integer
+    multiple of one row to another or swaps two, so the rows keep
+    spanning the same lattice, and no value ever leaves the integers.
+    Returns {pivot column: row}."""
+    pivots = {}
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = row
+                break
+            top = pivots[c]
+            while row.get(c):
+                q = top[c] // row[c]
+                top = {j: x for j in top.keys() | row.keys()
+                       if (x := top.get(j, 0) - q * row.get(j, 0))}
+                top, row = row, top
+            pivots[c] = top
+    return pivots
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 4, 1), (3, 4, 15), (2, 5, 6), (3, 5, 102), (4, 4, 67),
+                                   (2, 6, 23)])
+def test_integer_relation_lattice_is_saturated_of_witness_rank(m, n, k):
+    """Oracle for the integer certificate: eliminated over the integers,
+    the relation generators have rank k, the witness count, and every
+    pivot is +-1, so the pivot-column minor is +-1 and the relation
+    lattice is saturated: a vector whose multiple is a relation is one."""
+    sp = tensor.Space(m, _ZZ)
+    assert len(mseq._leading_terms(sp, n)[0]) == k
+    index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
+    rows = [{index[t]: c for t, c in g.terms.items()}
+            for g in bimodule.relation_generators(sp, n)]
+    pivots = _integer_echelon(rows)
+    assert len(pivots) == k
+    assert all(row[c] in (1, -1) for c, row in pivots.items())
 
 
 def _counting(monkeypatch, name):

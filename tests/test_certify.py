@@ -3,6 +3,7 @@ import json
 import pkgutil
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import tensorseq
 from tensorseq import bimodule, certify, degree2, evensym, linalg, mseq, sprimeseq, tensor
-from tensorseq.certificates import (Certificate, CheckResult, certificates_to_json,
-                                    image_equals_kernel)
+from tensorseq.certificates import (Certificate, CheckResult, _is_difference,
+                                    certificates_to_json, image_equals_kernel)
 from tensorseq.fields import _ZZ, GF, QQ
 
 from conftest import contained
@@ -272,6 +273,55 @@ def test_integer_image_rows_must_be_unit_differences(field, a, passed):
     else:
         assert check.detail == "image row 0 is not a difference of two basis vectors"
         assert image_rank is None
+
+
+def _is_difference_by_characteristic(p, nv, row, integral):
+    """The difference test as it branched on the characteristic `p` and
+    on `integral` (the integers) before it asked the ring for its units:
+    the oracle for `_is_difference`."""
+    if len(row) != 2:
+        return False
+    (u, a), (v, b) = row
+    if not (u != v and 0 <= u < nv and 0 <= v < nv):
+        return False
+    if p:
+        return a % p != 0 and (a + b) % p == 0
+    if integral:
+        return a in (1, -1) and a + b == 0
+    return a.numerator != 0 and a.numerator == -b.numerator and a.denominator == b.denominator
+
+
+_RINGS = [_ZZ, QQ, GF(2), GF(3)]
+
+
+def _scalars(field):
+    values = [field.normalize(x) for x in range(-4, 5)]
+    if field is QQ:
+        values += [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4)]
+    return values
+
+
+@pytest.mark.parametrize("field", _RINGS, ids=str)
+def test_is_difference_asks_the_ring_as_the_characteristic_branches_did(field):
+    """On every a(e_u - e_v), 2(e_u - e_v) included, and every row of two
+    equal values, over small columns and scalars, the ring's unit test
+    decides exactly as the branches on characteristic and integrality
+    did."""
+    nv, integral = 4, field is _ZZ
+    for u, v, a in product(range(-1, nv + 1), range(-1, nv + 1), _scalars(field)):
+        for row in (((u, a), (v, field.neg(a))), ((u, a), (v, a))):
+            assert _is_difference(field, nv, row) == _is_difference_by_characteristic(
+                field.char, nv, row, integral), row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_difference_agrees_with_the_characteristic_branches_on_random_rows(data):
+    field = data.draw(st.sampled_from(_RINGS), label="field")
+    entry = st.tuples(st.integers(-1, 4), st.sampled_from(_scalars(field)))
+    row = tuple(data.draw(st.lists(entry, max_size=3), label="row"))
+    assert _is_difference(field, 4, row) == _is_difference_by_characteristic(
+        field.char, 4, row, field is _ZZ)
 
 
 def test_echelon_rows_calls_per_cell(monkeypatch):

@@ -358,6 +358,21 @@ def test_cocycle_negative_samples_is_a_usage_error(monkeypatch):
     assert res.output.splitlines()[-1] == "Error: --samples must be >= 0"
 
 
+def test_cocycle_reports_each_counterexample_and_exits_1(monkeypatch):
+    """An expansion that does not recover a - t.a fails that count on
+    every sample, and each failure is printed as a COUNTEREXAMPLE line
+    after the counts."""
+    monkeypatch.setattr(bimodule, "expand_wedge", lambda h: None)
+    res = run("cocycle", "--m", "2", "--n", "3", "--samples", "2", "--seed", "7")
+    assert res.exit_code == 1
+    assert res.output == res.stdout_bytes.decode() == (
+        "cocycle_identity: 2/2 pass\n"
+        "expansion_recovers_difference: 0/2 pass\n"
+        "factorization_independence: 2/2 pass\n"
+        "COUNTEREXAMPLE expansion: tau=(3, 1, 2) word=(1, 2, 1)\n"
+        "COUNTEREXAMPLE expansion: tau=(1, 2, 3) word=(1, 1, 1)\n")
+
+
 def test_cocycle_zero_samples():
     res = run("cocycle", "--m", "2", "--n", "3", "--samples", "0")
     assert res.exit_code == 0
@@ -448,6 +463,21 @@ def test_nf_coefficient_with_zero_denominator_is_a_usage_error(args, message):
     assert [line for line in res.output.splitlines() if line.startswith("Error:")] == \
         [f"Error: {message}"]
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (("dims", "--m", "2", "--n-max", "1"), "--n-max must be >= 2"),
+    (("nf", "m", "--element", "[|1,2|]", "--word", "1,2", "--m", "2"),
+     "target 'm' takes --element, not --word"),
+    (("nf", "sprime", "--element", "[1,2", "--m", "2"), "unmatched '[' (at position 3)"),
+    (("nf", "sprime", "--element", "1,2]", "--m", "2"), "unmatched ']' (at position 3)"),
+    (("check", "m", "--m", "a..3"), "bad range 'a..3'"),
+], ids=["dims-degree", "nf-m-word", "open-bracket", "close-bracket", "check-range"])
+def test_usage_errors_name_their_fault(args, message):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.stdout_bytes == b""
+    assert res.output.splitlines()[-1] == f"Error: {message}"
 
 
 def test_nf_over_the_cap_is_a_usage_error():

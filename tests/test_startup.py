@@ -121,6 +121,25 @@ def test_each_command_imports_only_what_it_runs(tmp_path, args, absent):
     assert not loaded & absent
 
 
+@pytest.mark.parametrize("args", [
+    ("dims", "--m", "2", "--n-max", "3"),
+    ("nf", "m", "--element", "[|1,2|3]", "--m", "3"),
+    ("cocycle", "--m", "2", "--n", "3", "--samples", "2"),
+], ids=["dims", "nf-m", "cocycle"])
+def test_a_module_launch_loads_cli_once(args):
+    """A launch as `python -m tensorseq.cli` runs `cli` as `__main__`,
+    which runpy executes without importing it; a command that imported
+    `tensorseq.cli` as well would compile and run the module a second
+    time.  The `-X importtime` report on stderr names every import."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *_ENTRIES["module"], *args],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "tensorseq.commands" in imported
+    assert "tensorseq.cli" not in imported
+
+
 # old home -> new home of every name the certifiers took from the element
 # modules.  The benchmark's tracer finds a function's binding sites by
 # identity, so each must be the very object of its new home.
