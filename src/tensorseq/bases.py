@@ -35,8 +35,7 @@ class Space(Record):
     def __init__(self, dim: int, field: Field):
         if dim < 0:
             raise ValueError("dimension must be >= 0")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field", field)
+        Record.__init__(self, dim, field)
 
 
 def check_word(space: Space, word: Word) -> Word:

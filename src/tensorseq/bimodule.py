@@ -124,13 +124,7 @@ class QuotientContext(Record):
 
     def __init__(self, space: Space, degree: int, terms: tuple[BimodTerm, ...], index: dict,
                  rel_rows: tuple[Row, ...], rel_pivots: tuple[int, ...], rel_basis: dict):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "rel_rows", rel_rows)
-        object.__setattr__(self, "rel_pivots", rel_pivots)
-        object.__setattr__(self, "rel_basis", rel_basis)
+        Record.__init__(self, space, degree, terms, index, rel_rows, rel_pivots, rel_basis)
 
     @property
     def ambient_dim(self) -> int:

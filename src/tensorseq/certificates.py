@@ -74,9 +74,7 @@ class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        Record.__init__(self, name, passed, detail)
 
 
 class Certificate(Record):
@@ -85,14 +83,7 @@ class Certificate(Record):
     def __init__(self, sequence: str, m: int, n: int, field_name: str, dims: dict,
                  checks: tuple[CheckResult, ...], error: str | None = None,
                  elapsed_ms: float | None = None):
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field_name", field_name)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "error", error)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+        Record.__init__(self, sequence, m, n, field_name, dims, checks, error, elapsed_ms)
 
     @property
     def passed(self) -> bool:

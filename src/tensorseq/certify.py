@@ -35,10 +35,7 @@ class CheckGrid(Record):
             raise ValueError("m values must be >= 0")
         if any(n < 2 for n in n_values):
             raise ValueError("sequence checks need degree >= 2")
-        object.__setattr__(self, "m_values", m_values)
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "size_cap", size_cap)
+        Record.__init__(self, m_values, n_values, fields, size_cap)
 
 
 def _verify_cell(m: int, n: int, field: Field, sequence: str, size_cap: int) -> Certificate:

@@ -15,7 +15,9 @@ Stable contract:
   is capped, and the messages of the package's own usage errors, each
   printed on one `Error:` line;
 * `--size-cap`, which defaults to the `TENSORSEQ_SIZE_CAP` environment
-  variable; a value that is not an integer is a usage error.
+  variable, or `DEFAULT_SIZE_CAP` when that is unset or empty; a value
+  that is not an integer is a usage error.  The parser resolves the
+  default, so every command reads its cap from `args.size_cap`.
 
 The `--help` text and the usage banner printed above an error are not
 part of the contract.
@@ -109,16 +111,15 @@ def _values(ranges: list[range]) -> tuple[int, ...]:
 def check(args: argparse.Namespace) -> int:
     """Certify exactness over a grid of (m, n, field) cells."""
     fields = tuple(field_option(x) for x in args.field.split(","))
-    cap = DEFAULT_SIZE_CAP if args.size_cap is None else args.size_cap
     (m_count, m_ranges), (n_count, n_ranges) = _int_ranges(args.m), _int_ranges(args.n)
     try:
         # refuse an oversized grid before any of its values is built
-        check_cap(m_count * n_count * len(set(fields)), cap, "grid cells")
+        check_cap(m_count * n_count * len(set(fields)), args.size_cap, "grid cells")
     except SizeCapError as e:
         return report_capped(e)
     from . import certify
     try:
-        grid = certify.CheckGrid(_values(m_ranges), _values(n_ranges), fields, cap)
+        grid = certify.CheckGrid(_values(m_ranges), _values(n_ranges), fields, args.size_cap)
     except ValueError as e:
         raise UsageError(str(e))
     fh = None
@@ -152,14 +153,15 @@ def _parser(prog: str) -> _Parser:
         prog=prog,
         description="Exact graded tensor-algebra quotients and exactness certificates.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    cap_env = os.environ.get("TENSORSEQ_SIZE_CAP") or None
+    # an unset or empty variable leaves the package default
+    cap_default = os.environ.get("TENSORSEQ_SIZE_CAP") or DEFAULT_SIZE_CAP
 
     def command(name: str, summary: str) -> _Parser:
         p = commands.add_parser(name, help=summary, description=summary)
         p.set_defaults(parser=p)
         # argparse converts a string default with `type`, so a bad variable
         # is a usage error too
-        p.add_argument("--size-cap", type=int, default=cap_env,
+        p.add_argument("--size-cap", type=int, default=cap_default,
                        help="Override the ambient-dimension cap (env: TENSORSEQ_SIZE_CAP).")
         return p
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (DEFAULT_SIZE_CAP, EXIT_CHECK_FAILED, ElementParseError, SizeCapError,
-                     UsageError, check_cap, field_option, report_capped)
+from .errors import (EXIT_CHECK_FAILED, ElementParseError, SizeCapError, UsageError,
+                     check_cap, field_option, report_capped)
 
 
 def _certified(space, n: int, size_cap: int | None):
@@ -36,7 +36,7 @@ def dims(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise UsageError("--n-max must be >= 2")
     field = field_option(args.field)
-    cap = DEFAULT_SIZE_CAP if args.size_cap is None else args.size_cap
+    cap = args.size_cap
     from . import bases, mseq, sprimeseq
     space = bases.Space(args.m, field)
     rows = []
@@ -52,7 +52,7 @@ def dims(args: argparse.Namespace) -> int:
             check_cap(bases.dim_tensor(args.m, n), cap, "tensor dimension")
         check_cap(args.n_max - 1, cap, "degrees")
         for n in range(2, args.n_max + 1):
-            cert = _certified(space, n, args.size_cap)
+            cert = _certified(space, n, cap)
             if cert is None:
                 return EXIT_CHECK_FAILED
             rows.append({

@@ -71,11 +71,12 @@ class Record:
     launch) and which compiles generated methods for each class.
 
     A subclass names its two or more fields in `__slots__`, in
-    constructor order, and sets them in `__init__` through
-    `object.__setattr__`.  Instances are equal when they have the same
-    class and equal field tuples, hash their field tuple, repr as
-    ``Name(field=value, ...)``, pickle and copy by their fields, and raise
-    `AttributeError` on assignment or deletion.
+    constructor order, and its `__init__` ends by passing their values in
+    that order to `Record.__init__`, the one place that writes a field.
+    Instances are equal when they have the same class and equal field
+    tuples, hash their field tuple, repr as ``Name(field=value, ...)``,
+    pickle and copy by their fields, and raise `AttributeError` on
+    assignment or deletion.
     """
 
     __slots__ = ()
@@ -83,6 +84,13 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._astuple = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"expected {len(names)} field values, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

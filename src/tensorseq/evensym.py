@@ -37,7 +37,7 @@ from .bases import (Space, Word, all_monomials, all_wedge_words, all_words, chec
                     collect, dim_tensor)
 from .certificates import Certificate, CheckResult, certificate
 from .errors import Record, check_cap
-from .exterior import ExtElement
+from .exterior import ExtElement, wedge_canon
 from .fields import Scalar
 from .linalg import Row, echelon_rows
 from .sprimeseq import dim_evensym
@@ -65,8 +65,7 @@ class OrbitWord(Record):
         else:
             if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
                 raise ValueError(f"word {word} must be weakly increasing")
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "twisted", twisted)
+        Record.__init__(self, word, twisted)
 
     # `>` and `>=` fall back to the reflected `__lt__` and `__le__`
     def __lt__(self, other):
@@ -86,8 +85,8 @@ class OrbitWord(Record):
 
 def normal_form(word: Word) -> OrbitWord:
     """The class of a word: sort it; a repeated letter always gives the
-    plain class, otherwise the parity of the sort decides the flag.
-    Coefficients never pick up signs here.
+    plain class, otherwise the sign of the sort (`wedge_canon`) decides
+    the flag.  Coefficients never pick up signs here.
 
     >>> normal_form((2, 1, 3))
     OrbitWord(word=(1, 2, 3), twisted=True)
@@ -95,10 +94,10 @@ def normal_form(word: Word) -> OrbitWord:
     OrbitWord(word=(1, 1, 2), twisted=False)
     """
     word = tuple(word)
-    sorted_word = tuple(sorted(word))
-    if len(set(word)) < len(word):
-        return OrbitWord(sorted_word, False)
-    return OrbitWord(sorted_word, perms._parity(perms.sorting_perm(word)) == 1)
+    canon = wedge_canon(word)
+    if canon is None:
+        return OrbitWord(tuple(sorted(word)), False)
+    return OrbitWord(canon[1], canon[0] == -1)
 
 
 def representative(e: OrbitWord) -> Word:

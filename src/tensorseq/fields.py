@@ -186,8 +186,11 @@ class PrimeField(Field):
 
 class _IntegerRing(Field):
     """The integers, for computations whose result holds over every field
-    at once (the M certificate, see `mseq`): scalars are ints, the units
-    are +-1 and there is no `inv`.  No command offers it as a field."""
+    at once (the M certificate, see `mseq`): scalars are ints and the
+    units are +-1.  `inv` inverts only those, so an elimination over the
+    integers, which sends a pivot other than +-1 through `Field.inv`
+    (`linalg`), raises rather than divide.  No command offers it as a
+    field."""
 
     name = "Z"
     char = 0
@@ -198,6 +201,11 @@ class _IntegerRing(Field):
 
     def is_unit(self, x) -> bool:
         return x in (1, -1)
+
+    def inv(self, x) -> int:
+        if self.is_unit(x):
+            return x
+        raise ValueError(f"{x} is not a unit of the integers")
 
 
 QQ = RationalField()

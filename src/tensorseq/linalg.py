@@ -37,19 +37,21 @@ this module are Python ints while they are integral and `Fraction`s
 otherwise, in the spirit of fraction-free elimination (Bareiss, Math.
 Comp. 1968): every incoming row is converted once, a pivot of 1 needs no
 scaling, a pivot of -1 negates its row, and only another pivot scales by
-an exact `Fraction` whose integral results turn back into ints.  The
-relation and symmetrization matrices hold only 0 and +-1, and on the
-certification grids every value entering or leaving their eliminations
-is +-1, so those eliminations build no `Fraction`.  The
-rows and residues returned by `echelon_rows`, `kernel_basis` and
-`residue_list` may therefore hold ints over Q; an int compares and
-hashes equal to the `Fraction` of the same value, and callers that hand
-values out of the package pass them through `Field.normalize`.
+its inverse from `Field.inv`, an exact `Fraction` whose integral results
+turn back into ints.  The integers (`fields._ZZ`) take the same path
+and invert only +-1, so over them any other pivot raises `ValueError`
+instead of leaving the ring.  The relation and symmetrization matrices
+hold only 0 and +-1, and on the certification grids every value entering
+or leaving their eliminations is +-1, so those eliminations build no
+`Fraction`.  The rows and residues returned by `echelon_rows`,
+`kernel_basis` and `residue_list` may therefore hold ints over Q; an int
+compares and hashes equal to the `Fraction` of the same value, and
+callers that hand values out of the package pass them through
+`Field.normalize`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import Record
@@ -65,9 +67,7 @@ class Matrix(Record):
     __slots__ = ("field", "ncols", "rows")
 
     def __init__(self, field: Field, ncols: int, rows: tuple[Row, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
+        Record.__init__(self, field, ncols, rows)
 
     @property
     def nrows(self) -> int:
@@ -155,7 +155,7 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
             elif pv == -1:
                 v = {j: -x for j, x in v.items()}
             else:
-                inv = 1 / Fraction(pv)
+                inv = field.inv(pv)
                 v = _integral((j, x * inv) for j, x in v.items())
         for j in v:
             holders.setdefault(j, set()).add(c)

@@ -111,25 +111,23 @@ def render_orbit_word(word: Word, twisted: bool) -> str:
     return f"({render_word(word)}) {'twisted' if twisted else 'plain'}"
 
 
-def render_evensym(elem) -> str:
-    """Inverse-ish of `parse_word_combo` plus the class flag."""
+def _render_terms(elem, render_key: Callable) -> str:
+    """``0`` for the zero element, else its sorted terms joined by
+    `` + ``, each `render_key(key)` behind a ``coefficient*`` prefix that
+    a coefficient of 1 omits."""
     if elem.is_zero():
         return "0"
     f = elem.space.field
-    parts = []
-    for k, c in elem.sorted_terms():
-        coeff = "" if c == f.one else f"{f.fmt(c)}*"
-        parts.append(f"{coeff}{render_orbit_word(k.word, k.twisted)}")
-    return " + ".join(parts)
+    return " + ".join(("" if c == f.one else f"{f.fmt(c)}*") + render_key(k)
+                      for k, c in elem.sorted_terms())
+
+
+def render_evensym(elem) -> str:
+    """Inverse-ish of `parse_word_combo` plus the class flag."""
+    return _render_terms(elem, lambda k: render_orbit_word(k.word, k.twisted))
 
 
 def render_bimod(elem) -> str:
     """Inverse of `parse_bimod_combo` on canonical forms."""
-    if elem.is_zero():
-        return "0"
-    f = elem.space.field
-    parts = []
-    for (left, (a, b), right), c in elem.sorted_terms():
-        coeff = "" if c == f.one else f"{f.fmt(c)}*"
-        parts.append(f"{coeff}[{render_word(left)}|{a},{b}|{render_word(right)}]")
-    return " + ".join(parts)
+    return _render_terms(
+        elem, lambda t: f"[{render_word(t[0])}|{t[1][0]},{t[1][1]}|{render_word(t[2])}]")

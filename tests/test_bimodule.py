@@ -149,6 +149,15 @@ def test_normal_form_degree_mismatch(ctx_cache):
         bimodule.normal_form(c23, wrong)
 
 
+def test_element_of_and_cocycle_refuse_the_wrong_shape(ctx_cache):
+    ctx = ctx_cache(2, 3)
+    for size in (ctx.ambient_dim - 1, ctx.ambient_dim + 1):
+        with pytest.raises(ValueError, match="^coordinate vector has the wrong length$"):
+            bimodule.element_of(ctx, (0,) * size)
+    with pytest.raises(ValueError, match="^element degree 2 != context degree 3$"):
+        bimodule.cocycle(ctx, (2, 1), tensor.word_element(ctx.space, (1, 2)))
+
+
 def test_normal_form_separates_classes(ctx_cache):
     """Equal residues exactly when the difference lies in the span."""
     ctx = ctx_cache(3, 3)

@@ -481,6 +481,36 @@ def test_degree2_agreement(m):
         assert cert.passed, cert.to_json_dict()
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_low_degree_is_refused(n):
+    space = tensor.Space(2, QQ)
+    with pytest.raises(ValueError, match=f"^degree must be >= 2, got {n}$"):
+        mseq.verify_sequence(space, n)
+    with pytest.raises(ValueError, match="^need degree >= 2$"):
+        sprimeseq.wedge_embed_matrix(space, n)
+
+
+@pytest.mark.parametrize("name,wrong", [
+    ("to_sym", lambda e: tensor.SymElement(e.space, e.degree, {})),
+    ("wedge_embed", lambda e: evensym.EvenSymElement(e.space, e.degree, {})),
+], ids=["projection", "embedding"])
+def test_degree2_agreement_fails_on_a_map_that_disagrees(monkeypatch, name, wrong):
+    """A word whose projection, or a wedge pair whose embedding, disagrees
+    under the word/class identification fails `orbit_maps_match_degree2`
+    alone, and the first disagreement ends the comparison."""
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return wrong(e)
+
+    monkeypatch.setattr(evensym, name, counted)
+    cert = degree2.verify_degree2_agreement(tensor.Space(3, QQ))
+    assert cert.summary() == "[FAIL] degree2 m=3 n=2 field=Q"
+    assert [c.name for c in cert.checks if not c.passed] == ["orbit_maps_match_degree2"]
+    assert len(calls) == 1
+
+
 def test_fail_closed_aggregation():
     good = CheckResult("a", True, "")
     bad = CheckResult("b", False, "broken")

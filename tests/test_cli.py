@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorseq import bimodule, certify, cli, linalg, mseq, sprimeseq, tensor
+from tensorseq import bimodule, certify, cli, linalg, mseq, perms, sprimeseq, tensor
 from tensorseq.certificates import Certificate, CheckResult
 
 
@@ -16,6 +16,7 @@ class Result:
     exit_code: int
     output: str  # stdout and stderr, interleaved as written
     stdout_bytes: bytes
+    stderr: str
 
 
 class _Tee(io.StringIO):
@@ -40,7 +41,7 @@ def run(*args):
             code = 0
         except SystemExit as e:
             code = e.code
-    return Result(code, mixed.getvalue(), out.getvalue().encode())
+    return Result(code, mixed.getvalue(), out.getvalue().encode(), err.getvalue())
 
 
 def test_dims_table():
@@ -148,6 +149,66 @@ def test_non_integer_size_cap_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "x")
     res = run("dims", "--m", "2", "--n-max", "3")
     assert res.exit_code == 2 and "Error:" in res.output
+
+
+# Per command: arguments the default cap of 20000 refuses, their exit-3
+# stderr, and arguments that pass under the default cap but not under 0,
+# with that exit-3 stderr.
+_CAP_DEFAULT_CASES = {
+    "dims": (("dims", "--m", "3", "--n-max", "9"),
+             "size cap exceeded: ambient dimension 52488 exceeds size cap 20000\n",
+             ("dims", "--m", "3", "--n-max", "5"),
+             "size cap exceeded: ambient dimension 3 exceeds size cap 0\n"),
+    "check": (("check", "m", "--m", "200", "--n", "2", "--no-timing"),
+              "[CAP] M->T->S m=200 n=2 field=Q\n",
+              ("check", "m", "--m", "2..3", "--n", "2..4", "--no-timing"),
+              "size cap exceeded: grid cells 6 exceeds size cap 0\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CAP_DEFAULT_CASES))
+def test_empty_cap_variable_leaves_the_default_cap(monkeypatch, command):
+    capped, stderr, _, _ = _CAP_DEFAULT_CASES[command]
+    monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "")
+    res = run(*capped)
+    assert (res.exit_code, res.stderr) == (3, stderr)
+    if command == "check":
+        assert json.loads(res.stdout_bytes)[0]["error"] == (
+            "size_cap: tensor dimension 40000 exceeds size cap 20000")
+    else:
+        assert res.stdout_bytes == b""
+
+
+@pytest.mark.parametrize("command", sorted(_CAP_DEFAULT_CASES))
+def test_cap_variable_zero_refuses_before_any_cell(monkeypatch, command):
+    _, _, small, stderr = _CAP_DEFAULT_CASES[command]
+    monkeypatch.delenv("TENSORSEQ_SIZE_CAP", raising=False)
+    assert run(*small).exit_code == 0
+    monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "0")
+    res = run(*small)
+    assert (res.exit_code, res.stdout_bytes, res.stderr) == (3, b"", stderr)
+
+
+@pytest.mark.parametrize("command", sorted(_CAP_DEFAULT_CASES))
+def test_non_integer_cap_variable_exits_2(monkeypatch, command):
+    _, _, small, _ = _CAP_DEFAULT_CASES[command]
+    monkeypatch.setenv("TENSORSEQ_SIZE_CAP", "2e4")
+    res = run(*small)
+    assert (res.exit_code, res.stdout_bytes) == (2, b"")
+    assert res.stderr.splitlines()[-1] == "Error: argument --size-cap: invalid int value: '2e4'"
+
+
+@pytest.mark.parametrize("value", ["0", "10", "x"])
+@pytest.mark.parametrize("command", sorted(_CAP_DEFAULT_CASES))
+def test_size_cap_option_overrides_the_variable(monkeypatch, command, value):
+    """Under any value of the variable, `--size-cap` gives what it gives
+    with the variable unset: 100000 passes, 10 refuses with exit 3."""
+    _, _, small, _ = _CAP_DEFAULT_CASES[command]
+    monkeypatch.delenv("TENSORSEQ_SIZE_CAP", raising=False)
+    unset = [run(*small, "--size-cap", cap) for cap in ("100000", "10")]
+    assert [r.exit_code for r in unset] == [0, 3]
+    monkeypatch.setenv("TENSORSEQ_SIZE_CAP", value)
+    assert [run(*small, "--size-cap", cap) for cap in ("100000", "10")] == unset
 
 
 def test_nf_sprime_word():
@@ -371,6 +432,31 @@ def test_cocycle_reports_each_counterexample_and_exits_1(monkeypatch):
         "factorization_independence: 2/2 pass\n"
         "COUNTEREXAMPLE expansion: tau=(3, 1, 2) word=(1, 2, 1)\n"
         "COUNTEREXAMPLE expansion: tau=(1, 2, 3) word=(1, 1, 1)\n")
+
+
+def test_cocycle_reports_identity_and_factorization_counterexamples(monkeypatch):
+    """The other two counts print their COUNTEREXAMPLE lines too: with
+    sigma dropped from the composite, the cocycle identity fails where
+    sigma moves the permuted word; with every explicit factorization
+    answering (), factorization independence fails on every sample."""
+    head = ("cocycle_identity: {}/2 pass\n"
+            "expansion_recovers_difference: 2/2 pass\n"
+            "factorization_independence: {}/2 pass\n")
+    args = ("cocycle", "--m", "2", "--n", "3", "--samples", "2", "--seed", "7")
+    with monkeypatch.context() as patch:
+        patch.setattr(perms, "compose", lambda s, t: t)
+        res = run(*args)
+    assert res.exit_code == 1
+    assert res.output == res.stdout_bytes.decode() == head.format(1, 2) + (
+        "COUNTEREXAMPLE cocycle identity: sigma=(2, 1, 3) tau=(3, 1, 2) word=(1, 2, 1)\n")
+    real = bimodule.cocycle
+    monkeypatch.setattr(bimodule, "cocycle",
+                        lambda ctx, t, a, word=None: real(ctx, t, a) if word is None else ())
+    res = run(*args)
+    assert res.exit_code == 1
+    assert res.output == res.stdout_bytes.decode() == head.format(2, 0) + (
+        "COUNTEREXAMPLE factorization: tau=(3, 1, 2) word=(1, 2, 1)\n"
+        "COUNTEREXAMPLE factorization: tau=(1, 2, 3) word=(1, 1, 1)\n")
 
 
 def test_cocycle_zero_samples():

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 import tracemalloc
@@ -49,6 +50,18 @@ def test_orbit_word_validation():
         OrbitWord((1, 1), True)  # twisted needs distinct letters
     with pytest.raises(ValueError):
         OrbitWord((1,), True)  # twisted needs degree >= 2
+
+
+@pytest.mark.parametrize("other", [(1, 2), 3])
+def test_orbit_words_do_not_order_against_other_types(other):
+    k = OrbitWord((1, 2))
+    assert k.__lt__(other) is NotImplemented and k.__le__(other) is NotImplemented
+    kind = type(other).__name__
+    for op, sym in [(operator.lt, "<"), (operator.le, "<="), (operator.gt, ">"),
+                    (operator.ge, ">=")]:
+        with pytest.raises(TypeError, match=f"^'{sym}' not supported between instances of "
+                                            f"'OrbitWord' and '{kind}'$"):
+            op(k, other)
 
 
 def test_swap_first_two():

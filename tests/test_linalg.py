@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorseq import bimodule, linalg, tensor
-from tensorseq.fields import GF, QQ
+from tensorseq.fields import GF, QQ, _ZZ
 
 from conftest import contained
 
@@ -159,6 +159,23 @@ def test_residue_handles_non_unit_pivots():
     basis = _basis(QQ, [[2, 4, 0], [0, 0, 3]])
     assert linalg.residue_list(QQ, _sparse(QQ, [2, 4, 3]), basis) == []
     assert _residue(QQ, [1, 0, 0], basis, 3) == (Fraction(0), Fraction(-2), Fraction(0))
+
+
+def test_integer_elimination_never_divides():
+    """Over the integers a pivot of 2 has no inverse: `echelon_rows` and
+    `kernel_basis` raise where Q would scale the row by 1/2.  A pivot of
+    -1 still reduces, as over Q."""
+    row = ((0, 2), (1, 1))
+    with pytest.raises(ValueError, match="^2 is not a unit of the integers$"):
+        linalg.echelon_rows(_ZZ, [row])
+    with pytest.raises(ValueError, match="^2 is not a unit of the integers$"):
+        linalg.kernel_basis(linalg.Matrix(_ZZ, 2, (row,)))
+    assert linalg.echelon_rows(QQ, [row]) == ([((0, 1), (1, Fraction(1, 2)))], [0])
+    assert linalg.echelon_rows(_ZZ, [((0, -1), (1, 3))]) == ([((0, 1), (1, -3))], [0])
+    assert linalg.kernel_basis(linalg.Matrix(_ZZ, 2, (((0, -1), (1, 3)),))) == [((0, 3), (1, 1))]
+    assert [_ZZ.inv(1), _ZZ.inv(-1)] == [1, -1]
+    with pytest.raises(ValueError, match="^0 is not a unit of the integers$"):
+        _ZZ.inv(0)
 
 
 def test_kernel_of_degree2_projection():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tensorseq import bimodule, tensor
 from tensorseq.certificates import Certificate, CheckResult
 from tensorseq.certify import CheckGrid
-from tensorseq.errors import DEFAULT_SIZE_CAP
+from tensorseq.errors import DEFAULT_SIZE_CAP, Record
 from tensorseq.evensym import OrbitWord
 from tensorseq.fields import GF, QQ
 from tensorseq.linalg import Matrix
@@ -173,3 +173,11 @@ def test_quotient_context_compares_by_identity():
     assert repr(a) == repr(ref(*(getattr(a, n) for n in names)))
     with pytest.raises(AttributeError):
         a.degree = 4
+
+
+@pytest.mark.parametrize("values", [(2,), (2, QQ, 0)], ids=["short", "long"])
+def test_record_init_takes_one_value_per_field(values):
+    space = tensor.Space(2, QQ)
+    with pytest.raises(TypeError, match=f"^expected 2 field values, got {len(values)}$"):
+        Record.__init__(space, *values)
+    assert space == tensor.Space(2, QQ)

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorseq import bimodule, evensym, exterior, linalg, perms, tensor
+from tensorseq import bases, bimodule, evensym, exterior, linalg, perms, tensor
 from tensorseq.evensym import OrbitWord
 from tensorseq.fields import GF, QQ
 
@@ -68,6 +69,29 @@ def test_space_mismatch_rejected():
     for other in (b, c):
         with pytest.raises(ValueError):
             tensor.tensor_product(a, other)
+
+
+def test_sums_and_products_refuse_elements_over_different_spaces():
+    sp2, sp3 = tensor.Space(2, QQ), tensor.Space(3, QQ)
+    a, b = tensor.word_element(sp2, (1,)), tensor.word_element(sp3, (1,))
+    x = bimodule.BimodElement(sp2, 2, {((), (1, 2), ()): 1})
+    for product, args in [(operator.add, (a, b)),
+                          (tensor.tensor_product, (a, b)),
+                          (tensor.sym_product, (tensor.symmetrize(a), tensor.symmetrize(b))),
+                          (bimodule.bimodule_mult, (b, x, a)),
+                          (bimodule.bimodule_mult, (a, x, b))]:
+        with pytest.raises(ValueError, match="^elements live over different spaces$"):
+            product(*args)
+
+
+def test_element_repr_and_scalar_multiples():
+    a = tensor.TensorElement(tensor.Space(2, QQ), 2, {(2, 1): "1/2", (1, 2): -3})
+    assert repr(a) == "-3*(1, 2) + 1/2*(2, 1)"
+    assert repr(-a) == "3*(1, 2) + -1/2*(2, 1)"
+    zero = a.scale(0)
+    assert (type(zero), zero.degree, zero.terms, repr(zero)) == (tensor.TensorElement, 2, {}, "0")
+    assert 2 * a == a.scale(2) == a + a
+    assert repr(2 * a) == "-6*(1, 2) + 1*(2, 1)"
 
 
 def test_tensor_element_rejects_a_coefficient_undefined_in_the_field():
@@ -166,6 +190,13 @@ def test_dims():
     assert tensor.dim_sym(0, 2) == 0
     with pytest.raises(ValueError):
         tensor.dim_sym(-1, 2)
+
+
+@pytest.mark.parametrize("dim", [bases.dim_tensor, bases.dim_sym, bases.dim_wedge])
+@pytest.mark.parametrize("m,n", [(-1, 2), (2, -1)])
+def test_dimensions_refuse_a_negative_argument(dim, m, n):
+    with pytest.raises(ValueError, match="^m, n must be >= 0$"):
+        dim(m, n)
 
 
 def test_all_monomials_is_the_filtered_word_list():
