@@ -10,7 +10,9 @@ terms (`tensor` docstring).
 
 This module holds what the two certifiers, `mseq` and `sprimeseq`,
 need of the tensor, symmetric and exterior algebras, so that a
-certification run loads none of the element-algebra modules.
+certification run loads none of the element-algebra modules.  That
+includes the two row shapes their certificates read: `edge_rows` writes
+every image row e_u - e_v and `fibre_matrix` every projection.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class Space(Record):
     __slots__ = ("dim", "field")
 
     def __init__(self, dim: int, field: Field):
+        if dim.__class__ is not int:
+            raise ValueError(f"malformed dimension {dim!r}: a dimension is an int >= 0")
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         Record.__init__(self, dim, field)
@@ -117,11 +121,27 @@ def dim_wedge(m: int, n: int) -> int:
     return comb(m, n)
 
 
+def edge_rows(field: Field, edges: Iterable[tuple]) -> list[linalg.Row]:
+    """The sparse row e_u - e_v of each edge (u, v), u != v, its two
+    entries sorted by column: an image row of a certified sequence
+    (`certificates` docstring)."""
+    one, neg_one = field.one, field.neg(field.one)
+    return [((u, one), (v, neg_one)) if u < v else ((v, neg_one), (u, one))
+            for u, v in edges]
+
+
+def fibre_matrix(field: Field, fibres: Iterable[int], ncols: int) -> linalg.Matrix:
+    """The projection onto `ncols` target basis vectors that sends source
+    basis vector i to target vector `fibres[i]`: one row per source
+    vector, holding one 1 (`certificates` docstring)."""
+    one = field.one
+    return linalg.Matrix(field, ncols, tuple(((j, one),) for j in fibres))
+
+
 def symmetrize_matrix(space: Space, n: int) -> linalg.Matrix:
     """Matrix of the degree-n projection, one row per word (lex order),
     columns indexed by monomials (lex order); its transpose has one row
     per monomial, holding the words that sort to it."""
     mono_index = {w: j for j, w in enumerate(all_monomials(space.dim, n))}
-    one = space.field.one
-    rows = tuple(((mono_index[tuple(sorted(w))], one),) for w in all_words(space.dim, n))
-    return linalg.Matrix(space.field, len(mono_index), rows)
+    return fibre_matrix(space.field, (mono_index[tuple(sorted(w))]
+                                      for w in all_words(space.dim, n)), len(mono_index))

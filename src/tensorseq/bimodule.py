@@ -32,12 +32,12 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import perms
-from .bases import Space, Word, all_words, check_word, collect
+from .bases import Space, Word, check_word, collect
 from .errors import Record, check_cap
 from .fields import Field, Scalar
 from .linalg import Row, echelon_rows, residue_list
 from .mseq import (BimodTerm, _expand, _jacobi_core, _relation_cores, _transfer_core,
-                   all_bimod_terms, ambient_dim)
+                   _translates, all_bimod_terms, ambient_dim)
 # defined in `mseq`, and still importable from here, as the same object
 from .mseq import verify_sequence  # noqa: F401
 from .tensor import TensorElement, _SparseElement, perm_action
@@ -89,14 +89,9 @@ def _two_sided_closure(space: Space, core: dict, n: int) -> Iterable[BimodElemen
     landing in degree n."""
     # every term of a core has the core's degree
     first_left, _, first_right = next(iter(core))
-    d = len(first_left) + 2 + len(first_right)
-    m = space.dim
-    for p in range(n - d + 1):
-        q = n - d - p
-        for left in all_words(m, p):
-            for right in all_words(m, q):
-                terms = {(left + a, pair, b + right): c for (a, pair, b), c in core.items()}
-                yield BimodElement._own(space, n, terms)
+    for left, right in _translates(space.dim, n, len(first_left) + 2 + len(first_right)):
+        terms = {(left + a, pair, b + right): c for (a, pair, b), c in core.items()}
+        yield BimodElement._own(space, n, terms)
 
 
 def relation_generators(space: Space, n: int) -> list[BimodElement]:

@@ -14,6 +14,11 @@ nothing but P's transpose.  Both images are spanned by differences of
 two basis vectors: the expansion of a wedge term l.(a^b).r is the word
 l.a.b.r minus the word one adjacent swap away, and the wedge embedding
 sends a strictly increasing word to its plain minus its twisted class.
+Both projections send each source basis vector to one target basis
+vector, so each row of P holds one 1.  Those are the only two row shapes
+the argument needs, and each has one writer: `bases.edge_rows` writes
+every image row and `bases.fibre_matrix` every projection, while
+`_is_difference` is the one reader, failing closed on any other row.
 Reading each image row a * (e_u - e_v) as an edge (u, v) on the source
 basis of P makes the image the column space of a graph's oriented
 incidence matrix, whose rank over any field is the number of vertices

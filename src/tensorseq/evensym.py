@@ -34,7 +34,7 @@ from typing import Mapping
 
 from . import perms
 from .bases import (Space, Word, all_monomials, all_wedge_words, all_words, check_word,
-                    collect, dim_tensor)
+                    collect, dim_tensor, edge_rows)
 from .certificates import Certificate, CheckResult, certificate
 from .errors import Record, check_cap
 from .exterior import ExtElement, wedge_canon
@@ -191,11 +191,6 @@ def basis_words(m: int, n: int) -> list[OrbitWord]:
     return out
 
 
-def _difference_row(i: int, j: int, one: Scalar, neg_one: Scalar) -> Row:
-    """Sparse e_i - e_j for i != j."""
-    return ((i, one), (j, neg_one)) if i < j else ((j, neg_one), (i, one))
-
-
 def _alternating_generators(n: int) -> tuple[perms.Perm, ...]:
     """(1 2 3), with (1 2 ... n) for odd n or (2 3 ... n) for even n;
     none below n = 3, where A_n is trivial."""
@@ -210,7 +205,6 @@ def _relation_rows(space: Space, n: int, generators: tuple) -> tuple[list[Row], 
     """Difference rows e_w - e_u in tensor coordinates, for each degree-n
     word w in lex order and each partner u != w, under three partner
     rules: ideal, orbit and normal-form kernel (`verify_relation_span`)."""
-    one, neg_one = space.field.one, space.field.neg(space.field.one)
     index = {w: i for i, w in enumerate(all_words(space.dim, n))}
     first_of_class: dict = {}
     rules = (
@@ -218,8 +212,8 @@ def _relation_rows(space: Space, n: int, generators: tuple) -> tuple[list[Row], 
         lambda w: [perms._apply_to_positions(g, w) for g in generators],
         lambda w: (first_of_class.setdefault(normal_form(w), w),),
     )
-    return tuple([_difference_row(i, index[u], one, neg_one)
-                  for w, i in index.items() for u in rule(w) if u != w] for rule in rules)
+    return tuple(edge_rows(space.field, ((i, index[u]) for w, i in index.items()
+                                         for u in rule(w) if u != w)) for rule in rules)
 
 
 def verify_relation_span(space: Space, n: int, size_cap: int | None = None) -> Certificate:

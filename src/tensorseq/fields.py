@@ -76,9 +76,12 @@ class Field:
         raise NotImplementedError
 
     def coerce(self, x) -> Scalar:
-        """Accept an int, Fraction, or numeric string and normalize it."""
+        """Accept an int, Fraction, or numeric string and normalize it;
+        any other value, a float or a `Decimal` say, is a ValueError."""
         if isinstance(x, str):
             return self.parse(x)
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"coefficient {x!r} is not an int, Fraction or numeric string")
         return self.normalize(x)
 
     @property

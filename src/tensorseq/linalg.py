@@ -20,9 +20,11 @@ Bouillaguet-Delaplace (CASC 2016):
 
 Every pivot chosen this way is the leading column of a vector in the row
 space, so the result is the unique RREF of the span, whatever the order
-of the input rows.  Arithmetic is exact, and `_subtract`, which reduces
-a row against the basis, branches once on the characteristic rather
-than per entry.
+of the input rows.  Arithmetic is exact, and `_subtract` is the one
+reduction step: it reduces an incoming row against the basis, clears a
+new pivot's column from the basis rows and reduces a `residue_list`
+vector, and it branches once on the characteristic rather than per
+entry.
 
 `kernel_basis` eliminates only part of its matrix.  A row holding one
 entry forces its column to zero in every kernel vector, so, as in the
@@ -75,8 +77,9 @@ class Matrix(Record):
 
 
 def matrix(field: Field, rows: Iterable[Sequence], ncols: int | None = None) -> Matrix:
-    """Build a Matrix from dense rows, normalizing every entry into the field."""
-    norm = field.normalize
+    """Build a Matrix from dense rows, coercing every entry (an int,
+    `Fraction` or numeric string) into the field with `Field.coerce`."""
+    norm = field.coerce
     out = []
     width = ncols
     for row in rows:
@@ -159,24 +162,15 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
                 v = _integral((j, x * inv) for j, x in v.items())
         for j in v:
             holders.setdefault(j, set()).add(c)
-        # r -= r[c] * (new row), inlined so that `holders` is touched
-        # only where an entry of r appears or cancels
+        # clear column c from the basis rows holding it; only the columns
+        # of v can gain or lose an entry of r there
         for q in holders.pop(c, ()):
             r = basis[q]
-            f = r.pop(c)
-            for j, x in v.items():
-                y = r.get(j)
-                s = -f * x if y is None else y - f * x
-                if p:
-                    s %= p
-                elif s.__class__ is not int and s.denominator == 1:
-                    s = s.numerator
-                if s:
-                    if y is None:
-                        holders[j].add(q)
-                    r[j] = s
+            _subtract(p, r, r.pop(c), v.items())
+            for j in v:
+                if j in r:
+                    holders[j].add(q)
                 else:
-                    del r[j]
                     holders[j].discard(q)
         basis[c] = {c: 1, **v}
     pivots = sorted(basis)

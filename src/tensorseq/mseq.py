@@ -22,7 +22,9 @@ the degree-n terms canonically, by (len(left), left, pair, right), as
 leading term.  The argument has four steps:
 
   * the generators are the two-sided word translates l.core.r of a
-    few cores (`_relation_cores`).  Translation preserves the order,
+    few cores (`_relation_cores`), by the word pairs (l, r) of
+    `_translates`, which `bimodule` iterates to build the same
+    generators for its quotient.  Translation preserves the order,
     because every term of a core has the same degree, so the leading
     term of l.core.r is l.lead(core).r and the leading terms are counted
     as tuples, with no translate built;
@@ -86,10 +88,12 @@ from __future__ import annotations
 
 import time
 from itertools import chain, combinations
+from itertools import product as _iproduct
 from math import comb
 from typing import Iterable, Iterator
 
-from .bases import Space, Word, all_words, collect, dim_sym, dim_tensor, symmetrize_matrix
+from .bases import (Space, Word, all_words, collect, dim_sym, dim_tensor, edge_rows,
+                    symmetrize_matrix)
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
 from .errors import check_cap
 from .fields import _ZZ, Field
@@ -185,6 +189,14 @@ def _expand(field: Field, terms: dict) -> dict:
                                         (left + (b, a) + right, neg(c)))))
 
 
+def _translates(m: int, n: int, d: int) -> Iterator[tuple[Word, Word]]:
+    """The (left, right) word pairs over {1..m} that carry a degree-d
+    core into degree n, (n - d + 1) * m^(n - d) of them: by left length,
+    then left word, then right word."""
+    return chain.from_iterable(_iproduct(all_words(m, p), all_words(m, n - d - p))
+                               for p in range(n - d + 1))
+
+
 def _term_order(term: BimodTerm) -> tuple:
     """Sort key of the canonical term order of `all_bimod_terms`."""
     left, pair, right = term
@@ -214,22 +226,16 @@ def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
             elif _expand(field, core):
                 fault = "relations do not expand to zero"
         a, pair, b = lead
-        d = len(a) + 2 + len(b)
-        for p in range(n - d + 1):
-            rights = tuple(all_words(m, n - d - p))
-            for left in all_words(m, p):
-                la = left + a
-                leads.update((la, pair, b + right) for right in rights)
+        leads.update((left + a, pair, b + right)
+                     for left, right in _translates(m, n, len(a) + 2 + len(b)))
     return leads, fault
 
 
 def _expansion_rows(field: Field, word_index: dict, terms: Iterable[BimodTerm]) -> list[Row]:
-    """Sparse tensor coordinates of the expansion of each basis term; a < b,
-    so the word l.a.b.r precedes l.b.a.r."""
-    one, neg_one = field.one, field.neg(field.one)
-    return [((word_index[left + (a, b) + right], one),
-             (word_index[left + (b, a) + right], neg_one))
-            for left, (a, b), right in terms]
+    """Sparse tensor coordinates of the expansion of each basis term: the
+    edge from the word l.a.b.r to l.b.a.r."""
+    return edge_rows(field, ((word_index[left + (a, b) + right], word_index[left + (b, a) + right])
+                             for left, (a, b), right in terms))
 
 
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import chain
 
-from .bases import Space, all_monomials, all_wedge_words, dim_sym, dim_wedge
+from .bases import (Space, all_monomials, all_wedge_words, dim_sym, dim_wedge, edge_rows,
+                    fibre_matrix)
 from .certificates import Certificate, CheckResult, certificate, image_equals_kernel
 from .errors import check_cap
 from .linalg import Matrix
@@ -52,10 +54,7 @@ def to_sym_matrix(space: Space, n: int) -> Matrix:
     Plain class i is monomial i; twisted class s + k forgets its flag
     onto the monomial of the k-th strictly increasing word."""
     s = dim_sym(space.dim, n)
-    one = space.field.one
-    rows = [((j, one),) for j in range(s)]
-    rows.extend(((j, one),) for j in _twisted_columns(space.dim, n))
-    return Matrix(space.field, s, tuple(rows))
+    return fibre_matrix(space.field, chain(range(s), _twisted_columns(space.dim, n)), s)
 
 
 def wedge_embed_matrix(space: Space, n: int) -> Matrix:
@@ -64,13 +63,10 @@ def wedge_embed_matrix(space: Space, n: int) -> Matrix:
     the number of plain classes."""
     if n < 2:
         raise ValueError("need degree >= 2")
-    field = space.field
     s = dim_sym(space.dim, n)
-    one, neg_one = field.one, field.neg(field.one)
-    # plain classes precede twisted ones in the basis order
-    rows = tuple(((j, one), (s + k, neg_one))
-                 for k, j in enumerate(_twisted_columns(space.dim, n)))
-    return Matrix(field, s + len(rows), rows)
+    rows = edge_rows(space.field, ((j, s + k)
+                                   for k, j in enumerate(_twisted_columns(space.dim, n))))
+    return Matrix(space.field, s + len(rows), tuple(rows))
 
 
 def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certificate:

@@ -347,6 +347,30 @@ def test_verify_sequence_degenerate_line(n):
     assert cert.dims["t_dim"] == cert.dims["s_dim"] == 1
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_term_enumeration_and_sort_key_agree(m):
+    """The witness lemma (`mseq` docstring) reads a core's leading term by
+    `_term_order` as its smallest column in the `all_bimod_terms` order,
+    so the two spellings of the canonical order must agree."""
+    for n in range(7):
+        terms = mseq.all_bimod_terms(m, n)
+        assert terms == sorted(terms, key=mseq._term_order)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_translates_are_every_word_pair_of_the_missing_degree(m):
+    """`_translates(m, n, d)` gives each (left, right) pair of total
+    length n - d once, by left length, then left word, then right word."""
+    letters = set(range(1, m + 1))
+    for n in range(7):
+        for d in range(2, n + 1):
+            pairs = list(mseq._translates(m, n, d))
+            assert len(set(pairs)) == len(pairs) == (n - d + 1) * m ** (n - d)
+            assert all(len(left) + len(right) == n - d and set(left + right) <= letters
+                       for left, right in pairs)
+            assert pairs == sorted(pairs, key=lambda pair: (len(pair[0]), pair))
+
+
 def test_all_bimod_terms_draws_no_word_without_a_wedge_pair(monkeypatch):
     """m = 1 has no wedge pair, so no degree has a term, and no word may
     be drawn: its ambient dimension is 0, so no size cap bounds the work."""

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorseq
-from tensorseq import bimodule, certify, degree2, evensym, linalg, mseq, sprimeseq, tensor
+from tensorseq import (bases, bimodule, certify, degree2, evensym, linalg, mseq, sprimeseq,
+                       tensor)
 from tensorseq.certificates import (Certificate, CheckResult, _is_difference,
                                     certificates_to_json, image_equals_kernel)
 from tensorseq.fields import _ZZ, GF, QQ
@@ -228,6 +229,39 @@ def _m_sequence_image(space, n):
     terms = mseq.all_bimod_terms(space.dim, n)
     return (mseq._expansion_rows(space.field, word_index, terms),
             tensor.symmetrize_matrix(space, n))
+
+
+_ROW_RINGS = (_ZZ, QQ, GF(2), GF(3))
+
+
+@pytest.mark.parametrize("field", _ROW_RINGS, ids=str)
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_edge_rows_are_the_differences_the_check_reads(field, data):
+    """`bases.edge_rows` writes e_u - e_v sorted by column, a row that
+    `_is_difference` accepts; the reversed edge gives the negated row."""
+    nv = data.draw(st.integers(2, 12))
+    ends = st.integers(0, nv - 1)
+    edges = data.draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+                               max_size=10))
+    one, neg_one = field.one, field.neg(field.one)
+    rows = bases.edge_rows(field, edges)
+    assert rows == [((u, one), (v, neg_one)) if u < v else ((v, neg_one), (u, one))
+                    for u, v in edges]
+    assert all(_is_difference(field, nv, row) for row in rows)
+    assert bases.edge_rows(field, [(v, u) for u, v in edges]) == \
+        [tuple((j, field.neg(x)) for j, x in row) for row in rows]
+
+
+@pytest.mark.parametrize("field", _ROW_RINGS, ids=str)
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_fibre_matrix_rows_hold_one_one(field, data):
+    ncols = data.draw(st.integers(1, 8))
+    fibres = data.draw(st.lists(st.integers(0, ncols - 1), max_size=12))
+    projection = bases.fibre_matrix(field, fibres, ncols)
+    assert (projection.field, projection.ncols) == (field, ncols)
+    assert projection.rows == tuple(((j, field.one),) for j in fibres)
 
 
 # e_0 + e_1 in characteristic 2 is a difference, so F2 is left out

@@ -331,10 +331,13 @@ def test_relation_rules_match_their_literal_definitions(m, n, fields_qf23):
     generators = evensym._alternating_generators(n)
     for field in fields_qf23:
         one, neg_one = field.one, field.neg(field.one)
+
+        def difference(i, j):  # e_i - e_j, sorted by column
+            return ((i, one), (j, neg_one)) if i < j else ((j, neg_one), (i, one))
+
         ideal, orbit, _ = evensym._relation_rows(tensor.Space(m, field), n, generators)
-        assert set(ideal) == {evensym._difference_row(i, j, one, neg_one)
-                              for i, j in translates}
-        every_even = [evensym._difference_row(i, j, one, neg_one) for i, j in pairs]
+        assert set(ideal) == {difference(i, j) for i, j in translates}
+        every_even = [difference(i, j) for i, j in pairs]
         assert linalg.echelon_rows(field, orbit)[0] == \
             linalg.echelon_rows(field, every_even)[0]
 

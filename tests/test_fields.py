@@ -1,4 +1,6 @@
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -126,3 +128,13 @@ def test_parse_rejects_a_zero_denominator():
     for text in ("1/3", "2/0", "1/-6"):
         with pytest.raises(ValueError, match=f"coefficient '{text}' has a denominator divisible by 3"):
             GF(3).parse(text)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_coerce_takes_only_exact_values(field):
+    """`coerce` accepts an int, a `Fraction` or a numeric string; a float
+    or a `Decimal` is a ValueError naming it, not a silent binary value."""
+    assert field.coerce(3) == field.coerce(Fraction(3)) == field.coerce("3") == field.normalize(3)
+    for value in (0.1, 0.5, 1.0, Decimal("0.5"), None, [1]):
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(value))} is not"):
+            field.coerce(value)

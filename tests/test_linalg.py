@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,13 @@ def test_rref_normalizes_pivots():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         linalg.matrix(QQ, [[1, 2], [1]])
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, Decimal("0.5")], ids=repr)
+def test_matrix_refuses_inexact_entries(value):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {value!r} is not")):
+        linalg.matrix(GF(3), [[value, 1]])
+    assert linalg.matrix(GF(3), [["1/2", Fraction(4), 0]]).rows == (((0, 2), (1, 1)),)
 
 
 def test_residue_in_row_space_is_zero():

@@ -1,6 +1,8 @@
 import json
 import operator
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -348,6 +350,45 @@ def test_element_constructors_coerce_coefficients_alike(make, keys, field, value
         x = make(sp, 2, dict(zip(keys, coeffs)))
         assert x.terms == want
         assert all(type(c) is type(field.one) for c in x.terms.values())
+
+
+_INEXACT = [0.5, 0.1, 2.5, 2.0, Decimal("0.5"), Decimal(2)]
+
+
+def _refused(value):
+    return pytest.raises(ValueError, match=re.escape(
+        f"coefficient {value!r} is not an int, Fraction or numeric string"))
+
+
+@pytest.mark.parametrize("make,keys", _CONSTRUCTORS)
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("value", _INEXACT, ids=repr)
+def test_constructors_refuse_inexact_coefficients(make, keys, field, value):
+    """No floating point anywhere: a float or a `Decimal` coefficient is
+    refused and named, even where it equals an exact value."""
+    with _refused(value):
+        make(tensor.Space(3, field), 2, {keys[0]: 1, keys[1]: value})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("value", _INEXACT, ids=repr)
+def test_word_element_and_scale_refuse_inexact_coefficients(field, value):
+    sp = tensor.Space(2, field)
+    with _refused(value):
+        tensor.word_element(sp, (1, 2), value)
+    a = tensor.word_element(sp, (1, 2), 2)
+    with _refused(value):
+        a.scale(value)
+    with _refused(value):
+        value * a
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, False, "2", Fraction(2), Decimal(2)])
+def test_space_dimension_must_be_an_int(dim):
+    """A dimension is an int, as a letter is: a float, a bool, a string or
+    a `Fraction` is refused even where it compares equal to one."""
+    with pytest.raises(ValueError, match="malformed dimension"):
+        tensor.Space(dim, QQ)
 
 
 @pytest.mark.parametrize("make,keys", _CONSTRUCTORS)
