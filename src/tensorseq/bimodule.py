@@ -22,20 +22,23 @@ from here as the same objects.
 `wedge_at` replaces one tensor sign of a word by a wedge; summing its
 images along a factorization of a permutation into adjacent swaps gives
 the telescoping `cocycle` map, whose value is independent of the chosen
-factorization.  `cocycle` sums the images in place, into one dict, and
-applies no swap after the last letter, whose result nothing would read.
+factorization.  `cocycle` has `wedge_at` sum every image straight into
+one dict, skips a swap that exchanges equal letters in every word (it
+changes nothing and has image 0), applies no swap after the last letter,
+whose result nothing would read, and over Q sums on ints while the
+values are integral, as `linalg` does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import perms
 from .bases import Space, Word, check_word, collect
 from .errors import Record, check_cap
 from .fields import Field, Scalar
-from .linalg import Row, echelon_rows, residue_list
+from .linalg import Row, _integral, echelon_rows, residue_list
 from .mseq import (BimodTerm, _expand, _jacobi_core, _relation_cores, _transfer_core,
                    _translates, all_bimod_terms, ambient_dim)
 # defined in `mseq`, and still importable from here, as the same object
@@ -159,10 +162,14 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
                            dict(zip(pivots, rel_rows)))
 
 
-def coords_of(ctx: QuotientContext, x: BimodElement) -> Row:
-    """Sparse coordinates of x on the canonical term basis."""
+def _check_matches(ctx: QuotientContext, x: BimodElement) -> None:
     if x.space != ctx.space or x.degree != ctx.degree:
         raise ValueError("element does not match the context")
+
+
+def coords_of(ctx: QuotientContext, x: BimodElement) -> Row:
+    """Sparse coordinates of x on the canonical term basis."""
+    _check_matches(ctx, x)
     return tuple(sorted((ctx.index[k], c) for k, c in x.terms.items()))
 
 
@@ -173,11 +180,14 @@ def element_of(ctx: QuotientContext, vec: Sequence) -> BimodElement:
     return BimodElement(ctx.space, ctx.degree, terms)
 
 
-# cached: a caller that keeps `normal_form` answers (a query loop, say)
-# keeps one shared scalar per value, not a new `Fraction` per nonzero entry
-@lru_cache(maxsize=256)
-def _scalar(field: Field, v) -> Scalar:
-    return field.normalize(v)
+# cached per field: a caller that keeps `normal_form` answers (a query
+# loop, say) keeps one shared scalar per value, not a new `Fraction` per
+# nonzero entry.  The inner cache is keyed by the value alone, so a lookup
+# hashes no `Field`.  An int and the equal `Fraction` would take two
+# entries, but `residue_list` hands out every integral value as an int.
+@lru_cache(maxsize=32)
+def _scalars(field: Field) -> Callable[[Scalar], Scalar]:
+    return lru_cache(maxsize=256)(field.normalize)
 
 
 def normal_form(ctx: QuotientContext, x: BimodElement) -> tuple:
@@ -191,11 +201,18 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> tuple:
     cyclic collector tracks (the tuple and its zero) instead of about
     nine on a (3, 6, Q) `cocycle`, so a loop that keeps its answers
     makes a third as many tracked allocations per query (10.2 -> 3.1)
-    and reaches the collector's threshold a third as often."""
+    and reaches the collector's threshold a third as often.
+
+    x may hold ints for integral values over Q, as `linalg` does.  The
+    coordinates go to `residue_list` unsorted, since it sorts its result."""
+    _check_matches(ctx, x)
     field = ctx.space.field
+    scalar = _scalars(field)
+    index = ctx.index
     vec = [field.zero] * ctx.ambient_dim
-    for c, v in residue_list(field, coords_of(ctx, x), ctx.rel_basis):
-        vec[c] = _scalar(field, v)
+    for c, v in residue_list(field, [(index[k], c) for k, c in x.terms.items()],
+                             ctx.rel_basis):
+        vec[c] = scalar(v)
     return tuple(vec)
 
 
@@ -206,20 +223,24 @@ def expand_wedge(x: BimodElement) -> TensorElement:
     return TensorElement._own(x.space, x.degree, _expand(x.space.field, x.terms))
 
 
-def wedge_at(a: TensorElement, i: int) -> BimodElement:
+def wedge_at(a: TensorElement, i: int, out: dict | None = None) -> BimodElement | dict:
     """Replace the tensor sign between positions i and i+1 by a wedge,
     canonicalizing signs; words with a repeated letter there drop out.
 
-    One loop builds and sums the terms.  Only a word and its swap at i
-    share a term, so a sum can arise (and cancel) only between those two;
-    the same single pass, with its pairs summed by `collect`, made a
-    `cocycle` query 6-9% slower (in-process timing)."""
+    With `out`, a dict of terms, the terms are summed into it instead, as
+    `collect(..., out)` does, and `out` is returned; otherwise a new
+    `BimodElement` is.
+
+    One loop builds and sums the terms.  Within one call only a word and
+    its swap at i share a term, so a sum can arise (and cancel) only
+    between those two; the same single pass, with its pairs summed by
+    `collect`, made a `cocycle` query 6-9% slower (in-process timing)."""
     n = a.degree
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range 1..{n - 1}")
     f = a.space.field
     neg, add = f.neg, f.add
-    terms: dict = {}
+    terms = {} if out is None else out
     for w, c in a.terms.items():
         u, v = w[i - 1], w[i]
         if u < v:
@@ -235,7 +256,7 @@ def wedge_at(a: TensorElement, i: int) -> BimodElement:
                 del terms[key]
                 continue
         terms[key] = c
-    return BimodElement._own(a.space, n, terms)
+    return BimodElement._own(a.space, n, terms) if out is None else out
 
 
 def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
@@ -247,10 +268,15 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
     applied first) overrides the default bubble-sort word and may be
     non-reduced.  Expanding the result recovers a - t(a).
 
-    The images are summed in place into one dict, so no partial sum is
-    copied, and the swap of the last letter is not applied, since
-    nothing reads its result: `wedge_at` runs len(word) times and
-    `perm_action` len(word) - 1 times.  t is checked once, here.
+    `wedge_at` sums each image straight into one dict, so no partial
+    sum or per-letter element is built.  A letter whose swap exchanges
+    two equal letters in every word of the current element leaves it
+    unchanged and has image 0, so neither `wedge_at` nor `perm_action`
+    runs for it; nor is the swap of the last letter applied, since
+    nothing reads its result.  Otherwise `wedge_at` runs once per letter
+    and `perm_action` once per letter but the last.  t is checked once,
+    here.  Over Q the sum runs on ints while the values are integral, as
+    in `linalg`; `normal_form` turns them back into field scalars.
     """
     n = ctx.degree
     if a.degree != n:
@@ -264,12 +290,17 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
         word = tuple(word)
         if perms.compose_word(n, word) != t:
             raise ValueError(f"word {word} does not compose to {t}")
-    field = ctx.space.field
+    cur = a if ctx.space.field.char else TensorElement._own(
+        a.space, n, _integral(a.terms.items()))
     acc: dict = {}
-    cur = a
     last = len(word) - 1
     for k, i in enumerate(word):
-        collect(field, wedge_at(cur, i).terms.items(), acc)
+        for w in cur.terms:
+            if w[i - 1] != w[i]:
+                break
+        else:
+            continue  # the swap fixes every word of cur, and its wedge is 0
+        wedge_at(cur, i, acc)
         if k < last:
             cur = perm_action(perms.adjacent_transposition(n, i), cur)
     return normal_form(ctx, BimodElement._own(ctx.space, n, acc))

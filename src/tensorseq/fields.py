@@ -177,14 +177,20 @@ class PrimeField(Field):
         return pow(x, self.p - 2, self.p)
 
     def parse(self, s: str) -> int:
+        """An integer or a ratio of integers, "a/b" with b prime to p; a
+        decimal such as "0.5" or "1e3" is a ValueError."""
         s = s.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            den = int(den) % self.p
-            if den == 0:
-                raise ValueError(f"coefficient {s!r} has a denominator divisible by {self.p}")
-            return self.div(int(num) % self.p, den)
-        return int(s) % self.p
+        num, slash, den = s.partition("/")
+        try:
+            num = int(num)
+            den = int(den) if slash else 1
+        except ValueError:
+            raise ValueError(f"coefficient {s!r} is not an integer or a ratio of integers, "
+                             f"as {self.name} requires") from None
+        den %= self.p
+        if den == 0:
+            raise ValueError(f"coefficient {s!r} has a denominator divisible by {self.p}")
+        return self.div(num % self.p, den) if slash else num % self.p
 
 
 class _IntegerRing(Field):

@@ -8,13 +8,14 @@ letter tuples by moving the letter at position k to position t(k).
 `perm_word_alt` raise `ValueError` on a tuple that is not a permutation.
 Each checks its arguments once per call; code inside the package that
 already holds a permutation it built or checked uses the unchecked
-`_compose`, `_apply_to_positions`, `_parity` and `_perm_word`.
+`_compose`, `_apply_to_positions`, `_mover`, `_parity` and `_perm_word`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as _itertools_perms
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 Perm = tuple
@@ -105,6 +106,19 @@ def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
     return tuple(out)
 
 
+# cached: `tensor.perm_action` moves every word of an element with one mover
+@lru_cache(maxsize=256)
+def _mover(t: Perm):
+    """A function of one tuple of letters that equals
+    `_apply_to_positions(t, ...)` on it, done in C by `itemgetter`."""
+    if len(t) < 2:
+        # the one permutation of 0 or 1 positions; itemgetter of one index
+        # would return the letter, not a tuple
+        return tuple
+    # position h of the result takes the letter at position t^{-1}(h)
+    return itemgetter(*_apply_to_positions(t, range(len(t))))
+
+
 def parity(t: Perm) -> int:
     """0 for even permutations, 1 for odd ones.
 
@@ -178,17 +192,19 @@ def perm_word(t: Perm) -> Word:
 
 
 def _perm_word(t: Perm) -> Word:
+    # positions from a pass's last swap on are sorted, and the next pass
+    # would compare them without swapping, so it stops there
     a = list(t)
-    n = len(a)
     word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
+    end = len(a) - 1
+    while end > 0:
+        last = 0
+        for i in range(end):
             if a[i] > a[i + 1]:
                 a[i], a[i + 1] = a[i + 1], a[i]
                 word.append(i + 1)
-                changed = True
+                last = i
+        end = last
     return tuple(word)
 
 

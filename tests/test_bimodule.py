@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorseq import bimodule, certify, linalg, mseq, perms, tensor
+from tensorseq.bases import collect
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import _ZZ, GF, QQ
 
@@ -723,3 +724,107 @@ def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
         assert calls["perm_action"] == max(length - 1, 0)
         # one check in `cocycle` and one per `perm_action`, none per word
         assert calls["is_perm"] == 1 + calls["perm_action"]
+
+
+def _count_telescope_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("wedge_at", "perm_action"):
+        def wrapper(*args, fn=getattr(bimodule, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bimodule, name, wrapper)
+    return calls
+
+
+def test_cocycle_skips_a_swap_that_fixes_every_word(ctx_cache, monkeypatch):
+    """Letter 1 swaps two equal letters in both words, so it leaves the
+    element as it is and has no wedge: neither call runs for it."""
+    ctx = ctx_cache(3, 4)
+    a = tensor.TensorElement(ctx.space, 4, {(1, 1, 2, 3): 1, (2, 2, 3, 1): -2})
+    word = (1, 2, 3)
+    t = perms.compose_word(4, word)
+    expected = _summing_loop_cocycle(ctx, t, a, word)
+    calls = _count_telescope_calls(monkeypatch)
+    assert bimodule.cocycle(ctx, t, a, word) == expected and any(expected)
+    assert calls == {"wedge_at": 2, "perm_action": 1}
+    # a last letter that fixes every word runs no `wedge_at`
+    b = tensor.TensorElement(ctx.space, 4, {(1, 2, 3, 3): 1, (3, 1, 2, 2): 5})
+    t = perms.compose_word(4, (1, 3))
+    expected = _summing_loop_cocycle(ctx, t, b, (1, 3))
+    calls.clear()
+    assert bimodule.cocycle(ctx, t, b, (1, 3)) == expected
+    assert calls == {"wedge_at": 1, "perm_action": 1}
+
+
+def test_cocycle_does_not_skip_a_swap_that_moves_one_word(ctx_cache, monkeypatch):
+    """The first word holds equal letters at positions 1, 2 and the second
+    does not, so letter 1 still moves the element and has a wedge."""
+    ctx = ctx_cache(3, 4)
+    a = tensor.TensorElement(ctx.space, 4, {(1, 1, 2, 3): 1, (1, 2, 2, 3): 3})
+    word = (1, 2, 3)
+    t = perms.compose_word(4, word)
+    expected = _summing_loop_cocycle(ctx, t, a, word)
+    calls = _count_telescope_calls(monkeypatch)
+    value = bimodule.cocycle(ctx, t, a, word)
+    assert value == expected and any(value)
+    assert calls == {"wedge_at": 3, "perm_action": 2}
+
+
+def test_cocycle_over_q_shares_fraction_entries(ctx_cache):
+    """The telescope runs on ints over Q; answers still hold `Fraction`s,
+    one object per value across answers, for integral and non-integral
+    coefficients alike, and halving the element halves every entry."""
+    ctx = ctx_cache(3, 4)
+    cases = [((2, 3, 4, 1), (1, 2, 3, 1)), ((4, 3, 2, 1), (1, 2, 3, 3)),
+             ((3, 1, 4, 2), (2, 1, 1, 3))]
+    answers = {}
+    for scale in (1, 2, Fraction(1, 2)):
+        answers[scale] = [bimodule.cocycle(ctx, t, tensor.word_element(ctx.space, w, scale))
+                          for t, w in cases]
+    for whole, half in zip(answers[1], answers[Fraction(1, 2)]):
+        assert any(whole) and half == tuple(x / 2 for x in whole)
+    entries = [x for hs in answers.values() for h in hs for x in h]
+    assert all(type(x) is Fraction for x in entries)
+    nonzero = [x for x in entries if x]
+    assert {Fraction(1, 2), 1, 2} <= set(nonzero)
+    first = {}
+    assert all(first.setdefault(x, x) is x for x in nonzero)
+
+
+@pytest.mark.parametrize("field", _COCYCLE_FIELDS, ids=str)
+def test_wedge_at_sums_into_out(field):
+    """`wedge_at(a, i, out)` adds the image of a into `out` as `collect`
+    does, dropping a term that cancels, and returns `out` itself."""
+    sp = tensor.Space(3, field)
+    a = tensor.TensorElement(sp, 4, {(1, 2, 3, 1): 1, (2, 1, 3, 1): 2, (3, 3, 2, 1): 4,
+                                     (1, 3, 2, 2): 1})
+    kept = ((1, 1), (2, 3), ())
+    for i in range(1, 4):
+        image = bimodule.wedge_at(a, i).terms
+        assert image and kept not in image
+        key, c = next(iter(image.items()))
+        start = {key: field.neg(c), kept: field.one}
+        out = dict(start)
+        assert bimodule.wedge_at(a, i, out) is out
+        assert key not in out and out[kept] == field.one
+        assert out == collect(field, image.items(), dict(start))
+        assert len(out) == len(image)
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (2, 5), (3, 5)])
+def test_cocycle_over_q_reduces_to_its_value_over_each_prime_field(ctx_cache, m, n):
+    """On a basis word the cocycle over Q is integral, and reduced mod p it
+    is the cocycle over F_p: the relation RREFs agree over every field."""
+    q_ctx = ctx_cache(m, n)
+    rng = random.Random(100 * m + n)
+    samples = [(tuple(rng.sample(range(1, n + 1), n)),
+                tuple(rng.randint(1, m) for _ in range(n))) for _ in range(300)]
+    q_values = [bimodule.cocycle(q_ctx, t, tensor.word_element(q_ctx.space, w))
+                for t, w in samples]
+    assert all(x.denominator == 1 for h in q_values for x in h)
+    assert sum(map(any, q_values)) > 200
+    for p in (2, 3, 5):
+        ctx = ctx_cache(m, n, GF(p))
+        for (t, w), h in zip(samples, q_values):
+            assert bimodule.cocycle(ctx, t, tensor.word_element(ctx.space, w)) == \
+                tuple(int(x) % p for x in h)

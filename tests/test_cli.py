@@ -583,3 +583,12 @@ def test_main_without_standalone_mode_returns_or_raises(capsys):
         cli.main(args)
     assert exc.value.code == 0
     assert cli.main.main is cli.main
+
+
+def test_nf_decimal_coefficient_over_a_prime_field_is_a_usage_error():
+    res = run("nf", "m", "--element", "0.5*[|1,2|3]", "--m", "3", "--field", "f3")
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert res.output.splitlines()[-1] == \
+        "Error: coefficient '0.5' is not an integer or a ratio of integers, as F3 requires"
+    # over Q the same coefficient is 1/2
+    assert run("nf", "m", "--element", "0.5*[|1,2|3]", "--m", "3").exit_code == 0

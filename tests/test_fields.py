@@ -138,3 +138,14 @@ def test_coerce_takes_only_exact_values(field):
     for value in (0.1, 0.5, 1.0, Decimal("0.5"), None, [1]):
         with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(value))} is not"):
             field.coerce(value)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1/0.5", "2.0/3", "", "1/", "/2", "x"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_prime_field_parse_refuses_what_is_not_a_ratio_of_integers(p, text):
+    """A decimal string, which Q would accept, is a ValueError naming the
+    coefficient and the field, not Python's own `int()` message."""
+    message = f"coefficient {text!r} is not an integer or a ratio of integers, as F{p} requires"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GF(p).coerce(text)
+    assert GF(p).coerce(" -7/2 ") == GF(p).div(-7 % p, 2)

@@ -113,3 +113,32 @@ def test_adjacent_transposition_is_cached_and_still_checks_its_index():
     for i in (0, 5):
         with pytest.raises(ValueError, match="out of range"):
             perms.adjacent_transposition(5, i)
+
+
+def _full_pass_perm_word(t):
+    """The bubble-sort word with every pass running over the whole tuple."""
+    a = list(t)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(a) - 1):
+            if a[i] > a[i + 1]:
+                a[i], a[i + 1] = a[i + 1], a[i]
+                word.append(i + 1)
+                changed = True
+    return tuple(word)
+
+
+def test_perm_word_passes_stop_at_the_last_swap_without_changing_the_word():
+    for n in range(8):
+        for t in perms.all_perms(n):
+            assert perms.perm_word(t) == _full_pass_perm_word(t)
+
+
+def test_mover_moves_letters_as_apply_to_positions():
+    for n in range(6):
+        letters = tuple(range(10, 10 + n))
+        for t in perms.all_perms(n):
+            assert perms._mover(t)(letters) == perms.apply_to_positions(t, letters)
+    assert perms._mover((2, 3, 1)) is perms._mover((2, 3, 1))
