@@ -231,10 +231,11 @@ def wedge_at(a: TensorElement, i: int, out: dict | None = None) -> BimodElement 
     `collect(..., out)` does, and `out` is returned; otherwise a new
     `BimodElement` is.
 
-    One loop builds and sums the terms.  Within one call only a word and
-    its swap at i share a term, so a sum can arise (and cancel) only
-    between those two; the same single pass, with its pairs summed by
-    `collect`, made a `cocycle` query 6-9% slower (in-process timing)."""
+    One loop builds and sums the terms.  Among the words of a, only a
+    word and its swap at i share a term, so a sum can arise (and cancel)
+    only between those two or with a term already in `out`; the same
+    single pass, with its pairs summed by `collect`, made a `cocycle`
+    query 6-9% slower (in-process timing)."""
     n = a.degree
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range 1..{n - 1}")

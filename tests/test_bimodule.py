@@ -150,6 +150,14 @@ def test_normal_form_degree_mismatch(ctx_cache):
         bimodule.normal_form(c23, wrong)
 
 
+def test_normal_form_refuses_an_element_over_another_field(ctx_cache):
+    c23 = ctx_cache(2, 3)
+    other = bimodule.BimodElement(tensor.Space(2, GF(3)), 3, {((1,), (1, 2), ()): 1})
+    for fn in (bimodule.normal_form, bimodule.coords_of):
+        with pytest.raises(ValueError, match="^element does not match the context$"):
+            fn(c23, other)
+
+
 def test_element_of_and_cocycle_refuse_the_wrong_shape(ctx_cache):
     ctx = ctx_cache(2, 3)
     for size in (ctx.ambient_dim - 1, ctx.ambient_dim + 1):
