@@ -2,8 +2,9 @@
 
 A degree-n basis term is (left word, wedge pair, right word) with the
 wedge pair strictly increasing; the two-sided word multiplication
-concatenates into the outer slots.  Two relation families are divided
-out:
+concatenates into the outer slots.  No command multiplies elements, so
+that multiplication is kept in `tests/conftest.py` (`bimodule_mult`) as
+a reference implementation.  Two relation families are divided out:
 
   * commutator transfer: (uv - vu) (x) mid (x) z^t  -  u^v (x) mid (x) (zt - tz)
   * Jacobi cycle:        [u, v^w] + [v, w^u] + [w, u^v]
@@ -35,12 +36,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import perms
-from .bases import Space, Word, check_word, collect
+from .bases import Space, check_word
 from .errors import Record, check_cap
 from .fields import Field, Scalar
 from .linalg import Row, _integral, echelon_rows, residue_list
-from .mseq import (BimodTerm, _expand, _jacobi_core, _relation_cores, _transfer_core,
-                   _translates, all_bimod_terms, ambient_dim)
+from .mseq import (BimodTerm, _expand, _relation_cores, _translates, all_bimod_terms,
+                   ambient_dim)
 # defined in `mseq`, and still importable from here, as the same object
 from .mseq import verify_sequence  # noqa: F401
 from .tensor import TensorElement, _SparseElement, perm_action
@@ -61,30 +62,6 @@ class BimodElement(_SparseElement):
         if len(left) + 2 + len(right) != degree:
             raise ValueError(f"term {(left, (a, b), right)} does not have degree {degree}")
         return left, (a, b), right
-
-
-def bimodule_mult(l: TensorElement, x: BimodElement, r: TensorElement) -> BimodElement:
-    """Two-sided word multiplication, bilinear in all three slots."""
-    if not (l.space == x.space == r.space):
-        raise ValueError("elements live over different spaces")
-    mul = x.space.field.mul
-    terms = collect(x.space.field, (((wl + a, pair, b + wr), mul(mul(cl, cx), cr))
-                                    for wl, cl in l.terms.items()
-                                    for (a, pair, b), cx in x.terms.items()
-                                    for wr, cr in r.terms.items()))
-    return BimodElement._own(x.space, l.degree + x.degree + r.degree, terms)
-
-
-def commutator_transfer(space: Space, x: int, y: int, mid: Word,
-                        z: int, t: int) -> BimodElement:
-    """(xy - yx) (x) mid (x) z^t  -  x^y (x) mid (x) (zt - tz)."""
-    mid = check_word(space, mid)
-    return BimodElement._own(space, len(mid) + 4, _transfer_core(space.field, x, y, mid, z, t))
-
-
-def jacobi_cycle(space: Space, x: int, y: int, z: int) -> BimodElement:
-    """[x, y^z] + [y, z^x] + [z, x^y], the cyclic commutator sum."""
-    return BimodElement._own(space, 3, _jacobi_core(space.field, x, y, z))
 
 
 def _two_sided_closure(space: Space, core: dict, n: int) -> Iterable[BimodElement]:
@@ -162,17 +139,6 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
                            dict(zip(pivots, rel_rows)))
 
 
-def _check_matches(ctx: QuotientContext, x: BimodElement) -> None:
-    if x.space != ctx.space or x.degree != ctx.degree:
-        raise ValueError("element does not match the context")
-
-
-def coords_of(ctx: QuotientContext, x: BimodElement) -> Row:
-    """Sparse coordinates of x on the canonical term basis."""
-    _check_matches(ctx, x)
-    return tuple(sorted((ctx.index[k], c) for k, c in x.terms.items()))
-
-
 def element_of(ctx: QuotientContext, vec: Sequence) -> BimodElement:
     if len(vec) != ctx.ambient_dim:
         raise ValueError("coordinate vector has the wrong length")
@@ -205,7 +171,8 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> tuple:
 
     x may hold ints for integral values over Q, as `linalg` does.  The
     coordinates go to `residue_list` unsorted, since it sorts its result."""
-    _check_matches(ctx, x)
+    if x.space != ctx.space or x.degree != ctx.degree:
+        raise ValueError("element does not match the context")
     field = ctx.space.field
     scalar = _scalars(field)
     index = ctx.index

@@ -1,11 +1,11 @@
 """Grid orchestration for exactness certificates.
 
 Runs the two sequence verifications over a grid of (m, n, field) cells,
-one cell after another, isolating failures and size-cap refusals per
-cell (an M->T->S cell is computed once for all its fields).  Results
-are reported in canonical (m, n, field name, sequence) order.  A grid
-loads the certifier of each sequence it runs, `mseq` or `sprimeseq`,
-and none of the element-algebra modules.
+one cell after another, isolating failures, size-cap refusals and
+crashes per cell (an M->T->S cell is computed once for all its
+fields).  Results are reported in canonical (m, n, field name,
+sequence) order.  A grid loads the certifier of each sequence it runs,
+`mseq` or `sprimeseq`, and none of the element-algebra modules.
 """
 
 from __future__ import annotations
@@ -48,9 +48,14 @@ def _verify_cell(m: int, n: int, field: Field, sequence: str, size_cap: int) -> 
         from . import sprimeseq
         return sprimeseq.verify_sequence(space, n, size_cap)
     except SizeCapError as e:
-        return Certificate(
-            sequence=sequence, m=m, n=n, field_name=field.name,
-            dims={}, checks=(), error=f"size_cap: {e}")
+        error = f"size_cap: {e}"
+    except Exception as e:
+        # any other fault, a MemoryError say, fails this cell alone, so the
+        # grid goes on and keeps the certificates already computed
+        error = f"internal: {type(e).__name__}: {e}"
+    return Certificate(
+        sequence=sequence, m=m, n=n, field_name=field.name,
+        dims={}, checks=(), error=error)
 
 
 def run_grid(grid: CheckGrid, which: str = "both") -> list[Certificate]:
@@ -63,8 +68,11 @@ def run_grid(grid: CheckGrid, which: str = "both") -> list[Certificate]:
     `elapsed_ms` of that one computation.  Lambda->S'->S is computed
     per field.
 
-    A size-cap refusal in one cell is reported in that cell's
-    certificate and never aborts the rest of the grid.
+    A size-cap refusal in one cell, or any other exception its
+    certifier raises, is reported in that cell's `error` and never
+    aborts the rest of the grid: a refusal as "size_cap: ..." (the cell
+    is capped), any other exception as "internal: <type>: <message>"
+    (the cell fails).
     """
     if which not in SEQUENCES:
         raise ValueError(f"unknown selection {which!r}; expected m, sprime, or both")

@@ -6,9 +6,15 @@ permutation of the other.  A word with a repeated letter is then
 equivalent to every permutation of itself, while a word with distinct
 letters belongs to one of two classes: the sorted word ("plain") or the
 sorted word with its first two letters swapped ("twisted").  Elements
-are stored directly on these orbit representatives; sorting a word and
-taking the parity of the sorting permutation computes its class in
-O(n log n), with no linear algebra.
+are stored directly on these classes; sorting a word and taking the
+parity of the sorting permutation computes its class in O(n log n),
+with no linear algebra.  This module holds the classes, their elements,
+and two maps, the flag-forgetting `to_sym` and the `wedge_embed` of
+alternating elements, which `degree2` compares with the tensor
+algebra's.  No command multiplies elements, so the product (concatenate
+a word of each class, then take the class), the swap of the first two
+factors and the list of classes are kept in `tests/conftest.py` as
+reference implementations.
 
 `verify_relation_span` certifies the shortcut in tensor coordinates from
 difference rows e_w - e_u under three partner rules.  The ideal pairs
@@ -33,8 +39,7 @@ import time
 from typing import Mapping
 
 from . import perms
-from .bases import (Space, Word, all_monomials, all_wedge_words, all_words, check_word,
-                    collect, dim_tensor, edge_rows)
+from .bases import Space, Word, all_words, check_word, collect, dim_tensor, edge_rows
 from .certificates import Certificate, CheckResult, certificate
 from .errors import Record, check_cap
 from .exterior import ExtElement, wedge_canon
@@ -100,19 +105,6 @@ def normal_form(word: Word) -> OrbitWord:
     return OrbitWord(canon[1], canon[0] == -1)
 
 
-def representative(e: OrbitWord) -> Word:
-    """A word in the class: the sorted word, with its first two letters
-    swapped for twisted classes.  Round-trips through `normal_form`.
-
-    >>> representative(OrbitWord((1, 2, 3), True))
-    (2, 1, 3)
-    """
-    if e.twisted:
-        w = e.word
-        return (w[1], w[0]) + w[2:]
-    return e.word
-
-
 class EvenSymElement(_JsonElement):
     """Homogeneous element on the orbit-word basis."""
 
@@ -138,31 +130,6 @@ def from_word(space: Space, word: Word, coeff: Scalar = 1) -> EvenSymElement:
     return EvenSymElement(space, len(word), {normal_form(word): coeff})
 
 
-def swap_first_two(a: EvenSymElement) -> EvenSymElement:
-    """The involution swapping the first two factors: toggles the flag
-    of distinct-letter classes, fixes classes with a repeat."""
-    if a.degree < 2:
-        raise ValueError(f"need degree >= 2, got {a.degree}")
-    out = {}
-    for k, c in a.terms.items():
-        if len(set(k.word)) == len(k.word):
-            k = OrbitWord(k.word, not k.twisted)
-        out[k] = c
-    return EvenSymElement._own(a.space, a.degree, out)
-
-
-def evensym_product(a: EvenSymElement, b: EvenSymElement) -> EvenSymElement:
-    """Concatenate representatives, then renormalize.  Associative, with
-    the empty word as unit; independent of the representative choice."""
-    if a.space != b.space:
-        raise ValueError("elements live over different spaces")
-    mul = a.space.field.mul
-    terms = collect(a.space.field,
-                    ((normal_form(representative(ka) + representative(kb)), mul(ca, cb))
-                     for ka, ca in a.terms.items() for kb, cb in b.terms.items()))
-    return EvenSymElement._own(a.space, a.degree + b.degree, terms)
-
-
 def to_sym(a: EvenSymElement) -> SymElement:
     """Forget the flag; an algebra morphism onto the symmetric part."""
     terms = collect(a.space.field, ((k.word, c) for k, c in a.terms.items()))
@@ -180,15 +147,6 @@ def wedge_embed(a: ExtElement) -> EvenSymElement:
         out[OrbitWord(w, False)] = c
         out[OrbitWord(w, True)] = f.neg(c)
     return EvenSymElement._own(a.space, a.degree, out)
-
-
-def basis_words(m: int, n: int) -> list[OrbitWord]:
-    """Canonical basis order: plain classes lexicographically, then
-    twisted classes lexicographically."""
-    out = [OrbitWord(w, False) for w in all_monomials(m, n)]
-    if n >= 2:
-        out.extend(OrbitWord(w, True) for w in all_wedge_words(m, n))
-    return out
 
 
 def _alternating_generators(n: int) -> tuple[perms.Perm, ...]:

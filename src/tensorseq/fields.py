@@ -57,7 +57,7 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The one ring interface for exact scalars.  Subclasses are immutable.
 
-    `add`, `sub`, `mul` and `neg` are Python's exact operators, right for
+    `add`, `mul` and `neg` are Python's exact operators, right for
     the rationals and the integers; `PrimeField` reduces them mod p.
     `is_unit` is what a certificate asks of a coefficient that must stay
     invertible in every field it stands for.  Rings are equal when they
@@ -68,7 +68,6 @@ class Field:
     one: Scalar
 
     add = operator.add
-    sub = operator.sub
     mul = operator.mul
     neg = operator.neg
 
@@ -160,9 +159,6 @@ class PrimeField(Field):
 
     def add(self, x, y):
         return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
 
     def mul(self, x, y):
         return (x * y) % self.p

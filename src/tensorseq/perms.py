@@ -4,19 +4,18 @@ A permutation is a tuple `t` with `t[k-1] = t(k)`.  Composition is
 function composition, `(s * t)(k) = s(t(k))`, and permutations act on
 letter tuples by moving the letter at position k to position t(k).
 
-`compose`, `inverse`, `apply_to_positions`, `parity`, `perm_word` and
-`perm_word_alt` raise `ValueError` on a tuple that is not a permutation.
-Each checks its arguments once per call; code inside the package that
-already holds a permutation it built or checked uses the unchecked
-`_compose`, `_apply_to_positions`, `_mover`, `_parity` and `_perm_word`.
+`compose`, `perm_word` and `perm_word_alt` raise `ValueError` on a tuple
+that is not a permutation.  Each checks its arguments once per call;
+code inside the package that already holds a permutation it built or
+checked uses the unchecked `_compose`, `_apply_to_positions`, `_mover`,
+`_parity` and `_perm_word`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations as _itertools_perms
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Perm = tuple
 
@@ -72,34 +71,11 @@ def _compose(s: Perm, t: Perm) -> Perm:
     return tuple(s[t[k] - 1] for k in range(len(t)))
 
 
-def inverse(t: Perm) -> Perm:
-    """
-    >>> inverse((2, 3, 1))
-    (3, 1, 2)
-    """
-    check_perm(t)
-    out = [0] * len(t)
-    for k, v in enumerate(t):
-        out[v - 1] = k + 1
-    return tuple(out)
-
-
-def apply_to_positions(t: Perm, letters: Sequence) -> tuple:
+def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
     """Move the entry at position k to position t(k): out[t(k)] = in[k].
 
     Equivalently out[h] = in[t^{-1}(h)], so this is a left action:
-    applying s after t agrees with applying `compose(s, t)`.
-
-    >>> apply_to_positions((2, 1, 3), (7, 8, 9))
-    (8, 7, 9)
-    """
-    if len(t) != len(letters):
-        raise ValueError("size mismatch")
-    check_perm(t)
-    return _apply_to_positions(t, letters)
-
-
-def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
+    applying s after t agrees with applying `compose(s, t)`."""
     out = [None] * len(t)
     for k, v in enumerate(t):
         out[v - 1] = letters[k]
@@ -117,16 +93,6 @@ def _mover(t: Perm):
         return tuple
     # position h of the result takes the letter at position t^{-1}(h)
     return itemgetter(*_apply_to_positions(t, range(len(t))))
-
-
-def parity(t: Perm) -> int:
-    """0 for even permutations, 1 for odd ones.
-
-    >>> parity((2, 3, 1)), parity((2, 1, 3))
-    (0, 1)
-    """
-    check_perm(t)
-    return _parity(t)
 
 
 def _parity(t: Perm) -> int:
@@ -148,21 +114,13 @@ def _parity(t: Perm) -> int:
 def sorting_perm(letters: Sequence) -> Perm:
     """The positions of `letters` in stably sorted order, as a permutation:
     position t(k) holds the k-th smallest letter.  For distinct letters
-    the `parity` of t is that of the inversion count of `letters`, found
+    the `_parity` of t is that of the inversion count of `letters`, found
     in O(n log n) instead of by an O(n^2) count of pairs.
 
     >>> sorting_perm((20, 30, 10))
     (3, 1, 2)
     """
     return tuple(sorted(range(1, len(letters) + 1), key=lambda k: letters[k - 1]))
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    return _itertools_perms(range(1, n + 1))
-
-
-def alternating_perms(n: int) -> Iterator[Perm]:
-    return (t for t in all_perms(n) if _parity(t) == 0)
 
 
 def compose_word(n: int, word: Sequence[int]) -> Perm:

@@ -4,7 +4,11 @@ Degree-n tensors are sparse maps from length-n words over the basis
 index set {1..m} to scalars; symmetric elements use weakly increasing
 words (monomials).  `symmetrize` is the degreewise projection sending a
 word to its sorted monomial; its kernel is the two-sided ideal generated
-by the commutators uv - vu.
+by the commutators uv - vu.  The elements add, scale and permute their
+positions (`perm_action`); no command multiplies them, so the products
+(concatenation, the commutator, the symmetric product) are kept in
+`tests/conftest.py`, as the reference implementations of the algebra
+laws the tests check.
 
 The word bases, their sizes, `Space` and `collect` live in `bases`.
 Every element map, here and in the other element modules, is linear on
@@ -188,21 +192,6 @@ def word_element(space: Space, word: Word, coeff: Scalar = 1) -> TensorElement:
     return TensorElement._own(space, len(word), {word: c} if c else {})
 
 
-def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Bilinear product; on words it is concatenation."""
-    if a.space != b.space:
-        raise ValueError("elements live over different spaces")
-    mul = a.space.field.mul
-    terms = collect(a.space.field, ((wa + wb, mul(ca, cb)) for wa, ca in a.terms.items()
-                                    for wb, cb in b.terms.items()))
-    return TensorElement._own(a.space, a.degree + b.degree, terms)
-
-
-def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
-    """a (x) b - b (x) a."""
-    return tensor_product(a, b) - tensor_product(b, a)
-
-
 def perm_action(t: perms.Perm, a: TensorElement) -> TensorElement:
     """Left action permuting tensor positions: out[t(k)] = in[k] per word."""
     if len(t) != a.degree:
@@ -218,14 +207,3 @@ def symmetrize(a: TensorElement) -> SymElement:
     """Project a tensor onto the symmetric component: sort each word."""
     terms = collect(a.space.field, ((tuple(sorted(w)), c) for w, c in a.terms.items()))
     return SymElement._own(a.space, a.degree, terms)
-
-
-def sym_product(a: SymElement, b: SymElement) -> SymElement:
-    """Commutative product: merge the monomials."""
-    if a.space != b.space:
-        raise ValueError("elements live over different spaces")
-    mul = a.space.field.mul
-    terms = collect(a.space.field, ((tuple(sorted(wa + wb)), mul(ca, cb))
-                                    for wa, ca in a.terms.items()
-                                    for wb, cb in b.terms.items()))
-    return SymElement._own(a.space, a.degree + b.degree, terms)

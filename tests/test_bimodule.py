@@ -2,7 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -14,7 +14,7 @@ from tensorseq.bases import collect
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import _ZZ, GF, QQ
 
-from conftest import CORES, contained
+from conftest import CORES, apply_to_positions, bimodule_mult, contained
 
 
 def test_ambient_dim():
@@ -40,12 +40,12 @@ def test_bimodule_mult_examples():
     sp = tensor.Space(2, QQ)
     x = bimodule.BimodElement(sp, 2, {((), (1, 2), ()): 1})
     one = tensor.word_element(sp, ())
-    assert bimodule.bimodule_mult(one, x, one) == x
+    assert bimodule_mult(one, x, one) == x
     v1 = tensor.word_element(sp, (1,))
     v2 = tensor.word_element(sp, (2,))
-    prod = bimodule.bimodule_mult(v1, x, v2)
+    prod = bimodule_mult(v1, x, v2)
     assert prod.terms == {((1,), (1, 2), (2,)): Fraction(1)}
-    lin = bimodule.bimodule_mult(v1 + v2, x, one)
+    lin = bimodule_mult(v1 + v2, x, one)
     assert lin.terms == {((1,), (1, 2), ()): Fraction(1), ((2,), (1, 2), ()): Fraction(1)}
 
 
@@ -55,10 +55,12 @@ def test_generators_expand_to_zero_all_instantiations():
     for field in (QQ, GF(2), GF(3)):
         sp = tensor.Space(3, field)
         for x, y, z in product(range(1, 4), repeat=3):
-            assert bimodule.expand_wedge(bimodule.jacobi_cycle(sp, x, y, z)).is_zero()
+            jacobi = bimodule.BimodElement(sp, 3, mseq._jacobi_core(field, x, y, z))
+            assert bimodule.expand_wedge(jacobi).is_zero()
         for x, y, z, t in product(range(1, 4), repeat=4):
             for mid in [(), (2,), (1, 3)]:
-                g = bimodule.commutator_transfer(sp, x, y, mid, z, t)
+                g = bimodule.BimodElement(sp, len(mid) + 4,
+                                          mseq._transfer_core(field, x, y, mid, z, t))
                 assert bimodule.expand_wedge(g).is_zero()
 
 
@@ -69,12 +71,13 @@ def _full_relation_rows(space, n):
     rows = []
     cores = []
     if n >= 3:
-        cores += [bimodule.jacobi_cycle(space, x, y, z)
+        cores += [bimodule.BimodElement(space, 3, mseq._jacobi_core(space.field, x, y, z))
                   for x, y, z in product(range(1, m + 1), repeat=3)]
     for k in range(n - 3):
         for x, y, z, t in product(range(1, m + 1), repeat=4):
             for mid in tensor.all_words(m, k):
-                cores.append(bimodule.commutator_transfer(space, x, y, mid, z, t))
+                cores.append(bimodule.BimodElement(
+                    space, len(mid) + 4, mseq._transfer_core(space.field, x, y, mid, z, t)))
     index = {term: i for i, term in enumerate(bimodule.all_bimod_terms(m, n))}
     for core in cores:
         if core.is_zero():
@@ -136,7 +139,8 @@ def test_normal_form_examples(ctx_cache):
     sp3 = c33.space
     for g in bimodule.relation_generators(sp3, 3):
         assert not any(bimodule.normal_form(c33, g))
-    assert not any(bimodule.normal_form(c33, bimodule.jacobi_cycle(sp3, 1, 2, 3)))
+    jacobi = bimodule.BimodElement(sp3, 3, mseq._jacobi_core(sp3.field, 1, 2, 3))
+    assert not any(bimodule.normal_form(c33, jacobi))
     c23 = ctx_cache(2, 3)
     single = bimodule.BimodElement(c23.space, 3, {((1,), (1, 2), ()): 1})
     vec = bimodule.normal_form(c23, single)
@@ -153,9 +157,8 @@ def test_normal_form_degree_mismatch(ctx_cache):
 def test_normal_form_refuses_an_element_over_another_field(ctx_cache):
     c23 = ctx_cache(2, 3)
     other = bimodule.BimodElement(tensor.Space(2, GF(3)), 3, {((1,), (1, 2), ()): 1})
-    for fn in (bimodule.normal_form, bimodule.coords_of):
-        with pytest.raises(ValueError, match="^element does not match the context$"):
-            fn(c23, other)
+    with pytest.raises(ValueError, match="^element does not match the context$"):
+        bimodule.normal_form(c23, other)
 
 
 def test_element_of_and_cocycle_refuse_the_wrong_shape(ctx_cache):
@@ -172,7 +175,7 @@ def test_normal_form_separates_classes(ctx_cache):
     ctx = ctx_cache(3, 3)
     sp = ctx.space
     x = bimodule.BimodElement(sp, 3, {((1,), (2, 3), ()): 1})
-    jac = bimodule.jacobi_cycle(sp, 1, 2, 3)
+    jac = bimodule.BimodElement(sp, 3, mseq._jacobi_core(sp.field, 1, 2, 3))
     assert bimodule.normal_form(ctx, x) == bimodule.normal_form(ctx, x + jac)
     y = bimodule.BimodElement(sp, 3, {((2,), (1, 3), ()): 1})
     assert bimodule.normal_form(ctx, x) != bimodule.normal_form(ctx, y)
@@ -619,6 +622,41 @@ def test_leading_terms_are_the_terms_off_the_last_ascent(m, n, field):
     assert len(last) == m ** n - comb(m + n - 1, n)
 
 
+def _basis_cores(m, n):
+    """The Jacobi cores J(a, b, c) with a < b < c, and the transfer cores
+    T(a, b, mid, z, t) with a < b, z < t and b >= mid[0] >= ... >=
+    mid[-1] >= z (b >= z when mid is empty), of degree at most n."""
+    letters = range(1, m + 1)
+    if n >= 3:
+        for a, b, c in combinations(letters, 3):
+            yield mseq._jacobi_core(_ZZ, a, b, c)
+    for k in range(n - 3):
+        for a, b in combinations(letters, 2):
+            for z, t in combinations(letters, 2):
+                for mid in tensor.all_words(m, k):
+                    run = (b,) + mid + (z,)
+                    if all(x >= y for x, y in zip(run, run[1:])):
+                        yield mseq._transfer_core(_ZZ, a, b, mid, z, t)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (2, 7), (3, 3), (3, 4), (3, 5),
+                                 (3, 6), (3, 7), (4, 5), (5, 4)])
+def test_translates_of_the_basis_cores_have_distinct_leading_terms(m, n):
+    """The basis behind a free presentation of M (ROADMAP item 2): the
+    translates of `_basis_cores` have pairwise distinct leading terms, so
+    they are independent; there are ambient - m^n + C(m+n-1, n) of them,
+    the relation rank; and they are the witness's leading terms.  So
+    these translates alone form a basis of the degree-n relations."""
+    leads = []
+    for core in _basis_cores(m, n):
+        a, pair, b = min(core, key=mseq._term_order)
+        leads += [(left + a, pair, b + right)
+                  for left, right in mseq._translates(m, n, len(a) + 2 + len(b))]
+    assert len(set(leads)) == len(leads)
+    assert len(leads) == mseq.ambient_dim(m, n) - m ** n + comb(m + n - 1, n)
+    assert set(leads) == mseq._leading_terms(tensor.Space(m, _ZZ), n)[0]
+
+
 @pytest.mark.parametrize("m,n,field", [(3, 5, QQ), (3, 4, GF(2)), (2, 6, GF(3)), (4, 4, QQ),
                                        (3, 3, GF(3))])
 def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, field):
@@ -678,7 +716,7 @@ def test_cocycle_matches_the_summing_loop(ctx_cache, data):
     words = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * n), min_size=1, max_size=4))
     for w in data.draw(st.lists(st.sampled_from(words), max_size=2)):
         i = data.draw(st.integers(1, n - 1))
-        words.append(perms.apply_to_positions(perms.adjacent_transposition(n, i), w))
+        words.append(apply_to_positions(perms.adjacent_transposition(n, i), w))
     coeffs = data.draw(st.lists(_nonzero_scalars(field), min_size=len(words),
                                 max_size=len(words)))
     terms: dict = {}

@@ -498,6 +498,23 @@ def test_run_grid_cap_isolated_per_cell():
     assert "size_cap" in by_n[5].error
 
 
+def test_run_grid_isolates_a_crashing_cell(crash_cell):
+    """An exception other than a cap refusal fails its own cell, M and S'
+    alike, with the exception in `error`; the cell is not capped, and
+    every other cell is still certified."""
+    crash_cell(3, 3)
+    certs = certify.run_grid(certify.CheckGrid((2, 3), (2, 3), (QQ, GF(3))), "both")
+    assert len(certs) == 16
+    crashed = [c for c in certs if (c.m, c.n) == (3, 3)]
+    assert sorted((c.sequence, c.field_name) for c in crashed) == [
+        ("Lambda->S'->S", "F3"), ("Lambda->S'->S", "Q"), ("M->T->S", "F3"), ("M->T->S", "Q")]
+    for c in crashed:
+        assert c.error == "internal: MemoryError: out of memory"
+        assert not c.passed and not c.capped and c.checks == () and c.dims == {}
+        assert c.summary() == f"[FAIL] {c.sequence} m=3 n=3 field={c.field_name}"
+    assert all(c.passed for c in certs if (c.m, c.n) != (3, 3))
+
+
 def test_degree2_cells_reproduce_classical_sequence():
     for m in (2, 3, 4):
         mc = bimodule.verify_sequence(tensor.Space(m, QQ), 2)
@@ -568,19 +585,20 @@ def test_json_canonical_and_roundtrips():
 
 
 def test_q_and_large_prime_certificates_agree():
-    """Every matrix certified here has entries 0 and +-1 and small minors,
-    so its ranks over Q and modulo 2^31 - 1 coincide: both fields must give
-    the same dimensions and the same check outcomes."""
-    big = GF(2_147_483_647)
-    grid = certify.CheckGrid((2, 3), (2, 3, 4, 5), (QQ, big))
-    certs = certify.run_grid(grid, "both")
-    by_field = {}
-    for c in certs:
-        by_field.setdefault((c.sequence, c.m, c.n), {})[c.field_name] = c
-    assert len(by_field) == 16
-    for key, pair in by_field.items():
-        q, p = pair["Q"], pair[big.name]
-        assert q.dims == p.dims, key
-        assert [(ch.name, ch.passed, ch.detail) for ch in q.checks] == \
-            [(ch.name, ch.passed, ch.detail) for ch in p.checks], key
-        assert q.passed and p.passed, key
+    """Every certificate here rests on graphs and fibres: image rows
+    e_u - e_v and projection rows holding one 1, whose ranks are the
+    same over every field (`mseq` docstring), so Q and each prime field,
+    2 and 2^31 - 1 alike, must give the same certificate: dimensions,
+    check outcomes and details.  The S' range runs up to m = 8, n = 6."""
+    grids = [("both", (2, 3), (2, 3, 4, 5)), ("sprime", tuple(range(1, 9)), (2, 3, 4, 5, 6))]
+    for field in (GF(2), GF(3), GF(5), GF(2_147_483_647)):
+        for which, ms, ns in grids:
+            certs = certify.run_grid(certify.CheckGrid(ms, ns, (QQ, field)), which)
+            by_field = {}
+            for c in certs:
+                by_field.setdefault(c.field_name, []).append(c.stamped("Q").to_json_dict(False))
+            cells = len(ms) * len(ns) * (2 if which == "both" else 1)
+            assert sorted(by_field) == sorted(["Q", field.name])
+            assert len(by_field["Q"]) == cells
+            assert by_field[field.name] == by_field["Q"], (field, which)
+            assert all(doc["pass"] for doc in by_field["Q"]), (field, which)

@@ -131,6 +131,23 @@ def test_answers_need_a_certified_cell(break_sign, monkeypatch, args):
     assert res.output == "[FAIL] M->T->S m=3 n=3 field=Q\n"
 
 
+def test_check_reports_a_crashing_cell_and_exits_1(crash_cell):
+    """A cell whose certifier raises is written to stdout as a failed
+    certificate with the exception in its `error`, the other cells are
+    certified, and the exit code is that of a failed check."""
+    crash_cell(2, 3)
+    res = run("check", "both", "--m", "2", "--n", "2..4", "--field", "q,f3", "--no-timing")
+    assert res.exit_code == 1
+    docs = json.loads(res.stdout_bytes)
+    assert len(docs) == 12
+    for d in docs:
+        if d["n"] == 3:
+            assert d["error"] == "internal: MemoryError: out of memory" and not d["pass"]
+        else:
+            assert "error" not in d and d["pass"]
+    assert res.stderr.count("[FAIL]") == 4 and res.stderr.count("[PASS]") == 8
+
+
 def test_cocycle_over_the_cap_exits_3():
     res = run("cocycle", "--m", "3", "--n", "3", "--samples", "0", "--size-cap", "10")
     assert res.exit_code == 3

@@ -14,6 +14,9 @@ from tensorseq.errors import SizeCapError
 from tensorseq.fields import GF, QQ
 from tensorseq.evensym import OrbitWord
 
+from conftest import (alternating_perms, apply_to_positions, basis_words, evensym_product, parity,
+                      representative, swap_first_two, sym_product)
+
 
 def test_normal_form_examples():
     for w in [(1, 1, 2), (1, 2, 1), (2, 1, 1)]:
@@ -27,20 +30,20 @@ def test_normal_form_orbit_oracle():
     """Independent oracle: two words share a normal form iff one is an
     even permutation of the other (enumerated directly)."""
     for n in (2, 3, 4):
-        evens = list(perms.alternating_perms(n))
+        evens = list(alternating_perms(n))
         for w in product((1, 2, 3), repeat=n):
-            orbit = {perms.apply_to_positions(s, w) for s in evens}
+            orbit = {apply_to_positions(s, w) for s in evens}
             nf = evensym.normal_form(w)
             for u in product((1, 2, 3), repeat=n):
                 assert (evensym.normal_form(u) == nf) == (u in orbit)
 
 
 def test_representative_examples_and_roundtrip():
-    assert evensym.representative(OrbitWord((1, 2, 3), True)) == (2, 1, 3)
-    assert evensym.representative(OrbitWord((1, 1, 2), False)) == (1, 1, 2)
+    assert representative(OrbitWord((1, 2, 3), True)) == (2, 1, 3)
+    assert representative(OrbitWord((1, 1, 2), False)) == (1, 1, 2)
     for n in range(5):
-        for k in evensym.basis_words(3, n):
-            assert evensym.normal_form(evensym.representative(k)) == k
+        for k in basis_words(3, n):
+            assert evensym.normal_form(representative(k)) == k
 
 
 def test_orbit_word_validation():
@@ -67,32 +70,32 @@ def test_orbit_words_do_not_order_against_other_types(other):
 def test_swap_first_two():
     sp = tensor.Space(3, QQ)
     plain = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 2, 3), False): 1})
-    twisted = evensym.swap_first_two(plain)
+    twisted = swap_first_two(plain)
     assert twisted.terms == {OrbitWord((1, 2, 3), True): Fraction(1)}
     rep = evensym.EvenSymElement(sp, 3, {OrbitWord((1, 1, 2), False): 1})
-    assert evensym.swap_first_two(rep) == rep
-    assert evensym.swap_first_two(twisted) == plain
+    assert swap_first_two(rep) == rep
+    assert swap_first_two(twisted) == plain
     with pytest.raises(ValueError):
-        evensym.swap_first_two(evensym.from_word(sp, (1,)))
+        swap_first_two(evensym.from_word(sp, (1,)))
 
 
 def test_swap_is_involution_and_projection_invariant():
     sp = tensor.Space(3, QQ)
     for n in (2, 3, 4):
-        for k in evensym.basis_words(3, n):
+        for k in basis_words(3, n):
             e = evensym.EvenSymElement(sp, n, {k: 1})
-            assert evensym.swap_first_two(evensym.swap_first_two(e)) == e
-            assert evensym.to_sym(evensym.swap_first_two(e)) == evensym.to_sym(e)
+            assert swap_first_two(swap_first_two(e)) == e
+            assert evensym.to_sym(swap_first_two(e)) == evensym.to_sym(e)
 
 
 def test_product_examples():
     sp = tensor.Space(2, QQ)
     e1 = evensym.from_word(sp, (1,))
     e2 = evensym.from_word(sp, (2,))
-    assert evensym.evensym_product(e1, e2).terms == {OrbitWord((1, 2), False): Fraction(1)}
-    assert evensym.evensym_product(e2, e1).terms == {OrbitWord((1, 2), True): Fraction(1)}
+    assert evensym_product(e1, e2).terms == {OrbitWord((1, 2), False): Fraction(1)}
+    assert evensym_product(e2, e1).terms == {OrbitWord((1, 2), True): Fraction(1)}
     twisted12 = evensym.EvenSymElement(sp, 2, {OrbitWord((1, 2), True): 1})
-    p = evensym.evensym_product(e1, twisted12)
+    p = evensym_product(e1, twisted12)
     assert p.terms == {OrbitWord((1, 1, 2), False): Fraction(1)}
 
 
@@ -100,10 +103,10 @@ def test_product_unit_and_space_check():
     sp = tensor.Space(2, QQ)
     one = evensym.from_word(sp, ())
     a = evensym.from_word(sp, (2, 1), Fraction(5, 3))
-    assert evensym.evensym_product(one, a) == a
-    assert evensym.evensym_product(a, one) == a
+    assert evensym_product(one, a) == a
+    assert evensym_product(a, one) == a
     with pytest.raises(ValueError):
-        evensym.evensym_product(a, evensym.from_word(tensor.Space(3, QQ), (1,)))
+        evensym_product(a, evensym.from_word(tensor.Space(3, QQ), (1,)))
 
 
 def test_product_well_defined_on_representatives():
@@ -114,10 +117,10 @@ def test_product_well_defined_on_representatives():
         nv = rng.randint(1, 4)
         u = tuple(rng.randint(1, 3) for _ in range(nu))
         v = tuple(rng.randint(1, 3) for _ in range(nv))
-        su = rng.choice(list(perms.alternating_perms(nu)))
-        sv = rng.choice(list(perms.alternating_perms(nv)))
-        u2 = perms.apply_to_positions(su, u)
-        v2 = perms.apply_to_positions(sv, v)
+        su = rng.choice(list(alternating_perms(nu)))
+        sv = rng.choice(list(alternating_perms(nv)))
+        u2 = apply_to_positions(su, u)
+        v2 = apply_to_positions(sv, v)
         assert evensym.normal_form(u + v) == evensym.normal_form(u2 + v2)
 
 
@@ -139,8 +142,8 @@ def test_product_associative_randomized():
             a = _rand_elem(rng, sp, rng.randint(0, 3))
             b = _rand_elem(rng, sp, rng.randint(0, 3))
             c = _rand_elem(rng, sp, rng.randint(0, 3))
-            assert evensym.evensym_product(evensym.evensym_product(a, b), c) == \
-                evensym.evensym_product(a, evensym.evensym_product(b, c))
+            assert evensym_product(evensym_product(a, b), c) == \
+                evensym_product(a, evensym_product(b, c))
 
 
 def test_to_sym_examples_and_multiplicativity():
@@ -155,8 +158,8 @@ def test_to_sym_examples_and_multiplicativity():
     for _ in range(40):
         a = _rand_elem(rng, sp, rng.randint(0, 3))
         b = _rand_elem(rng, sp, rng.randint(0, 3))
-        assert evensym.to_sym(evensym.evensym_product(a, b)) == \
-            tensor.sym_product(evensym.to_sym(a), evensym.to_sym(b))
+        assert evensym.to_sym(evensym_product(a, b)) == \
+            sym_product(evensym.to_sym(a), evensym.to_sym(b))
 
 
 def test_wedge_embed():
@@ -174,19 +177,19 @@ def test_wedge_embed():
 def test_dims_against_orbit_count():
     def orbit_count(m, n):
         seen, count = set(), 0
-        evens = list(perms.alternating_perms(n))
+        evens = list(alternating_perms(n))
         for w in product(range(1, m + 1), repeat=n):
             if w in seen:
                 continue
             count += 1
-            seen.update(perms.apply_to_positions(s, w) for s in evens)
+            seen.update(apply_to_positions(s, w) for s in evens)
         return count
 
     for m in (1, 2, 3):
         for n in (0, 1, 2, 3, 4):
             expected = orbit_count(m, n)
             assert evensym.dim_evensym(m, n) == expected
-            assert len(evensym.basis_words(m, n)) == expected
+            assert len(basis_words(m, n)) == expected
     assert evensym.dim_evensym(3, 3) == 11
     assert evensym.dim_evensym(2, 3) == 4
     for m in (1, 2, 3, 4):
@@ -195,7 +198,7 @@ def test_dims_against_orbit_count():
 
 
 def test_basis_words_unique_and_ordered():
-    b = evensym.basis_words(3, 3)
+    b = basis_words(3, 3)
     assert len(set(b)) == len(b)
     plains = [k for k in b if not k.twisted]
     assert b[:len(plains)] == plains  # plain classes first
@@ -243,7 +246,7 @@ def test_projection_and_embedding_matrices_match_the_maps(field):
     for m in range(6):
         sp = tensor.Space(m, field)
         for n in range(2, 8):
-            classes = evensym.basis_words(m, n)
+            classes = basis_words(m, n)
             monomials = list(tensor.all_monomials(m, n))
             sym_m = evensym.to_sym_matrix(sp, n)
             assert sym_m.ncols == len(monomials)
@@ -288,7 +291,6 @@ def test_relation_span_caps_its_rows_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(perms, "alternating_perms", no_enumeration)
     for name in ("all_words", "normal_form", "_relation_rows"):
         monkeypatch.setattr(evensym, name, no_enumeration)
     start = time.perf_counter()
@@ -307,7 +309,7 @@ def test_alternating_generators_generate_the_alternating_group(n):
         frontier = [perms.compose(g, t) for t in frontier for g in generators]
         frontier = [t for t in set(frontier) if t not in group]
         group.update(frontier)
-    assert group == set(perms.alternating_perms(n))
+    assert group == set(alternating_perms(n))
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3) for n in range(3, 7)])
@@ -325,8 +327,8 @@ def test_relation_rules_match_their_literal_definitions(m, n, fields_qf23):
                     i, j = index[left + (x, y, z) + right], index[left + (y, z, x) + right]
                     if i != j:
                         translates.add((i, j))
-    pairs = {frozenset((index[w], index[perms.apply_to_positions(s, w)]))
-             for s in perms.alternating_perms(n) for w in words}
+    pairs = {frozenset((index[w], index[apply_to_positions(s, w)]))
+             for s in alternating_perms(n) for w in words}
     pairs = sorted(tuple(sorted(p)) for p in pairs if len(p) == 2)
     generators = evensym._alternating_generators(n)
     for field in fields_qf23:
@@ -372,7 +374,7 @@ def test_sorting_parity_matches_inversion_count(letters):
         assert canon is None
     else:
         odd = _inversions(word) % 2 == 1
-        assert perms.parity(perms.sorting_perm(word)) == int(odd)
+        assert parity(perms.sorting_perm(word)) == int(odd)
         assert k.twisted == odd
         assert canon == (-1 if odd else 1, tuple(sorted(word)))
 

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tensorseq import exterior, linalg, perms, tensor
+from tensorseq import exterior, linalg, tensor
 from tensorseq.fields import GF, QQ
 
-from conftest import contained
+from conftest import apply_to_positions, contained, parity
 
 
 def test_wedge_canon_examples():
@@ -23,9 +23,9 @@ def test_wedge_canon_sign_equivariance():
         letters = tuple(rng.sample(range(1, 10), n))
         s = tuple(rng.sample(range(1, n + 1), n))
         sign0, sorted0 = exterior.wedge_canon(letters)
-        signs, sorteds = exterior.wedge_canon(perms.apply_to_positions(s, letters))
+        signs, sorteds = exterior.wedge_canon(apply_to_positions(s, letters))
         assert sorted0 == sorteds
-        assert signs == sign0 * (-1 if perms.parity(s) else 1)
+        assert signs == sign0 * (-1 if parity(s) else 1)
 
 
 def test_wedge_word_element_folds_sign():

