@@ -75,11 +75,14 @@ def _two_sided_closure(space: Space, core: dict, n: int) -> Iterable[BimodElemen
 
 
 def relation_generators(space: Space, n: int) -> list[BimodElement]:
-    """A degree-n spanning set of the relation subbimodule: every
-    two-sided translate of every `mseq._relation_cores` core into
-    degree n.  Translating by basis words is injective, so none of them
-    is zero."""
-    return [g for core in _relation_cores(space, n) for g in _two_sided_closure(space, core, n)]
+    """A basis of the degree-n relations: every two-sided translate into
+    degree n of every basis core of `mseq._relation_cores`.  Their
+    leading terms are pairwise distinct, so they are independent, and
+    they span the relations of every core (the `mseq` docstring; each
+    certified M->T->S cell checks both).  Translating by basis words is
+    injective, so none of them is zero."""
+    return [g for core, basis in _relation_cores(space, n) if basis
+            for g in _two_sided_closure(space, core, n)]
 
 
 class QuotientContext(Record):
@@ -126,7 +129,9 @@ def _bottom_up(rows: Iterable[Row]) -> list[Row]:
 
 
 def build_context(space: Space, n: int, size_cap: int | None = None) -> QuotientContext:
-    """Enumerate degree-n terms and row-reduce the relation span."""
+    """Enumerate degree-n terms and row-reduce `relation_generators`, a
+    basis of the degree-n relations, so the RREF has one row per
+    generator."""
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
     check_cap(ambient_dim(space.dim, n), size_cap)

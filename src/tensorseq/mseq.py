@@ -19,46 +19,75 @@ terms in `BimodElement`s for its quotient arithmetic.
 takes it from a leading-term witness instead of an elimination.  Order
 the degree-n terms canonically, by (len(left), left, pair, right), as
 `all_bimod_terms` lists them, and call a relation's smallest term its
-leading term.  The argument has four steps:
+leading term.  R is spanned by the two-sided word translates l.core.r
+of every core of `_relation_cores`, by the word pairs (l, r) of
+`_translates`, and `_relation_cores` flags the basis cores among them:
 
-  * the generators are the two-sided word translates l.core.r of a
-    few cores (`_relation_cores`), by the word pairs (l, r) of
-    `_translates`, which `bimodule` iterates to build the same
-    generators for its quotient.  Translation preserves the order,
-    because every term of a core has the same degree, so the leading
-    term of l.core.r is l.lead(core).r and the leading terms are counted
-    as tuples, with no translate built;
+  * every Jacobi core J(x, y, z) with x < y < z, whose leading term is
+    ((), x^y, (z));
+  * the transfer cores T(x, y, mid, z, t) with x < y, z < t and
+    y >= mid[0] >= ... >= mid[-1] >= z (y >= z when mid is empty),
+    whose leading term is ((), x^y, mid.z.t).
+
+The witness checks every core and translates only the basis cores.  The
+argument has four steps:
+
+  * translation preserves the order, because every term of a core has
+    the same degree, so the leading term of l.core.r is l.lead(core).r.
+    The witness forms these as tuples for the translates of the basis
+    cores, with no translate built; `bimodule` builds the same
+    translates as the generators of its quotient;
   * one generator per distinct leading term gives rows in echelon form,
     so k distinct leading terms give k <= rank R;
   * expansion commutes with two-sided multiplication, and translation by
-    basis words is injective on tensors, so every generator expands to
-    zero exactly when every core does, which is checked once per core.
-    Then R lies in the kernel of the expansion E, and
+    basis words is injective on tensors, so a translate expands to zero
+    exactly when its core does.  R is defined by every core, so each
+    core of the full family, basis core or not, is checked once.  Then
+    R lies in the kernel of the expansion E, and
     rank R <= ambient - rank E, where `image_equals_kernel` returns
     rank E as words minus connected components;
-  * so k = ambient - rank E proves rank R = k, and then R = ker E.
+  * so k = ambient - rank E proves rank R = k, and then R = ker E.  The
+    basis translates have k distinct leading terms, so on a certified
+    cell there are exactly k of them, and they are a basis of R.
 
 The witness always closes: k = ambient - rank E on every cell, by a
 lemma in the setting of Bergman's Diamond Lemma (Adv. Math. 29, 1978).
 Call the wedge of a term (l, a^b, r) at the last ascent of its word
-l.a.b.r when b >= r[0] >= r[1] >= ... .  Every other term is the
-leading term of a generator; look at the first ascent after a.b:
+l.a.b.r when b >= r[0] >= r[1] >= ... .  Read any other term from its
+wedge to the first ascent after a.b:
 
-  * if it is b < r[0], the term is l.lead(J(a, b, r[0])).r[1:], where
-    the Jacobi core J(x, y, z) has leading term ((), x^y, (z));
+  * if it is b < r[0], the term is l.lead(J(a, b, r[0])).r[1:];
   * if it is r[j] < r[j+1] with j >= 0, the term is
-    l.lead(T(a, b, r[:j], r[j], r[j+1])).r[j+2:], where the transfer core
-    T(x, y, mid, z, t) has leading term ((), x^y, mid.z.t).
+    l.lead(T(a, b, r[:j], r[j], r[j+1])).r[j+2:], and
+    b >= r[0] >= ... >= r[j] makes T a basis core.
 
-Both cores are nonzero members of `_relation_cores` of degree at most
-n.  A leading term has an ascent right after its wedge, so no leading
-term is a last-ascent term.  The last-ascent terms match the words that
-are not weakly decreasing one to one (the wedge marks the word's last
-ascent).  Each component of the adjacent-swap graph holds one weakly
-decreasing word, so there are m^n - C(m+n-1, n) = rank E of them, and
-k = ambient - rank E whenever the relation cores are the real ones.  The
-certificate does not rely on the lemma: the count is checked against
-the bound on every cell, and a cell whose count falls short fails.
+Conversely, the leading term of a basis translate has its first ascent
+after the wedge exactly there, so decoding by the first ascent gives
+back the core and (l, r): the basis translates' leading terms are
+pairwise distinct, and they are the terms that are not last-ascent
+terms.  The last-ascent terms match the words that are not weakly
+decreasing one to one (the wedge marks the word's last ascent).  Each
+component of the adjacent-swap graph holds one weakly decreasing word,
+so there are m^n - C(m+n-1, n) = rank E of them, and the basis
+translates number k = ambient - rank E whenever the relation cores are
+the real ones.  The certificate does not rely on the lemma: the count
+is checked against the bound on every cell, and a cell whose count
+falls short fails.
+
+So R is the free T(V)-bimodule on the span C of the basis cores, and
+
+  0 -> T (x) C (x) T -> T (x) Lambda^2 (x) T -> M -> 0
+
+is a free resolution of M.  Its degree-n part C_n is a complement of
+V.R_(n-1) + R_(n-1).V in R_n: the relations new in degree n.  With
+H_M(t) = 1/(1 - mt) - 1/(1 - t)^m from 0 -> M -> T -> S -> 0, the
+resolution gives H_M(t) = (C(m,2) t^2 - H_C(t)) / (1 - mt)^2, so
+
+  H_C(t) = C(m,2) t^2 - (1 - mt) + (1 - mt)^2 / (1 - t)^m.
+
+C_n != 0 for every n >= 4 once m >= 2: the transfer cores T(1, 2, mid,
+1, 2) with mid weakly decreasing in {1, 2} alone number n - 3.  So R is
+not finitely generated, and no bound on the length of `mid` suffices.
 
 `verify_sequence` computes over the integers (`fields._ZZ`), once per
 (m, n), and its certificate holds over Q and every F_p.  Reducing the
@@ -160,24 +189,29 @@ def _jacobi_core(field: Field, x: int, y: int, z: int) -> dict:
     return collect(field, _wedge_terms(field, items))
 
 
-def _relation_cores(space: Space, n: int) -> Iterator[dict]:
-    """The nonzero relation cores of degree at most n whose two-sided
-    translates span the degree-n relations: Jacobi cycles, then
-    commutator transfers by middle length, each as {term: coeff}.
+def _relation_cores(space: Space, n: int) -> Iterator[tuple[dict, bool]]:
+    """The relation cores of degree at most n whose two-sided translates
+    span the degree-n relations: Jacobi cycles, then commutator
+    transfers by middle length, each as ({term: coeff}, basis).  `basis`
+    marks the basis cores, whose translates alone are a basis of the
+    relations (module docstring): every Jacobi core, and the transfer
+    cores T(x, y, mid, z, t) with y >= mid[0] >= ... >= mid[-1] >= z.
 
     Cores are instantiated on ordered index tuples only: both families
     are multilinear and alternating in the relevant slots, so unordered
-    or repeated instantiations are scalar multiples of ordered ones.
+    or repeated instantiations are scalar multiples of ordered ones.  No
+    ordered core is zero: its terms are distinct.
     """
     f = space.field
     letters = range(1, space.dim + 1)
-    jacobi = (_jacobi_core(f, x, y, z) for x, y, z in combinations(letters, 3))
-    transfers = (_transfer_core(f, x, y, mid, z, t)
+    jacobi = ((_jacobi_core(f, x, y, z), True) for x, y, z in combinations(letters, 3))
+    transfers = ((_transfer_core(f, x, y, mid, z, t),
+                  all(p >= q for p, q in zip((y,) + mid, mid + (z,))))
                  for k in range(n - 3)
                  for x, y in combinations(letters, 2)
                  for z, t in combinations(letters, 2)
                  for mid in all_words(space.dim, k))
-    return (core for core in chain(jacobi if n >= 3 else (), transfers) if core)
+    return chain(jacobi if n >= 3 else (), transfers)
 
 
 def _expand(field: Field, terms: dict) -> dict:
@@ -205,19 +239,20 @@ def _term_order(term: BimodTerm) -> tuple:
 
 def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
     """The distinct leading terms of the degree-n relation generators,
-    and the first fault among the relation cores, or None: a leading
-    coefficient that is not a unit of the ring (over the integers, not
-    +-1), or an expansion that is not zero.
+    the translates of the basis cores, and the first fault among all
+    the relation cores, or None: a leading coefficient that is not a
+    unit of the ring (over the integers, not +-1), or an expansion that
+    is not zero.
 
     The leading term of l.core.r is l.lead(core).r, so the translates'
-    leading terms are formed as tuples and no translate is built; each
-    core is checked once, up to the first fault (see the module
-    docstring)."""
+    leading terms are formed as tuples and no translate is built; every
+    core, basis core or not, is checked once, up to the first fault (see
+    the module docstring)."""
     m = space.dim
     field = space.field
     leads: set = set()
     fault = None
-    for core in _relation_cores(space, n):
+    for core, basis in _relation_cores(space, n):
         lead = min(core, key=_term_order)
         if fault is None:
             if not field.is_unit(core[lead]):
@@ -225,9 +260,10 @@ def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
                          f"{core[lead]}, not +-1")
             elif _expand(field, core):
                 fault = "relations do not expand to zero"
-        a, pair, b = lead
-        leads.update((left + a, pair, b + right)
-                     for left, right in _translates(m, n, len(a) + 2 + len(b)))
+        if basis:
+            a, pair, b = lead
+            leads.update((left + a, pair, b + right)
+                         for left, right in _translates(m, n, len(a) + 2 + len(b)))
     return leads, fault
 
 
@@ -256,8 +292,9 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     of a graph's edges, with no elimination, and returns rank E.
 
     The relation rank is k, the number of distinct leading terms among
-    the generators (module docstring): k <= rank R always, and once every
-    core expands to zero, R lies in ker E, so rank R <= ambient - rank E.
+    the generators, the translates of the basis cores (module
+    docstring): k <= rank R always, and once every core expands to
+    zero, R lies in ker E, so rank R <= ambient - rank E.
     `injective_rank` passes when every core has leading coefficient +-1
     and expands to zero, and k = ambient - rank E; then R = ker E, and
     the quotient, of dimension ambient - k = rank E, maps injectively.

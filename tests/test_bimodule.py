@@ -64,11 +64,11 @@ def test_generators_expand_to_zero_all_instantiations():
                 assert bimodule.expand_wedge(g).is_zero()
 
 
-def _full_relation_rows(space, n):
-    """Naive spanning family: cores over all index tuples, not just the
-    ordered ones the library enumerates."""
+def _full_relation_translates(space, n):
+    """Naive spanning family: the degree-n translates, as {term: coeff},
+    of the cores over all index tuples, not just the ordered ones the
+    library enumerates."""
     m = space.dim
-    rows = []
     cores = []
     if n >= 3:
         cores += [bimodule.BimodElement(space, 3, mseq._jacobi_core(space.field, x, y, z))
@@ -78,25 +78,32 @@ def _full_relation_rows(space, n):
             for mid in tensor.all_words(m, k):
                 cores.append(bimodule.BimodElement(
                     space, len(mid) + 4, mseq._transfer_core(space.field, x, y, mid, z, t)))
-    index = {term: i for i, term in enumerate(bimodule.all_bimod_terms(m, n))}
     for core in cores:
-        if core.is_zero():
-            continue
-        for g in bimodule._two_sided_closure(space, core.terms, n):
-            rows.append(tuple(sorted((index[key], c) for key, c in g.terms.items())))
-    return rows
+        if not core.is_zero():
+            yield from (g.terms for g in bimodule._two_sided_closure(space, core.terms, n))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2)])
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
+def _index_rows(index, translates):
+    """Sparse rows, sorted by column, of {term: coeff} dicts."""
+    return [tuple(sorted((index[key], c) for key, c in g.items())) for g in translates]
+
+
+def _full_relation_rows(space, n):
+    index = {term: i for i, term in enumerate(bimodule.all_bimod_terms(space.dim, n))}
+    return _index_rows(index, _full_relation_translates(space, n))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 4)])
 def test_reduced_generators_span_the_full_family(m, n, field):
-    """Oracle for the ordered-tuple enumeration: its span equals the span
+    """Oracle for the basis-core enumeration: its span equals the span
     of all basis instantiations, also in characteristic 2 where signs
-    degenerate."""
+    degenerate, and its generators are independent."""
     sp = tensor.Space(m, field)
     ctx = bimodule.build_context(sp, n)
     full, piv = linalg.echelon_rows(field, _full_relation_rows(sp, n))
     assert len(full) == ctx.rel_rank
+    assert len(bimodule.relation_generators(sp, n)) == ctx.rel_rank
     assert contained(field, full, piv, ctx.rel_rows)
     assert contained(field, ctx.rel_rows, ctx.rel_pivots, full)
 
@@ -622,21 +629,37 @@ def test_leading_terms_are_the_terms_off_the_last_ascent(m, n, field):
     assert len(last) == m ** n - comb(m + n - 1, n)
 
 
-def _basis_cores(m, n):
-    """The Jacobi cores J(a, b, c) with a < b < c, and the transfer cores
-    T(a, b, mid, z, t) with a < b, z < t and b >= mid[0] >= ... >=
-    mid[-1] >= z (b >= z when mid is empty), of degree at most n."""
+def _ordered_cores(m, n):
+    """Every core of degree at most n on ordered letters, with its flag:
+    the Jacobi cores J(a, b, c) with a < b < c, all basis cores, then
+    the transfer cores T(a, b, mid, z, t) with a < b and z < t for every
+    mid, a basis core iff b >= mid[0] >= ... >= mid[-1] >= z (b >= z
+    when mid is empty)."""
     letters = range(1, m + 1)
     if n >= 3:
         for a, b, c in combinations(letters, 3):
-            yield mseq._jacobi_core(_ZZ, a, b, c)
+            yield mseq._jacobi_core(_ZZ, a, b, c), True
     for k in range(n - 3):
         for a, b in combinations(letters, 2):
             for z, t in combinations(letters, 2):
                 for mid in tensor.all_words(m, k):
                     run = (b,) + mid + (z,)
-                    if all(x >= y for x, y in zip(run, run[1:])):
-                        yield mseq._transfer_core(_ZZ, a, b, mid, z, t)
+                    yield (mseq._transfer_core(_ZZ, a, b, mid, z, t),
+                           all(x >= y for x, y in zip(run, run[1:])))
+
+
+def _basis_cores(m, n):
+    return [core for core, basis in _ordered_cores(m, n) if basis]
+
+
+def _translated_leads(cores, m, n):
+    """The leading term of every degree-n translate of each core."""
+    leads = []
+    for core in cores:
+        a, pair, b = min(core, key=mseq._term_order)
+        leads += [(left + a, pair, b + right)
+                  for left, right in mseq._translates(m, n, len(a) + 2 + len(b))]
+    return leads
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (2, 7), (3, 3), (3, 4), (3, 5),
@@ -646,15 +669,85 @@ def test_translates_of_the_basis_cores_have_distinct_leading_terms(m, n):
     translates of `_basis_cores` have pairwise distinct leading terms, so
     they are independent; there are ambient - m^n + C(m+n-1, n) of them,
     the relation rank; and they are the witness's leading terms.  So
-    these translates alone form a basis of the degree-n relations."""
-    leads = []
-    for core in _basis_cores(m, n):
-        a, pair, b = min(core, key=mseq._term_order)
-        leads += [(left + a, pair, b + right)
-                  for left, right in mseq._translates(m, n, len(a) + 2 + len(b))]
+    these translates alone form a basis of the degree-n relations.  The
+    package flags exactly these cores, and their translates' leading
+    terms are those of every translate of the full ordered family, so
+    translating only the basis cores leaves the witness count as it was."""
+    leads = _translated_leads(_basis_cores(m, n), m, n)
     assert len(set(leads)) == len(leads)
     assert len(leads) == mseq.ambient_dim(m, n) - m ** n + comb(m + n - 1, n)
     assert set(leads) == mseq._leading_terms(tensor.Space(m, _ZZ), n)[0]
+    flagged = [core for core, basis in mseq._relation_cores(tensor.Space(m, _ZZ), n) if basis]
+    assert flagged == _basis_cores(m, n)
+    every = _translated_leads((core for core, _ in _ordered_cores(m, n)), m, n)
+    assert set(every) == mseq._leading_terms(tensor.Space(m, _ZZ), n)[0]
+
+
+def test_non_basis_cores_are_still_checked(monkeypatch):
+    """R is defined by every core, so the witness checks the expansion of
+    the cores it does not translate too.  With one coefficient perturbed
+    in each transfer core whose `mid` has an ascent, a non-basis core,
+    the quotient's generators and the leading terms stay as they were,
+    and the (3, 6) cell fails `injective_rank`.  At (3, 5) no `mid` has
+    an ascent, so the same patch leaves the cell passing."""
+    real = mseq._transfer_core
+    perturbed = []
+
+    def patched(field, x, y, mid, z, t):
+        terms = real(field, x, y, mid, z, t)
+        if any(p < q for p, q in zip(mid, mid[1:])):
+            last = max(terms, key=mseq._term_order)
+            terms[last] = field.neg(terms[last])
+            perturbed.append(mid)
+        return terms
+
+    sp = tensor.Space(3, QQ)
+    generators = [g.terms for g in bimodule.relation_generators(sp, 6)]
+    monkeypatch.setattr(mseq, "_transfer_core", patched)
+    assert [g.terms for g in bimodule.relation_generators(sp, 6)] == generators
+    cert = bimodule.verify_sequence(sp, 6)
+    checks = {c.name: c for c in cert.checks}
+    assert perturbed and not checks["injective_rank"].passed and not cert.passed
+    assert checks["injective_rank"].detail.endswith(", relations do not expand to zero")
+    assert cert.dims["wm_rank"] == 514
+    assert checks["image_equals_kernel"].passed and checks["dimension_identity"].passed
+    assert bimodule.verify_sequence(sp, 5).passed
+
+
+def _hilbert_c(m, n):
+    """The t^n coefficient of H_C(t) = C(m,2) t^2 - (1 - mt) + (1 - mt)^2 / (1 - t)^m,
+    from the series 1 / (1 - t)^m = sum_j C(m+j-1, j) t^j."""
+    square = {0: 1, 1: -2 * m, 2: m * m}  # (1 - mt)^2
+    series = sum(c * comb(m + n - i - 1, n - i) for i, c in square.items() if i <= n)
+    return series + {0: -1, 1: m, 2: comb(m, 2)}.get(n, 0)
+
+
+def _core_degree(core):
+    left, _, right = next(iter(core))
+    return len(left) + 2 + len(right)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("m,n,new", [(2, 4, 1), (2, 5, 2), (2, 6, 3), (2, 7, 4), (3, 4, 9),
+                                     (3, 5, 21), (3, 6, 37), (4, 4, 35), (4, 5, 96),
+                                     (5, 4, 95)])
+def test_new_relations_in_degree_n_are_the_basis_cores_of_degree_n(m, n, new, field):
+    """R is free on the span C of the basis cores (the `mseq` docstring),
+    so the relations new in degree n, R_n / (V.R_(n-1) + R_(n-1).V),
+    number the basis cores of degree n and the t^n coefficient of H_C.
+    Both ranks are taken here from the full family of instantiated
+    cores; V.R_(n-1) + R_(n-1).V is spanned by its degree-(n-1)
+    translates times a letter on either side."""
+    sp = tensor.Space(m, field)
+    index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
+    lower = [shifted for g in _full_relation_translates(sp, n - 1) for v in range(1, m + 1)
+             for shifted in ({((v,) + l, p, r): c for (l, p, r), c in g.items()},
+                             {(l, p, r + (v,)): c for (l, p, r), c in g.items()})]
+    rank_n = len(linalg.echelon_rows(field, _full_relation_rows(sp, n))[1])
+    rank_lower = len(linalg.echelon_rows(field, _index_rows(index, lower))[1])
+    top = sum(1 for core, basis in mseq._relation_cores(sp, n)
+              if basis and _core_degree(core) == n)
+    assert rank_n - rank_lower == top == _hilbert_c(m, n) == new
 
 
 @pytest.mark.parametrize("m,n,field", [(3, 5, QQ), (3, 4, GF(2)), (2, 6, GF(3)), (4, 4, QQ),
