@@ -6,6 +6,11 @@ the arithmetic.  Everything is exact: rationals stay in lowest terms
 with positive denominator (the `Fraction` invariant), prime-field values
 stay reduced mod p.  A private integer ring, `_ZZ`, serves a certificate
 computed once for every field.
+
+`zero` and `one` are class constants, so a ring hands out one object for
+each: every zero entry of every `bimodule.normal_form` answer over Q is
+the same `Fraction(0)`, and an answer stores that zero once beside its
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ class Field:
 
     name: str
     char: int  # 0 for the rationals (and `_ZZ`), p for F_p
+    zero: Scalar
     one: Scalar
 
     add = operator.add
@@ -82,10 +88,6 @@ class Field:
         if not isinstance(x, (int, Fraction)):
             raise ValueError(f"coefficient {x!r} is not an int, Fraction or numeric string")
         return self.normalize(x)
-
-    @property
-    def zero(self) -> Scalar:
-        return self.normalize(0)
 
     def is_unit(self, x: Scalar) -> bool:
         """True iff x is invertible: in a field, iff it is nonzero."""
@@ -118,6 +120,7 @@ class RationalField(Field):
 
     name = "Q"
     char = 0
+    zero = Fraction(0)
     one = Fraction(1)
 
     def normalize(self, x) -> Fraction:
@@ -139,6 +142,7 @@ class RationalField(Field):
 class PrimeField(Field):
     """The prime field F_p; scalars are ints in ``[0, p)``."""
 
+    zero = 0
     one = 1
 
     def __init__(self, p: int):
@@ -199,6 +203,7 @@ class _IntegerRing(Field):
 
     name = "Z"
     char = 0
+    zero = 0
     one = 1
 
     def normalize(self, x) -> int:
