@@ -243,8 +243,8 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> Coordinates:
     if x.space != ctx.space or x.degree != ctx.degree:
         raise ValueError("element does not match the context")
     field = ctx.space.field
-    index = ctx.index
     scalar = _scalars(field)
+    index = ctx.index
     residue = residue_list(field, [(index[k], c) for k, c in x.terms.items()], ctx.rel_basis)
     return Coordinates(ctx.ambient_dim, field.zero, tuple([c for c, _ in residue]),
                        tuple([scalar(v) for _, v in residue]))

@@ -3,7 +3,7 @@
 Each expression statement ends in a comment giving its result: the
 repr, or, for a comment ``ValueError: ... <text>``, a `ValueError` whose
 message ends in <text>.  The test fails on any other result, on any
-exception, or when the count of checked results is not six.  It imports
+exception, or when the count of checked results is not seven.  It imports
 `tensorseq` as the test run finds it, so run without `src` on the path
 it checks the installed package.
 """
@@ -36,4 +36,4 @@ def test_library_use_prints_its_commented_results():
             assert str(raised.value).endswith(comment.removeprefix(_RAISES)), code
         else:
             assert repr(eval(code, env)) == comment, code
-    assert checked == 6
+    assert checked == 7
