@@ -32,7 +32,12 @@ factorization.  `cocycle` has `wedge_at` sum every image straight into
 one dict, skips a swap that exchanges equal letters in every word (it
 changes nothing and has image 0), applies no swap after the last letter,
 whose result nothing would read, and over Q sums on ints while the
-values are integral, as `linalg` does.
+values are integral, as `linalg` does.  What depends only on t comes
+from caches in `perms`, since a query loop draws few distinct t (720 at
+degree 6): its bubble-sort word and the degree's adjacent
+transpositions.  With those caches and `tensor.word_element`'s shared
+`one`, a (3, 6, Q) query took 24 us instead of 28 us (best of 5 over
+4,000 seeded queries, in process, one core of a 2-core VM).
 """
 
 from __future__ import annotations
@@ -240,7 +245,7 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> Coordinates:
 
     x may hold ints for integral values over Q, as `linalg` does.  The
     coordinates go to `residue_list` unsorted, since it sorts its result."""
-    if x.space != ctx.space or x.degree != ctx.degree:
+    if (x.space is not ctx.space and x.space != ctx.space) or x.degree != ctx.degree:
         raise ValueError("element does not match the context")
     field = ctx.space.field
     scalar = _scalars(field)
@@ -285,6 +290,9 @@ def wedge_at(a: TensorElement, i: int, out: dict | None = None) -> BimodElement 
             c = neg(c)
         else:
             continue
+        # most keys are new (96% on (3, 6, Q) queries) and are hashed
+        # twice either way; `terms.get` adds a call that `in` does not, and
+        # made a query 0.3 us slower
         if key in terms:
             c = add(terms[key], c)
             if not c:
@@ -310,8 +318,12 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
     runs for it; nor is the swap of the last letter applied, since
     nothing reads its result.  Otherwise `wedge_at` runs once per letter
     and `perm_action` once per letter but the last.  t is checked once,
-    here.  Over Q the sum runs on ints while the values are integral, as
-    in `linalg`; `normal_form` turns them back into field scalars.
+    here.  Its default word comes from the cached `perms._perm_word`
+    (about 0.1 us a query instead of 1.7 us to bubble-sort a degree-6 t)
+    and each applied swap from the degree's cached tuple of adjacent
+    transpositions, one index per swap instead of one cache lookup.
+    Over Q the sum runs on ints while the values are integral, as in
+    `linalg`; `normal_form` turns them back into field scalars.
     """
     n = ctx.degree
     if a.degree != n:
@@ -327,6 +339,7 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
             raise ValueError(f"word {word} does not compose to {t}")
     cur = a if ctx.space.field.char else TensorElement._own(
         a.space, n, _integral(a.terms.items()))
+    swaps = perms._adjacent_transpositions(n)
     acc: dict = {}
     last = len(word) - 1
     for k, i in enumerate(word):
@@ -337,5 +350,5 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
             continue  # the swap fixes every word of cur, and its wedge is 0
         wedge_at(cur, i, acc)
         if k < last:
-            cur = perm_action(perms.adjacent_transposition(n, i), cur)
+            cur = perm_action(swaps[i - 1], cur)
     return normal_form(ctx, BimodElement._own(ctx.space, n, acc))

@@ -43,7 +43,8 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-# cached: `bimodule.cocycle` asks for the transposition of every swap
+# cached: `compose_word` asks for one per letter (`bimodule.cocycle` checks
+# a word it is given with it), and `_adjacent_transpositions` shares them
 @lru_cache(maxsize=256)
 def adjacent_transposition(n: int, i: int) -> Perm:
     """The transposition swapping i and i+1, for 1 <= i <= n-1."""
@@ -52,6 +53,15 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     t = list(range(1, n + 1))
     t[i - 1], t[i] = t[i], t[i - 1]
     return tuple(t)
+
+
+# cached per degree: `bimodule.cocycle` indexes this tuple once per swap it
+# applies, instead of making one `adjacent_transposition` lookup per letter
+@lru_cache(maxsize=64)
+def _adjacent_transpositions(n: int) -> tuple[Perm, ...]:
+    """All adjacent transpositions of degree n: entry i - 1 is
+    `adjacent_transposition(n, i)`, the same object."""
+    return tuple(adjacent_transposition(n, i) for i in range(1, n))
 
 
 def compose(s: Perm, t: Perm) -> Perm:
@@ -149,6 +159,11 @@ def perm_word(t: Perm) -> Word:
     return _perm_word(t)
 
 
+# cached: `bimodule.cocycle` factors the permutation of every query, and a
+# query loop draws few distinct ones (720 at degree 6).  maxsize 1024 holds
+# every permutation of degree <= 6 (1 + 1 + 2 + 6 + 24 + 120 + 720 = 874)
+# and bounds the cache at higher degrees, where t has 5,040 values or more.
+@lru_cache(maxsize=1024)
 def _perm_word(t: Perm) -> Word:
     # positions from a pass's last swap on are sorted, and the next pass
     # would compare them without swapping, so it stops there

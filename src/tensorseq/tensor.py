@@ -187,8 +187,11 @@ class SymElement(_SparseElement):
 
 
 def word_element(space: Space, word: Word, coeff: Scalar = 1) -> TensorElement:
+    """The element coeff * word.  The int 1, the default, is stored as
+    the field's shared `one` (over Q, no new `Fraction` per call); any
+    other coefficient goes through `Field.coerce`."""
     word = check_word(space, word)
-    c = space.field.coerce(coeff)
+    c = space.field.one if type(coeff) is int and coeff == 1 else space.field.coerce(coeff)
     return TensorElement._own(space, len(word), {word: c} if c else {})
 
 

@@ -140,6 +140,36 @@ def test_perm_word_passes_stop_at_the_last_swap_without_changing_the_word():
             assert perms.perm_word(t) == _full_pass_perm_word(t)
 
 
+def test_cached_perm_word_is_bounded_and_evicts_without_changing_a_word():
+    cache = perms._perm_word
+    maxsize = cache.cache_info().maxsize
+    small = [t for n in range(7) for t in all_perms(n)]
+    every = small + list(all_perms(7))
+    assert maxsize is not None and len(small) <= maxsize < len(every)
+    cache.cache_clear()
+    # 5,914 permutations through a cache of 1,024: most are evicted and
+    # factored again on the second pass
+    for _ in range(2):
+        for t in every:
+            assert cache(t) == _full_pass_perm_word(t)
+    assert cache.cache_info().currsize == maxsize
+    # every permutation of degree <= 6 stays cached once it is in
+    cache.cache_clear()
+    for _ in range(2):
+        for t in small:
+            assert cache(t) == _full_pass_perm_word(t)
+    assert cache.cache_info().misses == len(small)
+
+
+def test_adjacent_transpositions_of_a_degree_are_the_cached_transpositions():
+    for n in range(8):
+        swaps = perms._adjacent_transpositions(n)
+        assert len(swaps) == max(n - 1, 0)
+        for i in range(1, n):
+            assert swaps[i - 1] is perms.adjacent_transposition(n, i)
+    assert perms._adjacent_transpositions(5) is perms._adjacent_transpositions(5)
+
+
 def test_mover_moves_letters_as_apply_to_positions():
     for n in range(6):
         letters = tuple(range(10, 10 + n))

@@ -107,6 +107,19 @@ def test_tensor_element_rejects_a_coefficient_undefined_in_the_field():
     assert tensor.TensorElement(space, 2, {(1, 2): Fraction(1, 2)}).terms == {(1, 2): 2}
 
 
+def test_word_element_shares_the_fields_one_and_still_coerces_any_other_coefficient():
+    for field in (QQ, GF(2), GF(3)):
+        space = tensor.Space(2, field)
+        assert tensor.word_element(space, (1, 2)).terms[(1, 2)] is field.one
+        for coeff in (1.0, Decimal(1)):
+            with pytest.raises(ValueError, match="is not an int, Fraction or numeric string"):
+                tensor.word_element(space, (1, 2), coeff)
+        for coeff in ("1", True):
+            c = tensor.word_element(space, (1, 2), coeff).terms[(1, 2)]
+            assert c == field.one and type(c) is type(field.one)
+    assert tensor.word_element(tensor.Space(2, GF(3)), (1, 2), 4).terms == {(1, 2): 1}
+
+
 def test_perm_action_examples():
     sp = tensor.Space(3, QQ)
     w = tensor.word_element(sp, (1, 2, 3))
