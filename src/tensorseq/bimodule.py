@@ -34,10 +34,13 @@ changes nothing and has image 0), applies no swap after the last letter,
 whose result nothing would read, and over Q sums on ints while the
 values are integral, as `linalg` does.  What depends only on t comes
 from caches in `perms`, since a query loop draws few distinct t (720 at
-degree 6): its bubble-sort word and the degree's adjacent
-transpositions.  With those caches and `tensor.word_element`'s shared
-`one`, a (3, 6, Q) query took 24 us instead of 28 us (best of 5 over
-4,000 seeded queries, in process, one core of a 2-core VM).
+degree 6): its bubble-sort word and the degree's adjacent transpositions
+and their movers.  Each cache checks a permutation as it enters, so a
+warm query checks none.  With those caches and `tensor.word_element`'s
+shared `one`, a (3, 6, Q) query took 24 us instead of 28 us (best of 5
+over 4,000 seeded queries, in process, one core of a 2-core VM);
+checking t only as it enters the cache, not on every query, took the
+median of 8 such measurements (best of 7 each) from 22.9 to 21.0 us.
 """
 
 from __future__ import annotations
@@ -317,11 +320,13 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
     unchanged and has image 0, so neither `wedge_at` nor `perm_action`
     runs for it; nor is the swap of the last letter applied, since
     nothing reads its result.  Otherwise `wedge_at` runs once per letter
-    and `perm_action` once per letter but the last.  t is checked once,
-    here.  Its default word comes from the cached `perms._perm_word`
-    (about 0.1 us a query instead of 1.7 us to bubble-sort a degree-6 t)
-    and each applied swap from the degree's cached tuple of adjacent
-    transpositions, one index per swap instead of one cache lookup.
+    and `perm_action` once per letter but the last.  A given word's t is
+    checked here on every call.  The default word comes from the cached
+    `perms.perm_word`, which checks t only when it factors it (about
+    0.1 us a query instead of 1.8 us to check and bubble-sort a degree-6
+    t), and each applied swap from the degree's cached tuple of adjacent
+    transpositions, one index per swap instead of one cache lookup; its
+    mover checks the swap once, when `perms._mover` caches it.
     Over Q the sum runs on ints while the values are integral, as in
     `linalg`; `normal_form` turns them back into field scalars.
     """
@@ -330,10 +335,10 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
         raise ValueError(f"element degree {a.degree} != context degree {n}")
     if len(t) != n:
         raise ValueError(f"permutation size {len(t)} != degree {n}")
-    perms.check_perm(t)
     if word is None:
-        word = perms._perm_word(t)
+        word = perms.perm_word(t)
     else:
+        perms.check_perm(t)
         word = tuple(word)
         if perms.compose_word(n, word) != t:
             raise ValueError(f"word {word} does not compose to {t}")

@@ -4,11 +4,14 @@ A permutation is a tuple `t` with `t[k-1] = t(k)`.  Composition is
 function composition, `(s * t)(k) = s(t(k))`, and permutations act on
 letter tuples by moving the letter at position k to position t(k).
 
-`compose`, `perm_word` and `perm_word_alt` raise `ValueError` on a tuple
-that is not a permutation.  Each checks its arguments once per call;
-code inside the package that already holds a permutation it built or
-checked uses the unchecked `_compose`, `_apply_to_positions`, `_mover`,
-`_parity` and `_perm_word`.
+`compose`, `perm_word_alt`, `perm_word` and `_mover` raise `ValueError`
+on a tuple that is not a permutation.  `compose` and `perm_word_alt`
+check their arguments on every call.  `perm_word` and `_mover` are
+cached and check t inside, so t is checked when it enters the cache and
+not again while it stays there; `lru_cache` keeps no result for a call
+that raises, so a non-permutation is refused on every call.  Code inside
+the package that already holds a permutation it built or checked uses
+the unchecked `_compose`, `_apply_to_positions` and `_parity`.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ Perm = tuple
 Word = tuple
 
 
-# cached: `tensor.perm_action` checks the transposition of every swap in `bimodule.cocycle`
-@lru_cache(maxsize=256)
 def is_perm(t: Perm) -> bool:
     """
     >>> is_perm((2, 1, 3)), is_perm((1, 1, 2))
@@ -43,25 +44,22 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-# cached: `compose_word` asks for one per letter (`bimodule.cocycle` checks
-# a word it is given with it), and `_adjacent_transpositions` shares them
-@lru_cache(maxsize=256)
 def adjacent_transposition(n: int, i: int) -> Perm:
-    """The transposition swapping i and i+1, for 1 <= i <= n-1."""
+    """The transposition swapping i and i+1, for 1 <= i <= n-1: entry
+    i - 1 of `_adjacent_transpositions(n)`, the same object."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"transposition index {i} out of range for n={n}")
-    t = list(range(1, n + 1))
-    t[i - 1], t[i] = t[i], t[i - 1]
-    return tuple(t)
+    return _adjacent_transpositions(n)[i - 1]
 
 
 # cached per degree: `bimodule.cocycle` indexes this tuple once per swap it
-# applies, instead of making one `adjacent_transposition` lookup per letter
+# applies, and `compose_word` reads one entry per letter of a word that
+# `cocycle` is given; a process meets few degrees, and 64 bounds them
 @lru_cache(maxsize=64)
 def _adjacent_transpositions(n: int) -> tuple[Perm, ...]:
-    """All adjacent transpositions of degree n: entry i - 1 is
-    `adjacent_transposition(n, i)`, the same object."""
-    return tuple(adjacent_transposition(n, i) for i in range(1, n))
+    """All adjacent transpositions of degree n: entry i - 1 swaps i, i+1."""
+    ident = identity_perm(n)
+    return tuple(ident[:i - 1] + (i + 1, i) + ident[i + 1:] for i in range(1, n))
 
 
 def compose(s: Perm, t: Perm) -> Perm:
@@ -92,11 +90,16 @@ def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
     return tuple(out)
 
 
-# cached: `tensor.perm_action` moves every word of an element with one mover
+# cached: `tensor.perm_action` moves every word of an element with one
+# mover, and `bimodule.cocycle` asks it for at most n - 1 adjacent
+# transpositions per degree; 256 holds those of every degree a process
+# meets, with room for the whole permutations a caller acts by
 @lru_cache(maxsize=256)
 def _mover(t: Perm):
     """A function of one tuple of letters that equals
-    `_apply_to_positions(t, ...)` on it, done in C by `itemgetter`."""
+    `_apply_to_positions(t, ...)` on it, done in C by `itemgetter`.
+    Checks t first."""
+    check_perm(t)
     if len(t) < 2:
         # the one permutation of 0 or 1 positions; itemgetter of one index
         # would return the letter, not a tuple
@@ -141,6 +144,12 @@ def compose_word(n: int, word: Sequence[int]) -> Perm:
     return t
 
 
+# cached: `bimodule.cocycle` factors the permutation of every query, and a
+# query loop draws few distinct ones (720 at degree 6), each checked here
+# only when it is first factored or after its eviction.  maxsize 1024 holds
+# every permutation of degree <= 6 (1 + 1 + 2 + 6 + 24 + 120 + 720 = 874)
+# and bounds the cache at higher degrees, where t has 5,040 values or more.
+@lru_cache(maxsize=1024)
 def perm_word(t: Perm) -> Word:
     """Factor t into adjacent transpositions with a bubble-sort network.
 
@@ -156,15 +165,6 @@ def perm_word(t: Perm) -> Word:
     (2, 1)
     """
     check_perm(t)
-    return _perm_word(t)
-
-
-# cached: `bimodule.cocycle` factors the permutation of every query, and a
-# query loop draws few distinct ones (720 at degree 6).  maxsize 1024 holds
-# every permutation of degree <= 6 (1 + 1 + 2 + 6 + 24 + 120 + 720 = 874)
-# and bounds the cache at higher degrees, where t has 5,040 values or more.
-@lru_cache(maxsize=1024)
-def _perm_word(t: Perm) -> Word:
     # positions from a pass's last swap on are sorted, and the next pass
     # would compare them without swapping, so it stops there
     a = list(t)

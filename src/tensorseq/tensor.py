@@ -199,9 +199,9 @@ def perm_action(t: perms.Perm, a: TensorElement) -> TensorElement:
     """Left action permuting tensor positions: out[t(k)] = in[k] per word."""
     if len(t) != a.degree:
         raise ValueError(f"permutation size {len(t)} != degree {a.degree}")
-    perms.check_perm(t)
     # t permutes the words, so no two terms meet and there is nothing to
-    # collect; t is checked once here, not once per word
+    # collect; `perms._mover` checks t when it first caches t's mover, not
+    # once per word or per call
     move = perms._mover(t)
     return TensorElement._own(a.space, a.degree, {move(w): c for w, c in a.terms.items()})
 

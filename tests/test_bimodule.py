@@ -776,7 +776,7 @@ def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, fiel
 _COCYCLE_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
 _COCYCLE_CELLS = ((2, 3), (3, 3), (2, 4), (3, 4))
 # the benchmark's query cell: t is always factored by `cocycle` itself,
-# through the cached `perms._perm_word` and transposition tuple
+# through the cached `perms.perm_word` and transposition tuple
 _COCYCLE_PERM_CELLS = ((3, 6),)
 
 
@@ -862,14 +862,45 @@ def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
     cases = [(perms.compose_word(4, word), word)
              for word in [(), (1,), (1, 2, 1), (3, 3, 2, 1, 2)]]
     cases.append(((4, 3, 2, 1), None))
+    checks = []
     for t, word in cases:
-        length = len(perms.perm_word(t) if word is None else word)
+        used = perms.perm_word(t) if word is None else word
+        perms.perm_word.cache_clear()
+        perms._mover.cache_clear()
         calls.clear()
         bimodule.cocycle(ctx, t, a, word)
-        assert calls["wedge_at"] == length
-        assert calls["perm_action"] == max(length - 1, 0)
-        # one check in `cocycle` and one per `perm_action`, none per word
-        assert calls["is_perm"] == 1 + calls["perm_action"]
+        assert calls["wedge_at"] == len(used)
+        assert calls["perm_action"] == max(len(used) - 1, 0)
+        # t is checked once, and each distinct transposition applied once,
+        # when its mover is cached; none is checked once per word
+        assert calls["is_perm"] == 1 + len(set(used[:-1]))
+        checks.append(calls["is_perm"])
+        # on a repeat only a given word's t is checked again: the default
+        # word and every mover come from their caches
+        calls.clear()
+        bimodule.cocycle(ctx, t, a, word)
+        assert calls["is_perm"] == (0 if word is None else 1)
+    assert checks == [1, 1, 3, 4, 4]
+
+
+@pytest.mark.parametrize("t", [(1, 1, 2, 3), (1, 2, 3, 5)])
+def test_a_non_permutation_is_refused_on_every_call_and_never_cached(ctx_cache, t):
+    ctx = ctx_cache(3, 4)
+    a = tensor.TensorElement(ctx.space, 4, {(1, 2, 3, 1): 1, (2, 1, 3, 3): 2})
+    refusals = [lambda: tensor.perm_action(t, a),
+                lambda: bimodule.cocycle(ctx, t, a),
+                lambda: bimodule.cocycle(ctx, t, a, word=(1, 2)),
+                lambda: perms.perm_word(t)]
+    perms.perm_word.cache_clear()
+    perms._mover.cache_clear()
+    message = "^" + re.escape(f"{t} is not a permutation of 1..4") + "$"
+    for refuse in refusals:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+    # `lru_cache` stores nothing for a call that raises
+    assert perms.perm_word.cache_info().currsize == 0
+    assert perms._mover.cache_info().currsize == 0
 
 
 def _count_telescope_calls(monkeypatch) -> Counter:

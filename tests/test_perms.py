@@ -141,7 +141,7 @@ def test_perm_word_passes_stop_at_the_last_swap_without_changing_the_word():
 
 
 def test_cached_perm_word_is_bounded_and_evicts_without_changing_a_word():
-    cache = perms._perm_word
+    cache = perms.perm_word
     maxsize = cache.cache_info().maxsize
     small = [t for n in range(7) for t in all_perms(n)]
     every = small + list(all_perms(7))
@@ -170,9 +170,22 @@ def test_adjacent_transpositions_of_a_degree_are_the_cached_transpositions():
     assert perms._adjacent_transpositions(5) is perms._adjacent_transpositions(5)
 
 
-def test_mover_moves_letters_as_apply_to_positions():
-    for n in range(6):
-        letters = tuple(range(10, 10 + n))
-        for t in all_perms(n):
-            assert perms._mover(t)(letters) == apply_to_positions(t, letters)
+def test_mover_moves_letters_as_apply_to_positions(monkeypatch):
+    checks = []
+    is_perm = perms.is_perm
+    monkeypatch.setattr(perms, "is_perm", lambda t: checks.append(t) or is_perm(t))
+    cache = perms._mover
+    cache.cache_clear()
+    # every permutation of degree <= 7 (5,914, of which 5,040 of degree 7)
+    # through a cache of 256: most movers are evicted, and are built and
+    # checked again on the second pass
+    for _ in range(2):
+        for n in range(8):
+            letters = tuple(range(10, 10 + n))
+            for t in all_perms(n):
+                assert cache(t)(letters) == apply_to_positions(t, letters)
+    info = cache.cache_info()
+    assert info.currsize == info.maxsize < 5040 and info.misses > 5914
+    # one check per miss, besides the one of each `apply_to_positions` call
+    assert len(checks) == info.misses + 2 * 5914
     assert perms._mover((2, 3, 1)) is perms._mover((2, 3, 1))
