@@ -13,12 +13,14 @@ with u, v, w, z, t basis vectors and `mid` ranging over basis words.
 Both families expand, via the commutator, to zero in the tensor
 algebra, so `expand_wedge` descends to the quotient; `normal_form` and
 `cocycle` compute in it through the cached row echelon form of
-`build_context`.  Each answers with a `Coordinates`, the coordinate
-vector of the class in the canonical term order, which stores only its
-nonzero entries (about 7 of 1,215 on a (3, 6, Q) `cocycle`) and reads
-as the dense tuple.  A kept answer holds three objects that the cyclic
-collector tracks (the answer, its columns and its values), and its
-scalars and its zero are shared with every other answer.
+`build_context`.  That RREF is computed over the integers and shared by
+every field: each relation leads with +-1, so it is the RREF over Q, and
+reduced mod p the RREF over F_p.  Each answer is a `Coordinates`, the
+coordinate vector of the class in the canonical term order, which
+stores only its nonzero entries and reads as the dense tuple.  A kept
+answer holds three objects that the cyclic collector tracks (the
+answer, its columns and its values), and its scalars and its zero are
+shared with every other answer.
 
 The relation cores, the canonical term order and the certificate of
 0 -> M -> T -> S -> 0 live in `mseq`, which builds no element: its
@@ -32,15 +34,11 @@ factorization.  `cocycle` has `wedge_at` sum every image straight into
 one dict, skips a swap that exchanges equal letters in every word (it
 changes nothing and has image 0), applies no swap after the last letter,
 whose result nothing would read, and over Q sums on ints while the
-values are integral, as `linalg` does.  What depends only on t comes
-from caches in `perms`, since a query loop draws few distinct t (720 at
-degree 6): its bubble-sort word and the degree's adjacent transpositions
-and their movers.  Each cache checks a permutation as it enters, so a
-warm query checks none.  With those caches and `tensor.word_element`'s
-shared `one`, a (3, 6, Q) query took 24 us instead of 28 us (best of 5
-over 4,000 seeded queries, in process, one core of a 2-core VM);
-checking t only as it enters the cache, not on every query, took the
-median of 8 such measurements (best of 7 each) from 22.9 to 21.0 us.
+values are integral.  What depends only on t comes from caches in
+`perms`, since a query loop draws few distinct t (720 at degree 6): its
+bubble-sort word and the degree's adjacent transpositions and their
+movers.  Each cache checks a permutation as it enters, so a warm query
+checks none.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ from typing import Callable, Iterable, Sequence
 from . import perms
 from .bases import Space, check_word
 from .errors import Record, check_cap
-from .fields import Field, Scalar
-from .linalg import Row, _integral, echelon_rows, residue_list
+from .fields import _ZZ, Field, Scalar
+from .linalg import Row, echelon_rows, residue_list
 from .mseq import (BimodTerm, _expand, _relation_cores, _translates, all_bimod_terms,
                    ambient_dim)
 # defined in `mseq`, and still importable from here, as the same object
@@ -106,10 +104,9 @@ class QuotientContext(Record):
     pivot column -> row index for residues.  Contexts compare by
     identity.
 
-    `rel_rows` and `rel_basis` hold values as `linalg` computes them:
-    over Q an integral value is an int and any other a `Fraction` (equal,
-    and equal in hash, to the `Fraction` of the same value); `normal_form`
-    converts back to field scalars."""
+    `rel_rows` and `rel_basis` hold the integer RREF, the same for every
+    field: every entry is the int 1 or -1 (`build_context`), and
+    `normal_form` reduces it into the field of `space`."""
 
     __slots__ = ("space", "degree", "terms", "index", "rel_rows", "rel_pivots", "rel_basis")
     __eq__ = object.__eq__
@@ -138,23 +135,32 @@ def _bottom_up(rows: Iterable[Row]) -> list[Row]:
     `echelon_rows` returns the one RREF of the span in any order, but in
     this one it does less work: a new pivot left of every entry of the
     basis rows clears none of them, so the back-substitution and its
-    fill-in mostly vanish.  At m = 3, n = 8 over Q the relation
-    elimination took 107 ms instead of 236 ms (one core of a 2-core VM)."""
+    fill-in mostly vanish: at m = 3, n = 8 it halved the relation
+    elimination (measured over Q, one core of a 2-core VM)."""
     return sorted(rows, key=lambda row: row[-1][0], reverse=True)
 
 
 def build_context(space: Space, n: int, size_cap: int | None = None) -> QuotientContext:
     """Enumerate degree-n terms and row-reduce `relation_generators`, a
     basis of the degree-n relations, so the RREF has one row per
-    generator."""
+    generator.
+
+    The generators are row-reduced over the integers whatever field
+    `space` names, and the one integer RREF serves every field.  Every
+    basis core leads with +-1 (each certified M->T->S cell checks it),
+    and `_ZZ.inv` raises on any other pivot, so the integer RREF is the
+    RREF over Q.  Each of its rows is a pivot term minus a signed path
+    of last-ascent terms (the lemma in the `mseq` docstring), so every
+    entry is +-1, none vanishes mod p, and reduced mod p it is the RREF
+    over F_p: `normal_form` reduces in the field of `space`."""
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
     check_cap(ambient_dim(space.dim, n), size_cap)
     terms = tuple(all_bimod_terms(space.dim, n))
     index = {t: i for i, t in enumerate(terms)}
     rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
-            for g in relation_generators(space, n)]
-    rel_rows, pivots = echelon_rows(space.field, _bottom_up(rows))
+            for g in relation_generators(Space(space.dim, _ZZ), n)]
+    rel_rows, pivots = echelon_rows(_ZZ, _bottom_up(rows))
     return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots),
                            dict(zip(pivots, rel_rows)))
 
@@ -218,8 +224,8 @@ def element_of(ctx: QuotientContext, vec: Sequence) -> BimodElement:
 # cached per field: a caller that keeps `normal_form` answers (a query
 # loop, say) keeps one shared scalar per value, not a new `Fraction` per
 # nonzero entry.  The inner cache is keyed by the value alone, so a lookup
-# hashes no `Field`.  An int and the equal `Fraction` would take two
-# entries, but `residue_list` hands out every integral value as an int.
+# hashes no `Field`.  An int and the equal `Fraction` take two entries;
+# over Q a `cocycle` residue holds ints while its values are integral.
 @lru_cache(maxsize=32)
 def _scalars(field: Field) -> Callable[[Scalar], Scalar]:
     return lru_cache(maxsize=256)(field.normalize)
@@ -231,23 +237,20 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> Coordinates:
     in the relation span; equal answers iff equal classes.  An answer is
     a `Coordinates` of length `ctx.ambient_dim` that reads as the dense
     tuple; its entries are field scalars (`Fraction` over Q), whatever
-    `linalg` computed on.
+    `linalg` computed on.  The integer RREF of `ctx` is reduced in the
+    field of `ctx.space`: exactly over Q, mod p over F_p.
 
     It stores only the nonzero entries, and they come from a small cache
     of converted scalars, so answers share them, as they share the
     field's one `zero`.  A kept answer holds three objects that the
     cyclic collector tracks (the answer, its columns and its values;
-    a zero answer shares the empty tuple): 2.9 per answer on 200 seeded
-    (3, 6, Q) `cocycle` answers, which hold 69 KB under `tracemalloc`,
-    where dense tuples of 1,215 slots held 1,927 KB.
+    a zero answer shares the empty tuple).  The two tuples are built
+    from lists, not by `zip(*residue)`, which makes an iterator per
+    entry and raises the peak memory of a loop that keeps its answers.
 
-    The two tuples are built from lists, not by `zip(*residue)`, which
-    makes an iterator per entry: on a 2-core VM, a loop like the
-    `nf-queries` benchmark's reached a peak RSS of 24.6 MB after 100,000
-    queries with `zip` and 21.4 MB without it.
-
-    x may hold ints for integral values over Q, as `linalg` does.  The
-    coordinates go to `residue_list` unsorted, since it sorts its result."""
+    x may hold ints for integral values over Q, as `cocycle` hands it.
+    The coordinates go to `residue_list` unsorted, since it sorts its
+    result."""
     if (x.space is not ctx.space and x.space != ctx.space) or x.degree != ctx.degree:
         raise ValueError("element does not match the context")
     field = ctx.space.field
@@ -322,13 +325,14 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
     nothing reads its result.  Otherwise `wedge_at` runs once per letter
     and `perm_action` once per letter but the last.  A given word's t is
     checked here on every call.  The default word comes from the cached
-    `perms.perm_word`, which checks t only when it factors it (about
-    0.1 us a query instead of 1.8 us to check and bubble-sort a degree-6
-    t), and each applied swap from the degree's cached tuple of adjacent
+    `perms.perm_word`, which checks t only when it factors it, and each
+    applied swap from the degree's cached tuple of adjacent
     transpositions, one index per swap instead of one cache lookup; its
     mover checks the swap once, when `perms._mover` caches it.
-    Over Q the sum runs on ints while the values are integral, as in
-    `linalg`; `normal_form` turns them back into field scalars.
+    Over Q the element's integral values are turned into ints once, and
+    the sum runs on them, which is cheaper than on `Fraction`s; the
+    integer RREF keeps them ints, and `normal_form` turns the answer
+    back into field scalars.
     """
     n = ctx.degree
     if a.degree != n:
@@ -343,7 +347,7 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
         if perms.compose_word(n, word) != t:
             raise ValueError(f"word {word} does not compose to {t}")
     cur = a if ctx.space.field.char else TensorElement._own(
-        a.space, n, _integral(a.terms.items()))
+        a.space, n, {w: c.numerator if c.denominator == 1 else c for w, c in a.terms.items()})
     swaps = perms._adjacent_transpositions(n)
     acc: dict = {}
     last = len(word) - 1

@@ -4,8 +4,10 @@ Scalars are plain Python values (`Fraction` for the rationals, `int` in
 ``[0, p)`` for F_p); a `Field` object, the one ring interface, supplies
 the arithmetic.  Everything is exact: rationals stay in lowest terms
 with positive denominator (the `Fraction` invariant), prime-field values
-stay reduced mod p.  A private integer ring, `_ZZ`, serves a certificate
-computed once for every field.
+stay reduced mod p.  A private integer ring, `_ZZ`, serves the two M
+computations whose one result holds over every field: the M->T->S
+certificate (`mseq`) and the RREF of M's relations, the quotient that
+`bimodule.normal_form` reduces into each field.
 
 `zero` and `one` are class constants, so a ring hands out one object for
 each: every zero entry of every `bimodule.normal_form` answer over Q is
@@ -195,11 +197,11 @@ class PrimeField(Field):
 
 class _IntegerRing(Field):
     """The integers, for computations whose result holds over every field
-    at once (the M certificate, see `mseq`): scalars are ints and the
-    units are +-1.  `inv` inverts only those, so an elimination over the
-    integers, which sends a pivot other than +-1 through `Field.inv`
-    (`linalg`), raises rather than divide.  No command offers it as a
-    field."""
+    at once (the M certificate, see `mseq`, and the M quotient, see
+    `bimodule.build_context`): scalars are ints and the units are +-1.
+    `inv` inverts only those, so an elimination over the integers, which
+    sends a pivot other than 1 through `Field.inv` (`linalg`), raises
+    rather than divide.  No command offers it as a field."""
 
     name = "Z"
     char = 0

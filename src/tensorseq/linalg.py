@@ -1,4 +1,4 @@
-"""Exact sparse row reduction over Q and F_p.
+"""Exact sparse row reduction over Q, F_p and the integers.
 
 A row is a tuple of (column, value) pairs sorted by column that holds
 only nonzero field scalars; a `Matrix` pairs such rows with a field and
@@ -34,19 +34,12 @@ reduces the longer rows with them dropped.  The transpose of the
 flag-forgetting projection S' -> S is almost all such rows: at m = 8,
 n = 6, 1,688 of its 1,716 rows.
 
-Q values.  Over F_p a value is an int in [0, p).  Over Q, values inside
-this module are Python ints while they are integral and `Fraction`s
-otherwise, in the spirit of fraction-free elimination (Bareiss, Math.
-Comp. 1968): every incoming row is converted once, a pivot of 1 needs no
-scaling, a pivot of -1 negates its row, and only another pivot scales by
-its inverse from `Field.inv`, an exact `Fraction` whose integral results
-turn back into ints.  The integers (`fields._ZZ`) take the same path
-and invert only +-1, so over them any other pivot raises `ValueError`
-instead of leaving the ring.  The relation and symmetrization matrices
-hold only 0 and +-1, and on the certification grids every value entering
-or leaving their eliminations is +-1, so those eliminations build no
-`Fraction`.  The rows and residues returned by `echelon_rows`,
-`kernel_basis` and `residue_list` may therefore hold ints over Q; an int
+Values.  The kernel converts nothing: it computes with Python's exact
+operators on the values it is given, reducing every result mod p over
+F_p, so an integer RREF whose entries are +-1 serves as a `residue_list`
+basis over every field (`bimodule.build_context`).  A pivot other than 1 scales its row by `Field.inv`, a `Fraction`
+over Q; the integers (`fields._ZZ`) invert only +-1, so over them any
+other pivot raises `ValueError` instead of leaving the ring.  An int
 compares and hashes equal to the `Fraction` of the same value, and
 callers that hand values out of the package pass them through
 `Field.normalize`.
@@ -100,17 +93,9 @@ def transpose(m: Matrix) -> Matrix:
     return Matrix(m.field, m.nrows, tuple(tuple(col) for col in cols))
 
 
-def _integral(row: Iterable[tuple]) -> dict:
-    """A Q row as a dict, each integral value as an int."""
-    return {j: x.numerator if x.denominator == 1 else x for j, x in row}
-
-
 def _subtract(p: int, v: dict, f, row: Iterable[tuple]) -> None:
-    """v -= f * row in place over F_p (p > 0) or Q (p == 0); zeros are dropped.
-
-    Over Q an integral `Fraction` result is stored as an int, so ints
-    stay ints and a `Fraction` appears only where a value is not integral.
-    """
+    """v -= f * row in place, mod p over F_p (p > 0) and exactly in
+    characteristic 0 (p == 0); zeros are dropped."""
     get = v.get
     if p:
         for j, x in row:
@@ -121,10 +106,9 @@ def _subtract(p: int, v: dict, f, row: Iterable[tuple]) -> None:
                 del v[j]
     else:
         for j, x in row:
-            y = get(j)
-            s = -f * x if y is None else y - f * x
+            s = get(j, 0) - f * x
             if s:
-                v[j] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+                v[j] = s
             else:
                 del v[j]
 
@@ -144,7 +128,7 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
     basis: dict[int, dict] = {}     # pivot column -> row
     holders: dict[int, set] = {}    # non-pivot column -> pivots of the rows holding it
     for row in rows:
-        v = dict(row) if p else _integral(row)
+        v = dict(row)
         for c in [c for c in v if c in basis]:
             _subtract(p, v, v[c], basis[c].items())
         if not v:
@@ -152,14 +136,8 @@ def echelon_rows(field: Field, rows: Iterable[Sequence[tuple]]) -> tuple[list[Ro
         c = min(v)
         pv = v.pop(c)
         if pv != 1:
-            if p:
-                inv = field.inv(pv)
-                v = {j: x * inv % p for j, x in v.items()}
-            elif pv == -1:
-                v = {j: -x for j, x in v.items()}
-            else:
-                inv = field.inv(pv)
-                v = _integral((j, x * inv) for j, x in v.items())
+            inv = field.inv(pv)
+            v = {j: x * inv % p if p else x * inv for j, x in v.items()}
         for j in v:
             holders.setdefault(j, set()).add(c)
         # clear column c from the basis rows holding it; only the columns
@@ -190,7 +168,7 @@ def residue_list(field: Field, vec: Iterable[tuple], basis: Mapping[int, Row]) -
     subtracted row is zero in every other pivot column.
     """
     p = field.char
-    v = dict(vec) if p else _integral(vec)
+    v = dict(vec)
     for c in [c for c in v if c in basis]:
         _subtract(p, v, v[c], basis[c])
     return sorted(v.items())
@@ -218,9 +196,9 @@ def kernel_basis(m: Matrix) -> list[Row]:
     its free column, so the result is the one a full elimination gives,
     value for value.
 
-    >>> from tensorseq.fields import QQ
-    >>> kernel_basis(matrix(QQ, [[0, 2, 0, 0], [1, 5, 0, 1]]))
-    [((2, 1),), ((0, -1), (3, 1))]
+    >>> from tensorseq.fields import GF
+    >>> kernel_basis(matrix(GF(7), [[0, 2, 0, 0], [1, 5, 0, 1]]))
+    [((2, 1),), ((0, 6), (3, 1))]
     """
     peeled = {row[0][0] for row in m.rows if len(row) == 1}
     longer = []

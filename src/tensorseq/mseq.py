@@ -303,7 +303,9 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     does not expand to zero, E not being well defined on the quotient,
     or when k falls short of the bound, which the module docstring
     proves cannot happen for the real relations.  No relation span is
-    row-reduced.
+    row-reduced.  `dimension_identity` also requires the projection to be
+    onto: its rank, returned by `image_equals_kernel`, must equal both its
+    column count and dim S.
     """
     start = time.perf_counter()
     if n < 2:
@@ -318,17 +320,21 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     leads, fault = _leading_terms(ring, n)
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     image_rows = _expansion_rows(_ZZ, word_index, all_bimod_terms(m, n))
-    exact, inj_rank, _ = image_equals_kernel(_ZZ, image_rows, symmetrize_matrix(ring, n))
+    projection = symmetrize_matrix(ring, n)
+    exact, inj_rank, proj_rank = image_equals_kernel(_ZZ, image_rows, projection)
     q_dim = ambient - len(leads)
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"
+    onto = proj_rank == projection.ncols == s_dim
+    dim_detail = f"quotient dim {q_dim}, tensor dim {t_dim}, symmetric dim {s_dim}"
     checks = (
         CheckResult(
             "injective_rank", fault is None and inj_rank == q_dim,
             detail if fault is None else f"{detail}, {fault}"),
         exact,
         CheckResult(
-            "dimension_identity", q_dim == t_dim - s_dim,
-            f"quotient dim {q_dim}, tensor dim {t_dim}, symmetric dim {s_dim}"),
+            "dimension_identity", onto and q_dim == t_dim - s_dim,
+            dim_detail if onto else
+            f"{dim_detail}, projection rank {proj_rank} of {projection.ncols} columns"),
     )
     return certificate(
         "M->T->S", space, n,

@@ -80,7 +80,8 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     `image_equals_kernel` certifies its image as the span of a graph's
     edges, with no elimination: the injective rank is classes minus
     connected components, and the surjective rank is the class count
-    minus the size of the projection's kernel basis."""
+    minus the size of the projection's kernel basis, which must equal
+    both dim S and the projection's column count."""
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
     start = time.perf_counter()
@@ -92,13 +93,15 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     emb = wedge_embed_matrix(space, n)
     sym_m = to_sym_matrix(space, n)
     exact, emb_rank, sym_rank = image_equals_kernel(space.field, emb.rows, sym_m)
+    onto = sym_rank == sym_m.ncols == s_dim
+    surj_detail = f"rank of projection = {sym_rank}, symmetric dim = {s_dim}"
     checks = (
         CheckResult(
             "injective_rank", emb_rank == lam_dim,
             f"rank of wedge embedding = {emb_rank}, wedge dim = {lam_dim}"),
         CheckResult(
-            "surjective_rank", sym_rank == s_dim,
-            f"rank of projection = {sym_rank}, symmetric dim = {s_dim}"),
+            "surjective_rank", onto,
+            surj_detail if onto else f"{surj_detail}, projection columns = {sym_m.ncols}"),
         exact,
         CheckResult(
             "dimension_identity", q_dim == s_dim + lam_dim,

@@ -108,21 +108,45 @@ def test_reduced_generators_span_the_full_family(m, n, field):
     assert contained(field, ctx.rel_rows, ctx.rel_pivots, full)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(2_147_483_647)])
 @pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (3, 5), (4, 4), (3, 6)])
 def test_bottom_up_order_keeps_the_relation_rref(m, n, field):
-    """`build_context` reorders the generator rows before eliminating;
-    the RREF, its pivots and the value types over Q must be those of the
-    generators in enumeration order."""
-    sp = tensor.Space(m, field)
-    ctx = bimodule.build_context(sp, n)
+    """`build_context` reorders the integer generator rows before
+    eliminating them over the integers, whatever the field: the RREF and
+    its pivots must be those of the integer generators in enumeration
+    order, every entry +-1 and every pivot a leading term of the
+    witness, and reduced into the field they must be the field's own
+    RREF of its generators."""
+    ctx = bimodule.build_context(tensor.Space(m, field), n)
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
-    rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
-            for g in bimodule.relation_generators(sp, n)]
-    rel_rows, pivots = linalg.echelon_rows(field, rows)
+
+    def generator_rows(ring):
+        return [tuple(sorted((index[k], c) for k, c in g.terms.items()))
+                for g in bimodule.relation_generators(tensor.Space(m, ring), n)]
+
+    rel_rows, pivots = linalg.echelon_rows(_ZZ, generator_rows(_ZZ))
     assert ctx.rel_pivots == tuple(pivots)
     assert repr(ctx.rel_rows) == repr(tuple(rel_rows))
     assert ctx.rel_basis == dict(zip(pivots, rel_rows))
+    assert all(type(x) is int and x in (1, -1) for row in rel_rows for _, x in row)
+    leads, fault = mseq._leading_terms(tensor.Space(m, _ZZ), n)
+    assert fault is None and list(pivots) == sorted(index[t] for t in leads)
+    reduced = [tuple((c, field.normalize(x)) for c, x in row) for row in rel_rows]
+    assert (reduced, pivots) == linalg.echelon_rows(field, generator_rows(field))
+
+
+def test_integer_quotient_refuses_a_core_without_a_unit_lead(monkeypatch):
+    """A basis core led by 2 is not a generator over every field; the
+    integer elimination must raise rather than divide by it."""
+    cores = mseq._relation_cores
+
+    def doubled(space, n):
+        (core, basis), *rest = cores(space, n)
+        return iter([({k: 2 * c for k, c in core.items()}, basis), *rest])
+
+    monkeypatch.setattr(bimodule, "_relation_cores", doubled)
+    with pytest.raises(ValueError, match="^-2 is not a unit of the integers$"):
+        bimodule.build_context(tensor.Space(3, QQ), 4)
 
 
 def test_context_ranks_and_dims(ctx_cache):
