@@ -77,25 +77,23 @@ class BimodElement(_SparseElement):
         return left, (a, b), right
 
 
-def _two_sided_closure(space: Space, core: dict, n: int) -> Iterable[BimodElement]:
-    """All basis-word translates of the nonzero `core`, {term: coeff},
-    landing in degree n."""
-    # every term of a core has the core's degree
-    first_left, _, first_right = next(iter(core))
-    for left, right in _translates(space.dim, n, len(first_left) + 2 + len(first_right)):
-        terms = {(left + a, pair, b + right): c for (a, pair, b), c in core.items()}
-        yield BimodElement._own(space, n, terms)
-
-
-def relation_generators(space: Space, n: int) -> list[BimodElement]:
-    """A basis of the degree-n relations: every two-sided translate into
-    degree n of every basis core of `mseq._relation_cores`.  Their
+def relation_generators(m: int, n: int) -> list[dict]:
+    """A basis of the degree-n relations over the letters 1..m: every
+    two-sided basis-word translate into degree n of every basis core of
+    `mseq._relation_cores`, as an integer {term: +-1} dict.  Their
     leading terms are pairwise distinct, so they are independent, and
     they span the relations of every core (the `mseq` docstring; each
     certified M->T->S cell checks both).  Translating by basis words is
-    injective, so none of them is zero."""
-    return [g for core, basis in _relation_cores(space, n) if basis
-            for g in _two_sided_closure(space, core, n)]
+    injective, so none of them is zero.  They hold over every field: a
+    field enters only through an element, `BimodElement(space, n, g)`."""
+    gens: list[dict] = []
+    for core, basis in _relation_cores(m, n):
+        if basis:
+            # every term of a core has the core's degree
+            first_left, _, first_right = next(iter(core))
+            gens += ({(left + a, pair, b + right): c for (a, pair, b), c in core.items()}
+                     for left, right in _translates(m, n, len(first_left) + 2 + len(first_right)))
+    return gens
 
 
 class QuotientContext(Record):
@@ -145,11 +143,12 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
     basis of the degree-n relations, so the RREF has one row per
     generator.
 
-    The generators are row-reduced over the integers whatever field
-    `space` names, and the one integer RREF serves every field.  Every
-    basis core leads with +-1 (each certified M->T->S cell checks it),
-    and `_ZZ.inv` raises on any other pivot, so the integer RREF is the
-    RREF over Q.  Each of its rows is a pivot term minus a signed path
+    The generators are integer dicts, built from `space.dim` alone and
+    read straight into sparse rows, with no element built; they are
+    row-reduced over the integers whatever field `space` names, and the
+    one integer RREF serves every field.  Every basis core leads with
+    +-1 (each certified M->T->S cell checks it), and `_ZZ.inv` raises
+    on any other pivot, so the integer RREF is the RREF over Q.  Each of its rows is a pivot term minus a signed path
     of last-ascent terms (the lemma in the `mseq` docstring), so every
     entry is +-1, none vanishes mod p, and reduced mod p it is the RREF
     over F_p: `normal_form` reduces in the field of `space`."""
@@ -158,8 +157,8 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
     check_cap(ambient_dim(space.dim, n), size_cap)
     terms = tuple(all_bimod_terms(space.dim, n))
     index = {t: i for i, t in enumerate(terms)}
-    rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
-            for g in relation_generators(Space(space.dim, _ZZ), n)]
+    rows = [tuple(sorted((index[k], c) for k, c in g.items()))
+            for g in relation_generators(space.dim, n)]
     rel_rows, pivots = echelon_rows(_ZZ, _bottom_up(rows))
     return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots),
                            dict(zip(pivots, rel_rows)))

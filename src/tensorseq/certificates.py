@@ -56,11 +56,12 @@ rows are e_u - e_v and whose projection rows each hold one 1, calls
 over Q and every F_p.  The check accepts an image row a(e_u - e_v) only
 when the ring calls a a unit (`Field.is_unit`): any nonzero a in a
 field, but only +-1 in the integers, so never 2(e_u - e_v), an edge over
-Q but zero over F2.  With the unit leading coefficients that `mseq`
-asks the same ring for on its relation cores, that makes one integer
-computation a certificate for every field, and `certify.run_grid` stamps
-a copy of it with each field's name.  The S' sequence is still checked
-once per field.
+Q but zero over F2.  The relation cores of `mseq` are integer data,
+{term: +-1} dicts built with no ring, and each cell checks that every
+core's leading coefficient is a unit of the integers, so +-1 in every
+field.  Together that makes one integer computation a certificate for
+every field, and `certify.run_grid` stamps a copy of it with each
+field's name.  The S' sequence is still checked once per field.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ def verify_degree2_agreement(space: Space) -> Certificate:
     checks = []
 
     # the witness: every nonzero relation has a leading term, so none means R = 0
-    rel_rank = len(mseq._leading_terms(space, 2)[0])
+    rel_rank = len(mseq._leading_terms(m, 2)[0])
     terms = mseq.all_bimod_terms(m, 2)
     lam2 = dim_wedge(m, 2)
     checks.append(CheckResult(

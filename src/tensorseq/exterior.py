@@ -9,7 +9,7 @@ parity of the sorting permutation, which works in every characteristic.
 from __future__ import annotations
 
 from . import linalg, perms
-from .bases import Space, Word, all_wedge_words, check_word, collect
+from .bases import Space, Word, all_wedge_words, check_word, collect, edge_rows
 # defined in `bases`, and still importable from here, as the same object
 from .bases import dim_wedge  # noqa: F401
 from .fields import Scalar
@@ -66,14 +66,10 @@ def wedge_to_tensor(a: ExtElement) -> TensorElement:
 
 def wedge_to_tensor_matrix(space: Space) -> linalg.Matrix:
     """Matrix of the degree-2 embedding: rows = wedge pairs (lex order),
-    columns = length-2 words (lex order)."""
+    columns = length-2 words (lex order), the word (i, j) at column
+    (i - 1) * m + j - 1.  Each row is the edge from (i, j) to (j, i)."""
     m = space.dim
-    field = space.field
-    word_index = {(i, j): (i - 1) * m + (j - 1)
-                  for i in range(1, m + 1) for j in range(1, m + 1)}
-    one, neg_one = field.one, field.neg(field.one)
-    # i < j, so the word (i, j) precedes (j, i)
-    rows = tuple(((word_index[(i, j)], one), (word_index[(j, i)], neg_one))
-                 for (i, j) in all_wedge_words(m, 2))
-    return linalg.Matrix(field, m * m, rows)
+    rows = edge_rows(space.field, (((i - 1) * m + j - 1, (j - 1) * m + i - 1)
+                                   for i, j in all_wedge_words(m, 2)))
+    return linalg.Matrix(space.field, m * m, tuple(rows))
 

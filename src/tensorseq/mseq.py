@@ -4,7 +4,7 @@ M is the graded bimodule of wedge-carrying tensors modulo its relations
 (`bimodule`); a degree-n basis term is (left word, wedge pair, right
 word) with the wedge pair strictly increasing.  The relations are the
 two-sided word translates of two families of cores, built here as
-plain {term: coeff} dicts:
+integer {term: +-1} dicts, with no ring, field or `Space`:
 
   * commutator transfer: (uv - vu) (x) mid (x) z^t  -  u^v (x) mid (x) (zt - tz)
   * Jacobi cycle:        [u, v^w] + [v, w^u] + [w, u^v]
@@ -12,8 +12,10 @@ plain {term: coeff} dicts:
 with u, v, w, z, t basis vectors and `mid` a basis word.  The
 expansion E replaces the wedge by a commutator, l.(a^b).r |-> l.a.b.r -
 l.b.a.r, and maps M to T; S is the symmetric quotient of T.  This
-module needs no element class: `bimodule` wraps the same cores and
-terms in `BimodElement`s for its quotient arithmetic.
+module needs no element class: `bimodule` translates the same integer
+cores into the integer generators of its quotient, and a field enters M
+only where an element does, in `bimodule.expand_wedge` and
+`bimodule.normal_form`.
 
 `verify_sequence` needs only the rank of the relation span R, and it
 takes it from a leading-term witness instead of an elimination.  Order
@@ -160,57 +162,55 @@ def all_bimod_terms(m: int, n: int) -> list[BimodTerm]:
     return terms
 
 
-def _wedge_terms(field: Field, items: Iterable[tuple]) -> Iterator[tuple]:
+def _wedge_terms(items: Iterable[tuple]) -> Iterator[tuple]:
     """The canonical (term, coeff) pairs of coeff * (left | u^v | right)
-    for each (left, u, v, right, coeff) in `items`: u^v with u > v
-    becomes -(v^u), and u^u drops out."""
-    neg = field.neg
+    for each (left, u, v, right, coeff) in `items`, coeff an int: u^v
+    with u > v becomes -(v^u), and u^u drops out."""
     for left, u, v, right, coeff in items:
         if u < v:
             yield (left, (u, v), right), coeff
         elif u > v:
-            yield (left, (v, u), right), neg(coeff)
+            yield (left, (v, u), right), -coeff
 
 
-def _transfer_core(field: Field, x: int, y: int, mid: Word, z: int, t: int) -> dict:
-    """(xy - yx) (x) mid (x) z^t  -  x^y (x) mid (x) (zt - tz), as terms."""
-    one, neg_one = field.one, field.neg(field.one)
-    return collect(field, _wedge_terms(field, (((x, y) + mid, z, t, (), one),
-                                               ((y, x) + mid, z, t, (), neg_one),
-                                               ((), x, y, mid + (z, t), neg_one),
-                                               ((), x, y, mid + (t, z), one))))
+def _transfer_core(x: int, y: int, mid: Word, z: int, t: int) -> dict:
+    """(xy - yx) (x) mid (x) z^t  -  x^y (x) mid (x) (zt - tz), as {term: +-1}."""
+    return collect(_ZZ, _wedge_terms((((x, y) + mid, z, t, (), 1),
+                                      ((y, x) + mid, z, t, (), -1),
+                                      ((), x, y, mid + (z, t), -1),
+                                      ((), x, y, mid + (t, z), 1))))
 
 
-def _jacobi_core(field: Field, x: int, y: int, z: int) -> dict:
-    """[x, y^z] + [y, z^x] + [z, x^y], the cyclic commutator sum, as terms."""
-    one, neg_one = field.one, field.neg(field.one)
+def _jacobi_core(x: int, y: int, z: int) -> dict:
+    """[x, y^z] + [y, z^x] + [z, x^y], the cyclic commutator sum, as {term: +-1}."""
     items = (item for a, (b, c) in ((x, (y, z)), (y, (z, x)), (z, (x, y)))
-             for item in (((a,), b, c, (), one), ((), b, c, (a,), neg_one)))
-    return collect(field, _wedge_terms(field, items))
+             for item in (((a,), b, c, (), 1), ((), b, c, (a,), -1)))
+    return collect(_ZZ, _wedge_terms(items))
 
 
-def _relation_cores(space: Space, n: int) -> Iterator[tuple[dict, bool]]:
+def _relation_cores(m: int, n: int) -> Iterator[tuple[dict, bool]]:
     """The relation cores of degree at most n whose two-sided translates
     span the degree-n relations: Jacobi cycles, then commutator
-    transfers by middle length, each as ({term: coeff}, basis).  `basis`
-    marks the basis cores, whose translates alone are a basis of the
-    relations (module docstring): every Jacobi core, and the transfer
-    cores T(x, y, mid, z, t) with y >= mid[0] >= ... >= mid[-1] >= z.
+    transfers by middle length, each as ({term: +-1}, basis), over the
+    letters 1..m.  They are integer data: a field enters only through an
+    element built from them.  `basis` marks the basis cores, whose
+    translates alone are a basis of the relations (module docstring):
+    every Jacobi core, and the transfer cores T(x, y, mid, z, t) with
+    y >= mid[0] >= ... >= mid[-1] >= z.
 
     Cores are instantiated on ordered index tuples only: both families
     are multilinear and alternating in the relevant slots, so unordered
     or repeated instantiations are scalar multiples of ordered ones.  No
     ordered core is zero: its terms are distinct.
     """
-    f = space.field
-    letters = range(1, space.dim + 1)
-    jacobi = ((_jacobi_core(f, x, y, z), True) for x, y, z in combinations(letters, 3))
-    transfers = ((_transfer_core(f, x, y, mid, z, t),
+    letters = range(1, m + 1)
+    jacobi = ((_jacobi_core(x, y, z), True) for x, y, z in combinations(letters, 3))
+    transfers = ((_transfer_core(x, y, mid, z, t),
                   all(p >= q for p, q in zip((y,) + mid, mid + (z,))))
                  for k in range(n - 3)
                  for x, y in combinations(letters, 2)
                  for z, t in combinations(letters, 2)
-                 for mid in all_words(space.dim, k))
+                 for mid in all_words(m, k))
     return chain(jacobi if n >= 3 else (), transfers)
 
 
@@ -237,28 +237,26 @@ def _term_order(term: BimodTerm) -> tuple:
     return len(left), left, pair, right
 
 
-def _leading_terms(space: Space, n: int) -> tuple[set, str | None]:
-    """The distinct leading terms of the degree-n relation generators,
-    the translates of the basis cores, and the first fault among all
-    the relation cores, or None: a leading coefficient that is not a
-    unit of the ring (over the integers, not +-1), or an expansion that
-    is not zero.
+def _leading_terms(m: int, n: int) -> tuple[set, str | None]:
+    """The distinct leading terms of the degree-n relation generators
+    over the letters 1..m, the translates of the basis cores, and the
+    first fault among all the relation cores, or None: a leading
+    coefficient that is not a unit of the integers (not +-1), or an
+    expansion over the integers that is not zero.
 
     The leading term of l.core.r is l.lead(core).r, so the translates'
     leading terms are formed as tuples and no translate is built; every
     core, basis core or not, is checked once, up to the first fault (see
     the module docstring)."""
-    m = space.dim
-    field = space.field
     leads: set = set()
     fault = None
-    for core, basis in _relation_cores(space, n):
+    for core, basis in _relation_cores(m, n):
         lead = min(core, key=_term_order)
         if fault is None:
-            if not field.is_unit(core[lead]):
+            if not _ZZ.is_unit(core[lead]):
                 fault = (f"relation core led by {lead} has leading coefficient "
                          f"{core[lead]}, not +-1")
-            elif _expand(field, core):
+            elif _expand(_ZZ, core):
                 fault = "relations do not expand to zero"
         if basis:
             a, pair, b = lead
@@ -316,11 +314,10 @@ def verify_sequence(space: Space, n: int, size_cap: int | None = None) -> Certif
     t_dim = dim_tensor(m, n)
     check_cap(t_dim, size_cap, "tensor dimension")
     s_dim = dim_sym(m, n)
-    ring = Space(m, _ZZ)
-    leads, fault = _leading_terms(ring, n)
+    leads, fault = _leading_terms(m, n)
     word_index = {w: i for i, w in enumerate(all_words(m, n))}
     image_rows = _expansion_rows(_ZZ, word_index, all_bimod_terms(m, n))
-    projection = symmetrize_matrix(ring, n)
+    projection = symmetrize_matrix(Space(m, _ZZ), n)
     exact, inj_rank, proj_rank = image_equals_kernel(_ZZ, image_rows, projection)
     q_dim = ambient - len(leads)
     detail = f"rank of expansion on quotient basis = {inj_rank}, quotient dim = {q_dim}"

@@ -33,7 +33,7 @@ def fields_qf23():
     return (QQ, GF(2), GF(3))
 
 
-# relation family -> the `mseq` function building its cores as {term: coeff}
+# relation family -> the `mseq` function building its cores as {term: +-1}
 CORES = {"jacobi_cycle": "_jacobi_core", "commutator_transfer": "_transfer_core"}
 
 
@@ -45,10 +45,10 @@ def break_sign(monkeypatch):
     def patch(family):
         real = getattr(mseq, CORES[family])
 
-        def broken(field, *args):
-            terms = real(field, *args)
+        def broken(*letters):
+            terms = real(*letters)
             first = min(terms)
-            terms[first] = field.neg(terms[first])
+            terms[first] = -terms[first]
             return terms
 
         monkeypatch.setattr(mseq, CORES[family], broken)

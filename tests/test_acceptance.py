@@ -83,19 +83,19 @@ def test_criterion_3_relations_and_insertion_maps(ctx_cache):
         sp = tensor.Space(m, QQ)
         letters = range(1, m + 1)
         for x, y, z in product(letters, repeat=3):
-            jacobi = bimodule.BimodElement(sp, 3, mseq._jacobi_core(QQ, x, y, z))
+            jacobi = bimodule.BimodElement(sp, 3, mseq._jacobi_core(x, y, z))
             if not bimodule.expand_wedge(jacobi).is_zero():
                 failures += 1
         for k in (0, 1):  # middle-word degrees: degree-4 and degree-5 cores
             for mid in tensor.all_words(m, k):
                 for x, y, z, t in product(letters, repeat=4):
                     g = bimodule.BimodElement(sp, len(mid) + 4,
-                                              mseq._transfer_core(QQ, x, y, mid, z, t))
+                                              mseq._transfer_core(x, y, mid, z, t))
                     if not bimodule.expand_wedge(g).is_zero():
                         failures += 1
         for n in (2, 3, 4):
-            for g in bimodule.relation_generators(sp, n):
-                if not bimodule.expand_wedge(g).is_zero():
+            for g in bimodule.relation_generators(m, n):
+                if not bimodule.expand_wedge(bimodule.BimodElement(sp, n, g)).is_zero():
                     failures += 1
             for w in tensor.all_words(m, n):
                 e = tensor.word_element(sp, w)

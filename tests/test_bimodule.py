@@ -55,32 +55,32 @@ def test_generators_expand_to_zero_all_instantiations():
     for field in (QQ, GF(2), GF(3)):
         sp = tensor.Space(3, field)
         for x, y, z in product(range(1, 4), repeat=3):
-            jacobi = bimodule.BimodElement(sp, 3, mseq._jacobi_core(field, x, y, z))
+            jacobi = bimodule.BimodElement(sp, 3, mseq._jacobi_core(x, y, z))
             assert bimodule.expand_wedge(jacobi).is_zero()
         for x, y, z, t in product(range(1, 4), repeat=4):
             for mid in [(), (2,), (1, 3)]:
-                g = bimodule.BimodElement(sp, len(mid) + 4,
-                                          mseq._transfer_core(field, x, y, mid, z, t))
+                g = bimodule.BimodElement(sp, len(mid) + 4, mseq._transfer_core(x, y, mid, z, t))
                 assert bimodule.expand_wedge(g).is_zero()
 
 
 def _full_relation_translates(space, n):
-    """Naive spanning family: the degree-n translates, as {term: coeff},
-    of the cores over all index tuples, not just the ordered ones the
-    library enumerates."""
+    """Naive spanning family: the degree-n translates, as {term: coeff}
+    over the field of `space`, of the cores over all index tuples, not
+    just the ordered ones the library enumerates."""
     m = space.dim
     cores = []
     if n >= 3:
-        cores += [bimodule.BimodElement(space, 3, mseq._jacobi_core(space.field, x, y, z))
+        cores += [bimodule.BimodElement(space, 3, mseq._jacobi_core(x, y, z))
                   for x, y, z in product(range(1, m + 1), repeat=3)]
     for k in range(n - 3):
         for x, y, z, t in product(range(1, m + 1), repeat=4):
             for mid in tensor.all_words(m, k):
                 cores.append(bimodule.BimodElement(
-                    space, len(mid) + 4, mseq._transfer_core(space.field, x, y, mid, z, t)))
+                    space, len(mid) + 4, mseq._transfer_core(x, y, mid, z, t)))
     for core in cores:
         if not core.is_zero():
-            yield from (g.terms for g in bimodule._two_sided_closure(space, core.terms, n))
+            for left, right in mseq._translates(m, n, core.degree):
+                yield {(left + a, pair, b + right): c for (a, pair, b), c in core.terms.items()}
 
 
 def _index_rows(index, translates):
@@ -103,7 +103,7 @@ def test_reduced_generators_span_the_full_family(m, n, field):
     ctx = bimodule.build_context(sp, n)
     full, piv = linalg.echelon_rows(field, _full_relation_rows(sp, n))
     assert len(full) == ctx.rel_rank
-    assert len(bimodule.relation_generators(sp, n)) == ctx.rel_rank
+    assert len(bimodule.relation_generators(m, n)) == ctx.rel_rank
     assert contained(field, full, piv, ctx.rel_rows)
     assert contained(field, ctx.rel_rows, ctx.rel_pivots, full)
 
@@ -120,19 +120,38 @@ def test_bottom_up_order_keeps_the_relation_rref(m, n, field):
     ctx = bimodule.build_context(tensor.Space(m, field), n)
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
 
-    def generator_rows(ring):
-        return [tuple(sorted((index[k], c) for k, c in g.terms.items()))
-                for g in bimodule.relation_generators(tensor.Space(m, ring), n)]
+    def generator_rows(field):
+        """The integer generators, coerced into `field` by the checked
+        element constructor, as sparse rows."""
+        space = tensor.Space(m, field)
+        return [tuple(sorted((index[k], c)
+                             for k, c in bimodule.BimodElement(space, n, g).terms.items()))
+                for g in bimodule.relation_generators(m, n)]
 
     rel_rows, pivots = linalg.echelon_rows(_ZZ, generator_rows(_ZZ))
     assert ctx.rel_pivots == tuple(pivots)
     assert repr(ctx.rel_rows) == repr(tuple(rel_rows))
     assert ctx.rel_basis == dict(zip(pivots, rel_rows))
     assert all(type(x) is int and x in (1, -1) for row in rel_rows for _, x in row)
-    leads, fault = mseq._leading_terms(tensor.Space(m, _ZZ), n)
+    leads, fault = mseq._leading_terms(m, n)
     assert fault is None and list(pivots) == sorted(index[t] for t in leads)
     reduced = [tuple((c, field.normalize(x)) for c, x in row) for row in rel_rows]
     assert (reduced, pivots) == linalg.echelon_rows(field, generator_rows(field))
+
+
+@pytest.mark.parametrize("m,n", [(2, 5), (3, 5), (4, 4)])
+def test_relation_cores_and_generators_are_integer_data(m, n):
+    """M's relations take no ring: every core and every generator is a
+    {term: +-1} dict of plain ints (no bool), and every generator term is
+    a degree-n basis term."""
+    def unit_ints(values):
+        return all(type(c) is int and c in (1, -1) for c in values)
+
+    assert all(unit_ints(core.values()) for core, _ in mseq._relation_cores(m, n))
+    generators = bimodule.relation_generators(m, n)
+    assert generators and all(unit_ints(g.values()) for g in generators)
+    terms = set(bimodule.all_bimod_terms(m, n))
+    assert all(key in terms for g in generators for key in g)
 
 
 def test_integer_quotient_refuses_a_core_without_a_unit_lead(monkeypatch):
@@ -140,8 +159,8 @@ def test_integer_quotient_refuses_a_core_without_a_unit_lead(monkeypatch):
     integer elimination must raise rather than divide by it."""
     cores = mseq._relation_cores
 
-    def doubled(space, n):
-        (core, basis), *rest = cores(space, n)
+    def doubled(m, n):
+        (core, basis), *rest = cores(m, n)
         return iter([({k: 2 * c for k, c in core.items()}, basis), *rest])
 
     monkeypatch.setattr(bimodule, "_relation_cores", doubled)
@@ -168,9 +187,9 @@ def test_build_context_rejects_low_degree_and_cap():
 def test_normal_form_examples(ctx_cache):
     c33 = ctx_cache(3, 3)
     sp3 = c33.space
-    for g in bimodule.relation_generators(sp3, 3):
-        assert not any(bimodule.normal_form(c33, g))
-    jacobi = bimodule.BimodElement(sp3, 3, mseq._jacobi_core(sp3.field, 1, 2, 3))
+    for g in bimodule.relation_generators(3, 3):
+        assert not any(bimodule.normal_form(c33, bimodule.BimodElement(sp3, 3, g)))
+    jacobi = bimodule.BimodElement(sp3, 3, mseq._jacobi_core(1, 2, 3))
     assert not any(bimodule.normal_form(c33, jacobi))
     c23 = ctx_cache(2, 3)
     single = bimodule.BimodElement(c23.space, 3, {((1,), (1, 2), ()): 1})
@@ -206,7 +225,7 @@ def test_normal_form_separates_classes(ctx_cache):
     ctx = ctx_cache(3, 3)
     sp = ctx.space
     x = bimodule.BimodElement(sp, 3, {((1,), (2, 3), ()): 1})
-    jac = bimodule.BimodElement(sp, 3, mseq._jacobi_core(sp.field, 1, 2, 3))
+    jac = bimodule.BimodElement(sp, 3, mseq._jacobi_core(1, 2, 3))
     assert bimodule.normal_form(ctx, x) == bimodule.normal_form(ctx, x + jac)
     y = bimodule.BimodElement(sp, 3, {((2,), (1, 3), ()): 1})
     assert bimodule.normal_form(ctx, x) != bimodule.normal_form(ctx, y)
@@ -446,10 +465,9 @@ def test_certificate_json_shape():
 
 
 def test_relation_generators_deterministic():
-    sp = tensor.Space(3, QQ)
-    a = [g.terms for g in bimodule.relation_generators(sp, 4)]
-    b = [g.terms for g in bimodule.relation_generators(sp, 4)]
-    assert a == b
+    a = bimodule.relation_generators(3, 4)
+    b = bimodule.relation_generators(3, 4)
+    assert a == b and [list(g) for g in a] == [list(g) for g in b]
 
 
 def test_normal_form_over_q_returns_fractions(ctx_cache):
@@ -512,7 +530,7 @@ def test_leading_coefficient_two_fails_injective_rank(monkeypatch, family, m, n)
     core by its leading term."""
     real = getattr(mseq, CORES[family])
     monkeypatch.setattr(mseq, CORES[family],
-                        lambda field, *args: {k: 2 * c for k, c in real(field, *args).items()})
+                        lambda *letters: {k: 2 * c for k, c in real(*letters).items()})
     certs = certify.run_grid(certify.CheckGrid((m,), (n,), (QQ, GF(2), GF(3))), "m")
     assert len(certs) == 3
     for cert in certs:
@@ -550,9 +568,9 @@ def test_leading_terms_are_the_pivots_of_the_relation_rref(m, n, field):
     `echelon_rows` finds for them, so their count is the relation rank."""
     sp = tensor.Space(m, field)
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
-    rows = [tuple(sorted((index[k], c) for k, c in g.terms.items()))
-            for g in bimodule.relation_generators(sp, n)]
-    leads, fault = mseq._leading_terms(sp, n)
+    rows = [tuple(sorted((index[k], c) for k, c in bimodule.BimodElement(sp, n, g).terms.items()))
+            for g in bimodule.relation_generators(m, n)]
+    leads, fault = mseq._leading_terms(m, n)
     assert fault is None
     assert {index[t] for t in leads} == {row[0][0] for row in rows}
     assert {index[t] for t in leads} == set(linalg.echelon_rows(field, rows)[1])
@@ -589,11 +607,9 @@ def test_integer_relation_lattice_is_saturated_of_witness_rank(m, n, k):
     the relation generators have rank k, the witness count, and every
     pivot is +-1, so the pivot-column minor is +-1 and the relation
     lattice is saturated: a vector whose multiple is a relation is one."""
-    sp = tensor.Space(m, _ZZ)
-    assert len(mseq._leading_terms(sp, n)[0]) == k
+    assert len(mseq._leading_terms(m, n)[0]) == k
     index = {t: i for i, t in enumerate(bimodule.all_bimod_terms(m, n))}
-    rows = [{index[t]: c for t, c in g.terms.items()}
-            for g in bimodule.relation_generators(sp, n)]
+    rows = [{index[t]: c for t, c in g.items()} for g in bimodule.relation_generators(m, n)]
     pivots = _integer_echelon(rows)
     assert len(pivots) == k
     assert all(row[c] in (1, -1) for c, row in pivots.items())
@@ -644,13 +660,18 @@ def test_leading_terms_are_the_terms_off_the_last_ascent(m, n, field):
     """The closure lemma of the module docstring: the leading terms and
     the last-ascent terms split the term basis, and there is one
     last-ascent term per word that is not weakly decreasing, so the
-    witness count always meets the bound ambient - rank E."""
+    witness count always meets the bound ambient - rank E.  The witness
+    reads the integer cores; reduced into `field`, the generators keep
+    exactly these leading terms, so the split holds there too."""
     terms = bimodule.all_bimod_terms(m, n)
-    leads, fault = mseq._leading_terms(tensor.Space(m, field), n)
+    leads, fault = mseq._leading_terms(m, n)
     last = {t for t in terms if _at_last_ascent(t)}
     assert fault is None and not leads & last
     assert leads | last == set(terms)
     assert len(last) == m ** n - comb(m + n - 1, n)
+    sp = tensor.Space(m, field)
+    assert leads == {min(bimodule.BimodElement(sp, n, g).terms, key=mseq._term_order)
+                     for g in bimodule.relation_generators(m, n)}
 
 
 def _ordered_cores(m, n):
@@ -662,13 +683,13 @@ def _ordered_cores(m, n):
     letters = range(1, m + 1)
     if n >= 3:
         for a, b, c in combinations(letters, 3):
-            yield mseq._jacobi_core(_ZZ, a, b, c), True
+            yield mseq._jacobi_core(a, b, c), True
     for k in range(n - 3):
         for a, b in combinations(letters, 2):
             for z, t in combinations(letters, 2):
                 for mid in tensor.all_words(m, k):
                     run = (b,) + mid + (z,)
-                    yield (mseq._transfer_core(_ZZ, a, b, mid, z, t),
+                    yield (mseq._transfer_core(a, b, mid, z, t),
                            all(x >= y for x, y in zip(run, run[1:])))
 
 
@@ -700,11 +721,11 @@ def test_translates_of_the_basis_cores_have_distinct_leading_terms(m, n):
     leads = _translated_leads(_basis_cores(m, n), m, n)
     assert len(set(leads)) == len(leads)
     assert len(leads) == mseq.ambient_dim(m, n) - m ** n + comb(m + n - 1, n)
-    assert set(leads) == mseq._leading_terms(tensor.Space(m, _ZZ), n)[0]
-    flagged = [core for core, basis in mseq._relation_cores(tensor.Space(m, _ZZ), n) if basis]
+    assert set(leads) == mseq._leading_terms(m, n)[0]
+    flagged = [core for core, basis in mseq._relation_cores(m, n) if basis]
     assert flagged == _basis_cores(m, n)
     every = _translated_leads((core for core, _ in _ordered_cores(m, n)), m, n)
-    assert set(every) == mseq._leading_terms(tensor.Space(m, _ZZ), n)[0]
+    assert set(every) == mseq._leading_terms(m, n)[0]
 
 
 def test_non_basis_cores_are_still_checked(monkeypatch):
@@ -717,18 +738,18 @@ def test_non_basis_cores_are_still_checked(monkeypatch):
     real = mseq._transfer_core
     perturbed = []
 
-    def patched(field, x, y, mid, z, t):
-        terms = real(field, x, y, mid, z, t)
+    def patched(x, y, mid, z, t):
+        terms = real(x, y, mid, z, t)
         if any(p < q for p, q in zip(mid, mid[1:])):
             last = max(terms, key=mseq._term_order)
-            terms[last] = field.neg(terms[last])
+            terms[last] = -terms[last]
             perturbed.append(mid)
         return terms
 
     sp = tensor.Space(3, QQ)
-    generators = [g.terms for g in bimodule.relation_generators(sp, 6)]
+    generators = bimodule.relation_generators(3, 6)
     monkeypatch.setattr(mseq, "_transfer_core", patched)
-    assert [g.terms for g in bimodule.relation_generators(sp, 6)] == generators
+    assert bimodule.relation_generators(3, 6) == generators
     cert = bimodule.verify_sequence(sp, 6)
     checks = {c.name: c for c in cert.checks}
     assert perturbed and not checks["injective_rank"].passed and not cert.passed
@@ -769,7 +790,7 @@ def test_new_relations_in_degree_n_are_the_basis_cores_of_degree_n(m, n, new, fi
                              {(l, p, r + (v,)): c for (l, p, r), c in g.items()})]
     rank_n = len(linalg.echelon_rows(field, _full_relation_rows(sp, n))[1])
     rank_lower = len(linalg.echelon_rows(field, _index_rows(index, lower))[1])
-    top = sum(1 for core, basis in mseq._relation_cores(sp, n)
+    top = sum(1 for core, basis in mseq._relation_cores(m, n)
               if basis and _core_degree(core) == n)
     assert rank_n - rank_lower == top == _hilbert_c(m, n) == new
 
@@ -783,8 +804,8 @@ def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, fiel
     sp = tensor.Space(m, field)
     real = mseq._leading_terms
 
-    def short(space, k):
-        leads, fault = real(space, k)
+    def short(*args):
+        leads, fault = real(*args)
         return set(sorted(leads)[1:]), fault
 
     monkeypatch.setattr(mseq, "_leading_terms", short)

@@ -107,12 +107,14 @@ def test_answers_that_differ_in_one_entry_compare_unequal(case, data):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_a_relation_has_the_zero_answer(field):
     ctx = _context(3, 4, field)
-    answer = bimodule.normal_form(ctx, bimodule.relation_generators(ctx.space, 4)[0])
+    relation = bimodule.BimodElement(ctx.space, 4, bimodule.relation_generators(3, 4)[0])
+    answer = bimodule.normal_form(ctx, relation)
     assert answer.cols == () and answer.vals == ()
     assert not any(answer) and answer == (field.zero,) * ctx.ambient_dim
     assert answer != (field.zero,) * (ctx.ambient_dim - 1) and answer != ()
     longer = _context(3, 5, field)
-    assert answer != bimodule.normal_form(longer, bimodule.relation_generators(longer.space, 5)[0])
+    relation = bimodule.BimodElement(longer.space, 5, bimodule.relation_generators(3, 5)[0])
+    assert answer != bimodule.normal_form(longer, relation)
 
 
 def test_an_answer_is_an_immutable_value():

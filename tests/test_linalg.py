@@ -289,8 +289,9 @@ def test_relation_rref_matches_dense_oracle():
     space = tensor.Space(3, QQ)
     ctx = bimodule.build_context(space, 5)
     amb = ctx.ambient_dim
-    gens = [_dense(QQ, sorted((ctx.index[k], c) for k, c in g.terms.items()), amb)
-            for g in bimodule.relation_generators(space, 5)]
+    gens = [_dense(QQ, sorted((ctx.index[k], c)
+                              for k, c in bimodule.BimodElement(space, 5, g).terms.items()), amb)
+            for g in bimodule.relation_generators(3, 5)]
     want, want_piv = dense_rref(QQ, gens, amb)
     assert list(ctx.rel_pivots) == want_piv
     assert [_dense(QQ, row, amb) for row in ctx.rel_rows] == want

@@ -1,7 +1,10 @@
 """Fail closed against wrong maps: each row of a table corrupts one map
-builder of a certifier and says where the fault is caught, either by
-the checks that must then fail on every cell of that sequence's list,
-or by a named Tier-1 test."""
+builder or witness of a certifier and says where the fault is caught,
+either by the checks that must then fail on every cell of that
+sequence's list (and, where given, what their details say), or by a
+named Tier-1 test."""
+
+import re
 
 import pytest
 
@@ -47,35 +50,86 @@ def _edge_between_plain_classes(e):
     return Matrix(e.field, e.ncols, (((j, a), (j + 1, b)),) + e.rows[1:])
 
 
+def _first_core(change):
+    """A corruption of the relation cores that replaces the first
+    (core, basis) pair by `change(core, basis)`.  On every M cell the
+    first core, J(1, 2, 3) or T(1, 2, (), 1, 2), is a basis core."""
+    def corrupt(cores):
+        (core, basis), *rest = cores
+        assert basis
+        return iter([change(core, basis), *rest])
+    return corrupt
+
+
+def _non_leading_doubled(core, basis):
+    """The core's last term, in the canonical order, doubled: the leading
+    term and its coefficient stay, but the expansion is no longer 0."""
+    last = max(core, key=mseq._term_order)
+    return {**core, last: 2 * core[last]}, basis
+
+
 MUTATIONS = [
-    # (name, module, builder, corruption, cells, checks that must fail)
+    # (name, module, builder, corruption, cells, checks that must fail,
+    #  {failing check: pattern its detail must match})
     ("M projection not onto", mseq, "symmetrize_matrix", _wider, M_CELLS,
-     {"dimension_identity"}),
+     {"dimension_identity"}, {}),
     ("M two fibres merged", mseq, "symmetrize_matrix", _merged, M_CELLS,
-     {"image_equals_kernel", "dimension_identity"}),
+     {"image_equals_kernel", "dimension_identity"}, {}),
     ("M word split off its fibre", mseq, "symmetrize_matrix", _second_word_in_a_fresh_column,
-     M_CELLS, {"image_equals_kernel", "dimension_identity"}),
+     M_CELLS, {"image_equals_kernel", "dimension_identity"}, {}),
     ("M expansion edge dropped", mseq, "_expansion_rows", lambda rows: rows[:-1], M_CELLS,
-     {"injective_rank", "image_equals_kernel"}),
+     {"injective_rank", "image_equals_kernel"}, {}),
+    # The witness (`mseq._leading_terms`) reads the cores of `_relation_cores`.
+    ("M witness: first basis core unflagged", mseq, "_relation_cores",
+     _first_core(lambda core, basis: (core, False)), M_CELLS,
+     {"injective_rank", "dimension_identity"}, {}),
+    ("M witness: first core scaled by 2", mseq, "_relation_cores",
+     _first_core(lambda core, basis: ({k: 2 * c for k, c in core.items()}, basis)), M_CELLS,
+     {"injective_rank"}, {"injective_rank": r", relation core led by .* has leading "
+                                            r"coefficient -2, not \+-1$"}),
+    ("M witness: non-leading term doubled", mseq, "_relation_cores",
+     _first_core(_non_leading_doubled), M_CELLS,
+     {"injective_rank"}, {"injective_rank": r", relations do not expand to zero$"}),
     ("S' projection not onto", sprimeseq, "to_sym_matrix", _wider, SPRIME_CELLS,
-     {"surjective_rank"}),
+     {"surjective_rank"}, {}),
     ("S' wedge row dropped", sprimeseq, "wedge_embed_matrix", _without_last_row,
-     SPRIME_CELLS, {"injective_rank", "image_equals_kernel"}),
+     SPRIME_CELLS, {"injective_rank", "image_equals_kernel"}, {}),
     ("S' wedge edge between plain classes", sprimeseq, "wedge_embed_matrix",
-     _edge_between_plain_classes, SPRIME_CELLS, {"image_equals_kernel"}),
+     _edge_between_plain_classes, SPRIME_CELLS, {"image_equals_kernel"}, {}),
 ]
 
 
-@pytest.mark.parametrize("name,module,builder,corrupt,cells,failing", MUTATIONS,
+@pytest.mark.parametrize("name,module,builder,corrupt,cells,failing,details", MUTATIONS,
                          ids=[row[0] for row in MUTATIONS])
 def test_a_corrupted_map_fails_its_cells(monkeypatch, name, module, builder, corrupt,
-                                         cells, failing):
+                                         cells, failing, details):
     real = getattr(module, builder)
     monkeypatch.setattr(module, builder, lambda *args: corrupt(real(*args)))
     for m, n, field in cells:
         cert = module.verify_sequence(Space(m, field), n)
         assert not cert.passed and cert.error is None
         assert {c.name for c in cert.checks if not c.passed} == failing, (m, n, field)
+        for c in cert.checks:
+            if c.name in details:
+                assert re.search(details[c.name], c.detail), (m, n, field, c.detail)
+
+
+def test_a_witness_that_flags_every_core_as_basis_still_passes(monkeypatch):
+    """The witness counts distinct leading terms, a lower bound on rank R,
+    so translating extra cores adds no new leading term (the `mseq`
+    lemma) and every M cell still passes."""
+    real = mseq._relation_cores
+    flipped = []
+
+    def all_basis(*args):
+        for core, basis in real(*args):
+            flipped.append(not basis)
+            yield core, True
+
+    monkeypatch.setattr(mseq, "_relation_cores", all_basis)
+    for m, n, field in M_CELLS:
+        assert mseq.verify_sequence(Space(m, field), n).passed, (m, n, field)
+    assert any(flipped)
 
 
 def _two_twisted_classes_on_one_monomial(cols):
