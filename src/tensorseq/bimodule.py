@@ -27,18 +27,29 @@ The relation cores, the canonical term order and the certificate of
 `verify_sequence`, `ambient_dim` and `all_bimod_terms` are importable
 from here as the same objects.
 
-`wedge_at` replaces one tensor sign of a word by a wedge; summing its
-images along a factorization of a permutation into adjacent swaps gives
-the telescoping `cocycle` map, whose value is independent of the chosen
-factorization.  `cocycle` has `wedge_at` sum every image straight into
-one dict, skips a swap that exchanges equal letters in every word (it
-changes nothing and has image 0), applies no swap after the last letter,
-whose result nothing would read, and over Q sums on ints while the
-values are integral.  What depends only on t comes from caches in
-`perms`, since a query loop draws few distinct t (720 at degree 6): its
-bubble-sort word and the degree's adjacent transpositions and their
-movers.  Each cache checks a permutation as it enters, so a warm query
-checks none.
+`wedge_at` replaces one tensor sign of a word by a wedge, and expands
+to the word minus its swap there; summed along a path of adjacent swaps
+from u to v, its images expand to u - v.  Around a closed path they sum
+into the relations R: such a path is made of commuting squares, braid
+hexagons s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}, steps taken and undone
+and swaps of two equal letters, and these sum to a translate of the
+transfer core, a translate of the Jacobi core, 0, and the image 0.  So
+a path's class depends only on its ends.  The class N(w) of any path
+from a word w to sorted(w) is well defined, and since sorted(t.w) =
+sorted(w), the telescope of a permutation t on a, a path from a to t.a,
+has the class N(a) - N(t.a), N extended linearly.  Exactness at M says
+the same: M -> T is injective, so that class is the one whose expansion
+is a - t.a, for every factorization of t.
+
+`cocycle` answers from this by default.  `QuotientContext.word_classes`
+is a memo of N, empty when `build_context` returns and filled lazily: a
+word missing from it walks toward its sorted word by first descents
+until it meets a stored or a sorted word (class 0), and each word on
+the way back costs one `normal_form` of one `wedge_at` term plus its
+parent's class.  The memo holds normal forms, so sums of them need no
+further reduction, and it holds at most the m^n words of its degree.
+The explicit-`word` path of `cocycle` still sums the telescope along
+the word it is given, an independent check of the memo.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from . import perms
@@ -104,15 +116,27 @@ class QuotientContext(Record):
 
     `rel_rows` and `rel_basis` hold the integer RREF, the same for every
     field: every entry is the int 1 or -1 (`build_context`), and
-    `normal_form` reduces it into the field of `space`."""
+    `normal_form` reduces it into the field of `space`.
 
-    __slots__ = ("space", "degree", "terms", "index", "rel_rows", "rel_pivots", "rel_basis")
+    `word_classes` is the memo of `cocycle`, word -> the normal form of
+    the class N(w) with expansion w - sorted(w), stored flat as one
+    tuple col, value, col, value, ... of its nonzero entries, values
+    ints (reduced mod p over F_p): with every word stored, the memo of
+    (3, 6) takes about 240 KB this way and 310 KB as a pair of tuples
+    per word.  A context starts with it empty, and a copy or a pickle
+    starts empty again."""
+
+    __slots__ = ("space", "degree", "terms", "index", "rel_rows", "rel_pivots", "rel_basis",
+                 "word_classes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, space: Space, degree: int, terms: tuple[BimodTerm, ...], index: dict,
                  rel_rows: tuple[Row, ...], rel_pivots: tuple[int, ...], rel_basis: dict):
-        Record.__init__(self, space, degree, terms, index, rel_rows, rel_pivots, rel_basis)
+        Record.__init__(self, space, degree, terms, index, rel_rows, rel_pivots, rel_basis, {})
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)[:-1]
 
     @property
     def ambient_dim(self) -> int:
@@ -307,48 +331,124 @@ def wedge_at(a: TensorElement, i: int, out: dict | None = None) -> BimodElement 
     return BimodElement._own(a.space, n, terms) if out is None else out
 
 
+def _word_class(ctx: QuotientContext, w: tuple) -> tuple:
+    """N(w), the class with expansion w - sorted(w), from
+    `ctx.word_classes`, storing it and the classes met on the way there.
+
+    A missing word walks by first descents, each swap taking it one
+    inversion closer to sorted(w), until it reaches a stored word or a
+    sorted one, whose class is 0; on the way back each word u with
+    descent i gets N(u) = normal_form(wedge_at(u, i)) + N(u swapped at
+    i), since wedge_at(u, i) expands to u minus its swap.  The values
+    are ints, reduced mod p over F_p: over Q a single term's residue
+    against the RREF of +-1 entries is integral."""
+    classes = ctx.word_classes
+    found = classes.get(w)
+    if found is not None:
+        return found
+    path = []
+    u = w
+    while True:
+        for i in range(1, len(u)):
+            if u[i - 1] > u[i]:
+                break
+        else:
+            found = ()
+            break
+        path.append((u, i))
+        u = u[:i - 1] + (u[i], u[i - 1]) + u[i + 1:]
+        found = classes.get(u)
+        if found is not None:
+            break
+    space, n = ctx.space, ctx.degree
+    p = space.field.char
+    for u, i in reversed(path):
+        step = normal_form(ctx, wedge_at(TensorElement._own(space, n, {u: space.field.one}), i))
+        pairs = iter(found)
+        acc = dict(zip(pairs, pairs))
+        for c, v in zip(step.cols, step.vals):
+            v = acc.get(c, 0) + (v if p else v.numerator)
+            if p:
+                v %= p
+            if v:
+                acc[c] = v
+            else:
+                del acc[c]  # a nonzero step entry cancelled the parent's
+        found = classes[u] = tuple(chain.from_iterable(acc.items()))
+    return found
+
+
 def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
             word: Sequence[int] | None = None) -> Coordinates:
-    """Normal form of sum_k wedge_at(...applied swaps...), telescoping
-    along a factorization of t into adjacent transpositions.
+    """The normal form of the class h(t, a) whose expansion is a - t.a:
+    the class of sum_k wedge_at(...applied swaps...), telescoping along a
+    factorization of t into adjacent transpositions, which does not
+    depend on the factorization (the module docstring).
 
-    The value does not depend on the factorization; `word` (first letter
-    applied first) overrides the default bubble-sort word and may be
-    non-reduced.  Expanding the result recovers a - t(a).
+    By default the answer is N(a) - N(t.a) from the memo
+    `ctx.word_classes`, with t.a from `perm_action(t, a)`: each word w
+    of a and of t.a adds its coefficient times N(w), stored or found by
+    `_word_class`.  The sum needs no reduction; over Q it runs on ints
+    while a's coefficients are integral, each turned into an int as it
+    is read, so no converted element is built, and the answer's values
+    pass through `_scalars`, so they are field scalars as `normal_form`
+    gives them.  t is checked by `perm_action`, through the cached
+    `perms._mover`, before the memo is read, so a refused query stores
+    nothing.  A warm query on a word runs no `wedge_at`, `normal_form`
+    or `residue_list`.
 
-    `wedge_at` sums each image straight into one dict, so no partial
-    sum or per-letter element is built.  A letter whose swap exchanges
-    two equal letters in every word of the current element leaves it
-    unchanged and has image 0, so neither `wedge_at` nor `perm_action`
-    runs for it; nor is the swap of the last letter applied, since
-    nothing reads its result.  Otherwise `wedge_at` runs once per letter
-    and `perm_action` once per letter but the last.  A given word's t is
-    checked here on every call.  The default word comes from the cached
-    `perms.perm_word`, which checks t only when it factors it, and each
-    applied swap from the degree's cached tuple of adjacent
-    transpositions, one index per swap instead of one cache lookup; its
-    mover checks the swap once, when `perms._mover` caches it.
-    Over Q the element's integral values are turned into ints once, and
-    the sum runs on them, which is cheaper than on `Fraction`s; the
-    integer RREF keeps them ints, and `normal_form` turns the answer
-    back into field scalars.
+    `word` (first letter applied first) names the factorization to sum
+    instead, and may be non-reduced; t is checked and the word composed
+    on every such call.  `wedge_at` sums each image straight into one
+    dict, over Q on a copy of a with its integral values turned into
+    ints.  A letter whose swap exchanges two equal letters in every word
+    of the current element leaves it unchanged and has image 0, so
+    neither `wedge_at` nor `perm_action` runs for it; nor is the swap of
+    the last letter applied, since nothing reads its result.  Otherwise
+    `wedge_at` runs once per letter and `perm_action` once per letter
+    but the last, each swap taken from the degree's cached tuple of
+    adjacent transpositions.
+
+    Either way a must be over the space of `ctx`.
     """
     n = ctx.degree
     if a.degree != n:
         raise ValueError(f"element degree {a.degree} != context degree {n}")
     if len(t) != n:
         raise ValueError(f"permutation size {len(t)} != degree {n}")
+    if a.space is not ctx.space and a.space != ctx.space:
+        raise ValueError("element does not match the context")
+    field = ctx.space.field
     if word is None:
-        word = perms.perm_word(t)
-    else:
-        perms.check_perm(t)
-        word = tuple(word)
-        if perms.compose_word(n, word) != t:
-            raise ValueError(f"word {word} does not compose to {t}")
-    cur = a if ctx.space.field.char else TensorElement._own(
+        moved = perm_action(t, a)  # checks t before the memo is read
+        acc: dict = {}
+        get = acc.get
+        rational = not field.char
+        for terms, sign in ((a.terms, 1), (moved.terms, -1)):
+            for w, c in terms.items():
+                pairs = iter(_word_class(ctx, w))
+                if rational and c.denominator == 1:
+                    c = c.numerator
+                c *= sign
+                for col, v in zip(pairs, pairs):
+                    acc[col] = get(col, 0) + c * v
+        if field.char:
+            p = field.char
+            acc = {col: v % p for col, v in acc.items()}
+        # the sums are ints while a's coefficients are, and an int tests
+        # nonzero in C, not through `Fraction.__bool__`
+        cols = sorted([col for col, v in acc.items() if v])
+        scalar = _scalars(field)
+        return Coordinates(ctx.ambient_dim, field.zero, tuple(cols),
+                           tuple([scalar(acc[col]) for col in cols]))
+    cur = a if field.char else TensorElement._own(
         a.space, n, {w: c.numerator if c.denominator == 1 else c for w, c in a.terms.items()})
+    perms.check_perm(t)
+    word = tuple(word)
+    if perms.compose_word(n, word) != t:
+        raise ValueError(f"word {word} does not compose to {t}")
     swaps = perms._adjacent_transpositions(n)
-    acc: dict = {}
+    acc = {}
     last = len(word) - 1
     for k, i in enumerate(word):
         for w in cur.terms:

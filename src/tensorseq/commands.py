@@ -153,7 +153,11 @@ def cocycle(args: argparse.Namespace) -> int:
         tau = tuple(rng.sample(range(1, degree + 1), degree))
         w = tuple(rng.randint(1, m_dim) for _ in range(degree))
         a = tensor.word_element(space, w)
-        h_st = bimodule.cocycle(ctx, perms.compose(sigma, tau), a)
+        # the memo answers of `cocycle` satisfy h(st) = h(t) + h(s, t.a) by
+        # construction: N(a) - N(st.a) = (N(a) - N(t.a)) + (N(t.a) - N(st.a)).
+        # So h(st) telescopes along the bubble-sort word of st instead.
+        st = perms.compose(sigma, tau)
+        h_st = bimodule.cocycle(ctx, st, a, word=perms.perm_word(st))
         h_t = bimodule.cocycle(ctx, tau, a)
         h_s_after = bimodule.cocycle(ctx, sigma, tensor.perm_action(tau, a))
         total = tuple(add(x, y) for x, y in zip(h_t, h_s_after))

@@ -53,8 +53,8 @@ def adjacent_transposition(n: int, i: int) -> Perm:
 
 
 # cached per degree: `bimodule.cocycle` indexes this tuple once per swap it
-# applies, and `compose_word` reads one entry per letter of a word that
-# `cocycle` is given; a process meets few degrees, and 64 bounds them
+# applies along a word it is given, and `compose_word` reads one entry per
+# letter of that word; a process meets few degrees, and 64 bounds them
 @lru_cache(maxsize=64)
 def _adjacent_transpositions(n: int) -> tuple[Perm, ...]:
     """All adjacent transpositions of degree n: entry i - 1 swaps i, i+1."""
@@ -91,10 +91,13 @@ def _apply_to_positions(t: Perm, letters: Sequence) -> tuple:
 
 
 # cached: `tensor.perm_action` moves every word of an element with one
-# mover, and `bimodule.cocycle` asks it for at most n - 1 adjacent
-# transpositions per degree; 256 holds those of every degree a process
-# meets, with room for the whole permutations a caller acts by
-@lru_cache(maxsize=256)
+# mover.  `bimodule.cocycle` acts by the whole permutation of every
+# query, and a query loop draws few distinct ones (720 at degree 6); a
+# telescope along a given word adds at most n - 1 adjacent
+# transpositions.  maxsize 1024 holds every permutation of degree <= 6
+# (1 + 1 + 2 + 6 + 24 + 120 + 720 = 874) and bounds the cache at higher
+# degrees, where t has 5,040 values or more.
+@lru_cache(maxsize=1024)
 def _mover(t: Perm):
     """A function of one tuple of letters that equals
     `_apply_to_positions(t, ...)` on it, done in C by `itemgetter`.
@@ -144,9 +147,10 @@ def compose_word(n: int, word: Sequence[int]) -> Perm:
     return t
 
 
-# cached: `bimodule.cocycle` factors the permutation of every query, and a
-# query loop draws few distinct ones (720 at degree 6), each checked here
-# only when it is first factored or after its eviction.  maxsize 1024 holds
+# cached: the `cocycle` command factors two permutations per sample into
+# the words it hands `bimodule.cocycle`, and a sample loop draws few
+# distinct ones (720 at degree 6), each checked here only when it is
+# first factored or after its eviction.  maxsize 1024 holds
 # every permutation of degree <= 6 (1 + 1 + 2 + 6 + 24 + 120 + 720 = 874)
 # and bounds the cache at higher degrees, where t has 5,040 values or more.
 @lru_cache(maxsize=1024)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -906,26 +908,36 @@ def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
                                             (3, 3, 2, 1): -1, (1, 1, 1, 2): 5})
     cases = [(perms.compose_word(4, word), word)
              for word in [(), (1,), (1, 2, 1), (3, 3, 2, 1, 2)]]
-    cases.append(((4, 3, 2, 1), None))
     checks = []
     for t, word in cases:
-        used = perms.perm_word(t) if word is None else word
         perms.perm_word.cache_clear()
         perms._mover.cache_clear()
         calls.clear()
         bimodule.cocycle(ctx, t, a, word)
-        assert calls["wedge_at"] == len(used)
-        assert calls["perm_action"] == max(len(used) - 1, 0)
+        assert calls["wedge_at"] == len(word)
+        assert calls["perm_action"] == max(len(word) - 1, 0)
         # t is checked once, and each distinct transposition applied once,
         # when its mover is cached; none is checked once per word
-        assert calls["is_perm"] == 1 + len(set(used[:-1]))
+        assert calls["is_perm"] == 1 + len(set(word[:-1]))
         checks.append(calls["is_perm"])
-        # on a repeat only a given word's t is checked again: the default
-        # word and every mover come from their caches
+        # on a repeat a given word's t is checked again, and every mover
+        # comes from its cache
         calls.clear()
         bimodule.cocycle(ctx, t, a, word)
-        assert calls["is_perm"] == (0 if word is None else 1)
-    assert checks == [1, 1, 3, 4, 4]
+        assert calls["is_perm"] == 1
+    assert checks == [1, 1, 3, 4]
+    # the default path telescopes nothing: `wedge_at` runs once per word
+    # it stores in a context's memo, and t is checked once, by its mover
+    fresh = bimodule.build_context(ctx.space, 4)
+    perms._mover.cache_clear()
+    calls.clear()
+    bimodule.cocycle(fresh, (4, 3, 2, 1), a)
+    assert calls["wedge_at"] == len(fresh.word_classes) > 0
+    assert calls["perm_action"] == calls["is_perm"] == 1
+    # a repeat reads every class from the memo
+    calls.clear()
+    bimodule.cocycle(fresh, (4, 3, 2, 1), a)
+    assert calls == {"perm_action": 1}
 
 
 @pytest.mark.parametrize("t", [(1, 1, 2, 3), (1, 2, 3, 5)])
@@ -1050,3 +1062,92 @@ def test_cocycle_over_q_reduces_to_its_value_over_each_prime_field(ctx_cache, m,
         for (t, w), h in zip(samples, q_values):
             assert bimodule.cocycle(ctx, t, tensor.word_element(ctx.space, w)) == \
                 tuple(int(x) % p for x in h)
+
+
+# cells with m <= 4 and n <= 6 whose contexts stay small; the Hypothesis
+# test below shares them, so it meets both empty and filled memos
+_MEMO_CELLS = ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (4, 5), (2, 6), (3, 6))
+
+
+def _typed(h):
+    return repr(tuple(h)), [type(x) for x in h]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_default_cocycle_equals_the_telescopes_of_two_words(ctx_cache, data):
+    """The memo answer N(a) - N(t.a) is the normal form of the telescope
+    along the bubble-sort and the selection words of t, value types
+    included, for multi-word elements on few letters."""
+    field = data.draw(st.sampled_from(_COCYCLE_FIELDS))
+    m, n = data.draw(st.sampled_from(_MEMO_CELLS))
+    ctx = ctx_cache(m, n, field)
+    words = data.draw(st.lists(st.tuples(*[st.integers(1, m)] * n), min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(_nonzero_scalars(field), min_size=len(words),
+                                max_size=len(words)))
+    terms: dict = {}
+    for w, c in zip(words, coeffs):
+        terms[w] = field.add(terms.get(w, field.zero), field.coerce(c))
+    a = tensor.TensorElement(ctx.space, n, terms)
+    t = tuple(data.draw(st.permutations(range(1, n + 1))))
+    answer = bimodule.cocycle(ctx, t, a)
+    for word in (perms.perm_word(t), perms.perm_word_alt(t)):
+        assert _typed(answer) == _typed(bimodule.cocycle(ctx, t, a, word))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(3)), ids=str)
+def test_memo_after_a_sweep_holds_normal_forms_of_w_minus_sorted_w(field):
+    """Every word of (3, 5) once, from an empty memo: the memo holds at
+    most m^n words, each unsorted word met, and each stored class is the
+    normal form of a class that expands to w - sorted(w)."""
+    space = tensor.Space(3, field)
+    ctx = bimodule.build_context(space, 5)
+    assert ctx.word_classes == {}
+    rng = random.Random(35)
+    words = list(tensor.all_words(3, 5))
+    for w in words:
+        bimodule.cocycle(ctx, tuple(rng.sample(range(1, 6), 5)), tensor.word_element(space, w))
+    memo = ctx.word_classes
+    assert len(memo) <= 3 ** 5
+    assert set(memo) == {w for w in words if list(w) != sorted(w)}
+    for w, flat in memo.items():
+        cols, vals = flat[::2], flat[1::2]
+        assert all(type(v) is int and v for v in vals)
+        x = bimodule.BimodElement(space, 5, {ctx.terms[c]: v for c, v in zip(cols, vals)})
+        sorted_w = tensor.word_element(space, tuple(sorted(w)))
+        assert bimodule.expand_wedge(x) == tensor.word_element(space, w) - sorted_w
+        h = bimodule.normal_form(ctx, x)
+        assert dict(zip(h.cols, h.vals)) == dict(zip(cols, vals))
+
+
+def test_refused_queries_leave_the_memo_unchanged():
+    space = tensor.Space(3, QQ)
+    ctx = bimodule.build_context(space, 4)
+    a = tensor.TensorElement(space, 4, {(1, 2, 3, 1): 1, (3, 2, 1, 1): Fraction(1, 2)})
+    bimodule.cocycle(ctx, (2, 3, 4, 1), a)
+    before = dict(ctx.word_classes)
+    assert before
+    wide = tensor.Space(4, QQ)
+    refusals = [
+        ((1, 1, 2, 3), a, "not a permutation"),
+        ((2, 1, 3), a, "permutation size 3 != degree 4"),
+        ((2, 1, 3), tensor.word_element(space, (3, 2, 1)), "element degree 3 != context degree 4"),
+        ((2, 1, 3, 4), tensor.word_element(wide, (4, 3, 2, 1)),
+         "element does not match the context"),
+        ((2, 1, 3, 4), tensor.word_element(tensor.Space(3, GF(3)), (3, 2, 1, 1)),
+         "element does not match the context"),
+    ]
+    for t, x, message in refusals:
+        for word in (None, (1,)):
+            with pytest.raises(ValueError, match=message):
+                bimodule.cocycle(ctx, t, x, word)
+            assert ctx.word_classes == before
+
+
+def test_a_copied_or_pickled_context_starts_with_an_empty_memo(ctx_cache):
+    ctx = ctx_cache(2, 4)
+    bimodule.cocycle(ctx, (4, 3, 2, 1), tensor.word_element(ctx.space, (2, 1, 2, 1)))
+    assert ctx.word_classes
+    for other in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert other.word_classes == {} and other.rel_rows == ctx.rel_rows
+        assert other.terms == ctx.terms and other.space == ctx.space

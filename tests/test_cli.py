@@ -454,8 +454,10 @@ def test_cocycle_reports_each_counterexample_and_exits_1(monkeypatch):
 def test_cocycle_reports_identity_and_factorization_counterexamples(monkeypatch):
     """The other two counts print their COUNTEREXAMPLE lines too: with
     sigma dropped from the composite, the cocycle identity fails where
-    sigma moves the permuted word; with every explicit factorization
-    answering (), factorization independence fails on every sample."""
+    sigma moves the permuted word; with every explicit factorization but
+    the bubble-sort word answering (), factorization independence fails
+    on every sample.  The composite telescopes along its bubble-sort
+    word, so breaking that one too fails the identity on every sample."""
     head = ("cocycle_identity: {}/2 pass\n"
             "expansion_recovers_difference: 2/2 pass\n"
             "factorization_independence: {}/2 pass\n")
@@ -467,12 +469,21 @@ def test_cocycle_reports_identity_and_factorization_counterexamples(monkeypatch)
     assert res.output == res.stdout_bytes.decode() == head.format(1, 2) + (
         "COUNTEREXAMPLE cocycle identity: sigma=(2, 1, 3) tau=(3, 1, 2) word=(1, 2, 1)\n")
     real = bimodule.cocycle
-    monkeypatch.setattr(bimodule, "cocycle",
-                        lambda ctx, t, a, word=None: real(ctx, t, a) if word is None else ())
+    monkeypatch.setattr(bimodule, "cocycle", lambda ctx, t, a, word=None: (
+        real(ctx, t, a, word) if word in (None, perms.perm_word(t)) else ()))
     res = run(*args)
     assert res.exit_code == 1
     assert res.output == res.stdout_bytes.decode() == head.format(2, 0) + (
         "COUNTEREXAMPLE factorization: tau=(3, 1, 2) word=(1, 2, 1)\n"
+        "COUNTEREXAMPLE factorization: tau=(1, 2, 3) word=(1, 1, 1)\n")
+    monkeypatch.setattr(bimodule, "cocycle",
+                        lambda ctx, t, a, word=None: real(ctx, t, a) if word is None else ())
+    res = run(*args)
+    assert res.exit_code == 1
+    assert res.output == res.stdout_bytes.decode() == head.format(0, 0) + (
+        "COUNTEREXAMPLE cocycle identity: sigma=(2, 1, 3) tau=(3, 1, 2) word=(1, 2, 1)\n"
+        "COUNTEREXAMPLE factorization: tau=(3, 1, 2) word=(1, 2, 1)\n"
+        "COUNTEREXAMPLE cocycle identity: sigma=(3, 1, 2) tau=(1, 2, 3) word=(1, 1, 1)\n"
         "COUNTEREXAMPLE factorization: tau=(1, 2, 3) word=(1, 1, 1)\n")
 
 
