@@ -13,7 +13,8 @@ Submodules:
 * `tensor`: the graded tensor algebra and its symmetric projection.
 * `exterior`: exterior powers with canonical signs.
 * `bimodule`: the wedge-carrying bimodule, its relation quotient, the
-  wedge-insertion maps and the telescoping cocycle.
+  wedge-insertion maps and the cocycle, answered from a memo of word
+  classes and checked against explicit telescopes.
 * `evensym`: the quotient algebra identifying words up to even
   permutations, with its twisted-word basis.
 * `degree2`: the degree-2 agreement of both quotients with the

@@ -48,8 +48,9 @@ until it meets a stored or a sorted word (class 0), and each word on
 the way back costs one `normal_form` of one `wedge_at` term plus its
 parent's class.  The memo holds normal forms, so sums of them need no
 further reduction, and it holds at most the m^n words of its degree.
-The explicit-`word` path of `cocycle` still sums the telescope along
-the word it is given, an independent check of the memo.
+The explicit-`word` path of `cocycle` sums the plain telescope along
+the word it is given, one `wedge_at` and one swap per letter: an
+independent check of the memo.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from . import perms
-from .bases import Space, check_word
+from .bases import Space, check_word, collect
 from .errors import Record, check_cap
 from .fields import _ZZ, Field, Scalar
 from .linalg import Row, echelon_rows, residue_list
@@ -110,13 +111,13 @@ def relation_generators(m: int, n: int) -> list[dict]:
 
 class QuotientContext(Record):
     """Cached coordinates for one (space, degree): the canonical term
-    enumeration and the sparse RREF of the relation span, with its
-    pivot column -> row index for residues.  Contexts compare by
-    identity.
+    enumeration and the sparse RREF of the relation span, held once as
+    `rel_basis`, its pivot column -> row index for residues; `rel_rows`
+    reads its rows in pivot order.  Contexts compare by identity.
 
-    `rel_rows` and `rel_basis` hold the integer RREF, the same for every
-    field: every entry is the int 1 or -1 (`build_context`), and
-    `normal_form` reduces it into the field of `space`.
+    `rel_basis` holds the integer RREF, the same for every field: every
+    entry is the int 1 or -1 (`build_context`), and `normal_form`
+    reduces it into the field of `space`.
 
     `word_classes` is the memo of `cocycle`, word -> the normal form of
     the class N(w) with expansion w - sorted(w), stored flat as one
@@ -126,14 +127,13 @@ class QuotientContext(Record):
     per word.  A context starts with it empty, and a copy or a pickle
     starts empty again."""
 
-    __slots__ = ("space", "degree", "terms", "index", "rel_rows", "rel_pivots", "rel_basis",
-                 "word_classes")
+    __slots__ = ("space", "degree", "terms", "index", "rel_basis", "word_classes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, space: Space, degree: int, terms: tuple[BimodTerm, ...], index: dict,
-                 rel_rows: tuple[Row, ...], rel_pivots: tuple[int, ...], rel_basis: dict):
-        Record.__init__(self, space, degree, terms, index, rel_rows, rel_pivots, rel_basis, {})
+                 rel_basis: dict[int, Row]):
+        Record.__init__(self, space, degree, terms, index, rel_basis, {})
 
     def __reduce__(self):
         return self.__class__, self._astuple(self)[:-1]
@@ -143,12 +143,16 @@ class QuotientContext(Record):
         return len(self.terms)
 
     @property
+    def rel_rows(self) -> tuple[Row, ...]:
+        return tuple(self.rel_basis.values())
+
+    @property
     def rel_rank(self) -> int:
-        return len(self.rel_pivots)
+        return len(self.rel_basis)
 
     @property
     def quotient_dim(self) -> int:
-        return len(self.terms) - len(self.rel_pivots)
+        return len(self.terms) - len(self.rel_basis)
 
 
 def _bottom_up(rows: Iterable[Row]) -> list[Row]:
@@ -184,8 +188,7 @@ def build_context(space: Space, n: int, size_cap: int | None = None) -> Quotient
     rows = [tuple(sorted((index[k], c) for k, c in g.items()))
             for g in relation_generators(space.dim, n)]
     rel_rows, pivots = echelon_rows(_ZZ, _bottom_up(rows))
-    return QuotientContext(space, n, terms, index, tuple(rel_rows), tuple(pivots),
-                           dict(zip(pivots, rel_rows)))
+    return QuotientContext(space, n, terms, index, dict(zip(pivots, rel_rows)))
 
 
 class Coordinates(Record):
@@ -248,7 +251,8 @@ def element_of(ctx: QuotientContext, vec: Sequence) -> BimodElement:
 # loop, say) keeps one shared scalar per value, not a new `Fraction` per
 # nonzero entry.  The inner cache is keyed by the value alone, so a lookup
 # hashes no `Field`.  An int and the equal `Fraction` take two entries;
-# over Q a `cocycle` residue holds ints while its values are integral.
+# over Q the memo sums of `cocycle` are ints while a's coefficients are
+# integral.
 @lru_cache(maxsize=32)
 def _scalars(field: Field) -> Callable[[Scalar], Scalar]:
     return lru_cache(maxsize=256)(field.normalize)
@@ -271,7 +275,6 @@ def normal_form(ctx: QuotientContext, x: BimodElement) -> Coordinates:
     from lists, not by `zip(*residue)`, which makes an iterator per
     entry and raises the peak memory of a loop that keeps its answers.
 
-    x may hold ints for integral values over Q, as `cocycle` hands it.
     The coordinates go to `residue_list` unsorted, since it sorts its
     result."""
     if (x.space is not ctx.space and x.space != ctx.space) or x.degree != ctx.degree:
@@ -291,44 +294,20 @@ def expand_wedge(x: BimodElement) -> TensorElement:
     return TensorElement._own(x.space, x.degree, _expand(x.space.field, x.terms))
 
 
-def wedge_at(a: TensorElement, i: int, out: dict | None = None) -> BimodElement | dict:
+def wedge_at(a: TensorElement, i: int) -> BimodElement:
     """Replace the tensor sign between positions i and i+1 by a wedge,
     canonicalizing signs; words with a repeated letter there drop out.
-
-    With `out`, a dict of terms, the terms are summed into it instead, as
-    `collect(..., out)` does, and `out` is returned; otherwise a new
-    `BimodElement` is.
-
-    One loop builds and sums the terms.  Among the words of a, only a
-    word and its swap at i share a term, so a sum can arise (and cancel)
-    only between those two or with a term already in `out`; the same
-    single pass, with its pairs summed by `collect`, made a `cocycle`
-    query 6-9% slower (in-process timing)."""
+    Among the words of a, only a word and its swap at i share a term, and
+    `collect` sums (and may cancel) those two."""
     n = a.degree
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range 1..{n - 1}")
-    f = a.space.field
-    neg, add = f.neg, f.add
-    terms = {} if out is None else out
-    for w, c in a.terms.items():
-        u, v = w[i - 1], w[i]
-        if u < v:
-            key = (w[:i - 1], (u, v), w[i + 1:])
-        elif u > v:
-            key = (w[:i - 1], (v, u), w[i + 1:])
-            c = neg(c)
-        else:
-            continue
-        # most keys are new (96% on (3, 6, Q) queries) and are hashed
-        # twice either way; `terms.get` adds a call that `in` does not, and
-        # made a query 0.3 us slower
-        if key in terms:
-            c = add(terms[key], c)
-            if not c:
-                del terms[key]
-                continue
-        terms[key] = c
-    return BimodElement._own(a.space, n, terms) if out is None else out
+    field = a.space.field
+    neg = field.neg
+    pairs = (((w[:i - 1], (w[i - 1], w[i]), w[i + 1:]), c) if w[i - 1] < w[i]
+             else ((w[:i - 1], (w[i], w[i - 1]), w[i + 1:]), neg(c))
+             for w, c in a.terms.items() if w[i - 1] != w[i])
+    return BimodElement._own(a.space, n, collect(field, pairs))
 
 
 def _word_class(ctx: QuotientContext, w: tuple) -> tuple:
@@ -399,15 +378,12 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
 
     `word` (first letter applied first) names the factorization to sum
     instead, and may be non-reduced; t is checked and the word composed
-    on every such call.  `wedge_at` sums each image straight into one
-    dict, over Q on a copy of a with its integral values turned into
-    ints.  A letter whose swap exchanges two equal letters in every word
-    of the current element leaves it unchanged and has image 0, so
-    neither `wedge_at` nor `perm_action` runs for it; nor is the swap of
-    the last letter applied, since nothing reads its result.  Otherwise
-    `wedge_at` runs once per letter and `perm_action` once per letter
-    but the last, each swap taken from the degree's cached tuple of
-    adjacent transpositions.
+    on every such call.  This is the plain telescope, the oracle that the
+    `cocycle` command checks the memo against: for each letter i, the
+    image `wedge_at(cur, i)` is summed into one dict by `collect`, and
+    cur, starting at a, is moved by the swap of i, taken from the
+    degree's cached tuple of adjacent transpositions.  So `wedge_at` and
+    `perm_action` each run once per letter.
 
     Either way a must be over the space of `ctx`.
     """
@@ -441,22 +417,14 @@ def cocycle(ctx: QuotientContext, t: perms.Perm, a: TensorElement,
         scalar = _scalars(field)
         return Coordinates(ctx.ambient_dim, field.zero, tuple(cols),
                            tuple([scalar(acc[col]) for col in cols]))
-    cur = a if field.char else TensorElement._own(
-        a.space, n, {w: c.numerator if c.denominator == 1 else c for w, c in a.terms.items()})
     perms.check_perm(t)
     word = tuple(word)
     if perms.compose_word(n, word) != t:
         raise ValueError(f"word {word} does not compose to {t}")
     swaps = perms._adjacent_transpositions(n)
     acc = {}
-    last = len(word) - 1
-    for k, i in enumerate(word):
-        for w in cur.terms:
-            if w[i - 1] != w[i]:
-                break
-        else:
-            continue  # the swap fixes every word of cur, and its wedge is 0
-        wedge_at(cur, i, acc)
-        if k < last:
-            cur = perm_action(swaps[i - 1], cur)
+    cur = a
+    for i in word:
+        collect(field, wedge_at(cur, i).terms.items(), acc)
+        cur = perm_action(swaps[i - 1], cur)
     return normal_form(ctx, BimodElement._own(ctx.space, n, acc))

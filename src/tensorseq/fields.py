@@ -239,6 +239,6 @@ def parse_field(name: str) -> Field:
     s = name.strip().lower()
     if s in ("q", "qq", "rational", "rationals"):
         return QQ
-    if s.startswith("f") and s[1:].isdigit():
+    if s.startswith("f") and s[1:].isdecimal():
         return GF(int(s[1:]))
     raise ValueError(f"unknown field {name!r} (expected 'q' or 'f<prime>')")

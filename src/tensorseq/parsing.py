@@ -43,7 +43,7 @@ def parse_word(s: str, offset: int = 0) -> Word:
     letters = []
     for piece in text.split(","):
         p = piece.strip()
-        if not p.isdigit() or int(p) < 1:
+        if not p.isdecimal() or int(p) < 1:
             raise ElementParseError(f"expected a positive letter index, got {piece!r}", pos)
         letters.append(int(p))
         pos += len(piece) + 1

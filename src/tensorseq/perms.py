@@ -5,13 +5,14 @@ function composition, `(s * t)(k) = s(t(k))`, and permutations act on
 letter tuples by moving the letter at position k to position t(k).
 
 `compose`, `perm_word_alt`, `perm_word` and `_mover` raise `ValueError`
-on a tuple that is not a permutation.  `compose` and `perm_word_alt`
-check their arguments on every call.  `perm_word` and `_mover` are
-cached and check t inside, so t is checked when it enters the cache and
-not again while it stays there; `lru_cache` keeps no result for a call
-that raises, so a non-permutation is refused on every call.  Code inside
-the package that already holds a permutation it built or checked uses
-the unchecked `_compose`, `_apply_to_positions` and `_parity`.
+on a tuple that is not a permutation.  `compose`, `perm_word_alt` and
+`perm_word` check their arguments on every call.  Only `_mover` and
+`_adjacent_transpositions` cache.  `_mover` checks t inside, so t is
+checked when it enters the cache and not again while it stays there;
+`lru_cache` keeps no result for a call that raises, so a
+non-permutation is refused on every call.  Code inside the package that
+already holds a permutation it built or checked uses the unchecked
+`_compose`, `_apply_to_positions` and `_parity`.
 """
 
 from __future__ import annotations
@@ -147,13 +148,6 @@ def compose_word(n: int, word: Sequence[int]) -> Perm:
     return t
 
 
-# cached: the `cocycle` command factors two permutations per sample into
-# the words it hands `bimodule.cocycle`, and a sample loop draws few
-# distinct ones (720 at degree 6), each checked here only when it is
-# first factored or after its eviction.  maxsize 1024 holds
-# every permutation of degree <= 6 (1 + 1 + 2 + 6 + 24 + 120 + 720 = 874)
-# and bounds the cache at higher degrees, where t has 5,040 values or more.
-@lru_cache(maxsize=1024)
 def perm_word(t: Perm) -> Word:
     """Factor t into adjacent transpositions with a bubble-sort network.
 

@@ -13,11 +13,7 @@ laws the tests check.
 The word bases, their sizes, `Space` and `collect` live in `bases`.
 Every element map, here and in the other element modules, is linear on
 the basis: it generates (basis key, value) pairs, and `collect` is the
-one place where such pairs are summed, with one exception:
-`bimodule.wedge_at`, the step of every `cocycle` telescope, sums in
-its own single loop, because the same pass summed by `collect` made a
-telescoping query 6-9% slower; like `collect`, it can sum into a dict
-it is given.
+one place where such pairs are summed.
 
 Each element class is its own checked constructor:
 `TensorElement(space, degree, terms)` (and `SymElement`, `ExtElement`,

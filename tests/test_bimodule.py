@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorseq import bimodule, certify, linalg, mseq, perms, tensor
-from tensorseq.bases import collect
 from tensorseq.errors import SizeCapError
 from tensorseq.fields import _ZZ, GF, QQ
 
@@ -107,7 +106,7 @@ def test_reduced_generators_span_the_full_family(m, n, field):
     assert len(full) == ctx.rel_rank
     assert len(bimodule.relation_generators(m, n)) == ctx.rel_rank
     assert contained(field, full, piv, ctx.rel_rows)
-    assert contained(field, ctx.rel_rows, ctx.rel_pivots, full)
+    assert contained(field, ctx.rel_rows, tuple(ctx.rel_basis), full)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(2_147_483_647)])
@@ -131,7 +130,7 @@ def test_bottom_up_order_keeps_the_relation_rref(m, n, field):
                 for g in bimodule.relation_generators(m, n)]
 
     rel_rows, pivots = linalg.echelon_rows(_ZZ, generator_rows(_ZZ))
-    assert ctx.rel_pivots == tuple(pivots)
+    assert tuple(ctx.rel_basis) == tuple(pivots)
     assert repr(ctx.rel_rows) == repr(tuple(rel_rows))
     assert ctx.rel_basis == dict(zip(pivots, rel_rows))
     assert all(type(x) is int and x in (1, -1) for row in rel_rows for _, x in row)
@@ -822,8 +821,8 @@ def test_witness_short_of_the_bound_fails_injective_rank(monkeypatch, m, n, fiel
 
 _COCYCLE_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
 _COCYCLE_CELLS = ((2, 3), (3, 3), (2, 4), (3, 4))
-# the benchmark's query cell: t is always factored by `cocycle` itself,
-# through the cached `perms.perm_word` and transposition tuple
+# the benchmark's query cell: t is never given a word, so `cocycle`
+# answers from its memo
 _COCYCLE_PERM_CELLS = ((3, 6),)
 
 
@@ -891,7 +890,7 @@ def test_wedge_at_cancels_a_word_against_its_swap():
                 assert bimodule.wedge_at(x, i).is_zero()
 
 
-def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
+def test_cocycle_runs_one_telescope_step_per_letter(ctx_cache, monkeypatch):
     ctx = ctx_cache(3, 4)
     calls = Counter()
 
@@ -910,22 +909,22 @@ def test_cocycle_applies_no_swap_after_the_last_letter(ctx_cache, monkeypatch):
              for word in [(), (1,), (1, 2, 1), (3, 3, 2, 1, 2)]]
     checks = []
     for t, word in cases:
-        perms.perm_word.cache_clear()
         perms._mover.cache_clear()
         calls.clear()
         bimodule.cocycle(ctx, t, a, word)
-        assert calls["wedge_at"] == len(word)
-        assert calls["perm_action"] == max(len(word) - 1, 0)
-        # t is checked once, and each distinct transposition applied once,
-        # when its mover is cached; none is checked once per word
-        assert calls["is_perm"] == 1 + len(set(word[:-1]))
+        # every letter sums one image and applies its swap, the last
+        # letter's too
+        assert calls["wedge_at"] == calls["perm_action"] == len(word)
+        # t is checked once, and each distinct transposition once, when
+        # its mover is cached; none is checked once per word
+        assert calls["is_perm"] == 1 + len(set(word))
         checks.append(calls["is_perm"])
         # on a repeat a given word's t is checked again, and every mover
         # comes from its cache
         calls.clear()
         bimodule.cocycle(ctx, t, a, word)
         assert calls["is_perm"] == 1
-    assert checks == [1, 1, 3, 4]
+    assert checks == [1, 2, 3, 4]
     # the default path telescopes nothing: `wedge_at` runs once per word
     # it stores in a context's memo, and t is checked once, by its mover
     fresh = bimodule.build_context(ctx.space, 4)
@@ -948,7 +947,6 @@ def test_a_non_permutation_is_refused_on_every_call_and_never_cached(ctx_cache, 
                 lambda: bimodule.cocycle(ctx, t, a),
                 lambda: bimodule.cocycle(ctx, t, a, word=(1, 2)),
                 lambda: perms.perm_word(t)]
-    perms.perm_word.cache_clear()
     perms._mover.cache_clear()
     message = "^" + re.escape(f"{t} is not a permutation of 1..4") + "$"
     for refuse in refusals:
@@ -956,56 +954,11 @@ def test_a_non_permutation_is_refused_on_every_call_and_never_cached(ctx_cache, 
             with pytest.raises(ValueError, match=message):
                 refuse()
     # `lru_cache` stores nothing for a call that raises
-    assert perms.perm_word.cache_info().currsize == 0
     assert perms._mover.cache_info().currsize == 0
 
 
-def _count_telescope_calls(monkeypatch) -> Counter:
-    calls = Counter()
-    for name in ("wedge_at", "perm_action"):
-        def wrapper(*args, fn=getattr(bimodule, name), name=name):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(bimodule, name, wrapper)
-    return calls
-
-
-def test_cocycle_skips_a_swap_that_fixes_every_word(ctx_cache, monkeypatch):
-    """Letter 1 swaps two equal letters in both words, so it leaves the
-    element as it is and has no wedge: neither call runs for it."""
-    ctx = ctx_cache(3, 4)
-    a = tensor.TensorElement(ctx.space, 4, {(1, 1, 2, 3): 1, (2, 2, 3, 1): -2})
-    word = (1, 2, 3)
-    t = perms.compose_word(4, word)
-    expected = _summing_loop_cocycle(ctx, t, a, word)
-    calls = _count_telescope_calls(monkeypatch)
-    assert bimodule.cocycle(ctx, t, a, word) == expected and any(expected)
-    assert calls == {"wedge_at": 2, "perm_action": 1}
-    # a last letter that fixes every word runs no `wedge_at`
-    b = tensor.TensorElement(ctx.space, 4, {(1, 2, 3, 3): 1, (3, 1, 2, 2): 5})
-    t = perms.compose_word(4, (1, 3))
-    expected = _summing_loop_cocycle(ctx, t, b, (1, 3))
-    calls.clear()
-    assert bimodule.cocycle(ctx, t, b, (1, 3)) == expected
-    assert calls == {"wedge_at": 1, "perm_action": 1}
-
-
-def test_cocycle_does_not_skip_a_swap_that_moves_one_word(ctx_cache, monkeypatch):
-    """The first word holds equal letters at positions 1, 2 and the second
-    does not, so letter 1 still moves the element and has a wedge."""
-    ctx = ctx_cache(3, 4)
-    a = tensor.TensorElement(ctx.space, 4, {(1, 1, 2, 3): 1, (1, 2, 2, 3): 3})
-    word = (1, 2, 3)
-    t = perms.compose_word(4, word)
-    expected = _summing_loop_cocycle(ctx, t, a, word)
-    calls = _count_telescope_calls(monkeypatch)
-    value = bimodule.cocycle(ctx, t, a, word)
-    assert value == expected and any(value)
-    assert calls == {"wedge_at": 3, "perm_action": 2}
-
-
 def test_cocycle_over_q_shares_fraction_entries(ctx_cache):
-    """The telescope runs on ints over Q; answers still hold `Fraction`s,
+    """The memo sums on ints over Q; answers still hold `Fraction`s,
     one object per value across answers, for integral and non-integral
     coefficients alike, and halving the element halves every entry."""
     ctx = ctx_cache(3, 4)
@@ -1023,26 +976,6 @@ def test_cocycle_over_q_shares_fraction_entries(ctx_cache):
     assert {Fraction(1, 2), 1, 2} <= set(nonzero)
     first = {}
     assert all(first.setdefault(x, x) is x for x in nonzero)
-
-
-@pytest.mark.parametrize("field", _COCYCLE_FIELDS, ids=str)
-def test_wedge_at_sums_into_out(field):
-    """`wedge_at(a, i, out)` adds the image of a into `out` as `collect`
-    does, dropping a term that cancels, and returns `out` itself."""
-    sp = tensor.Space(3, field)
-    a = tensor.TensorElement(sp, 4, {(1, 2, 3, 1): 1, (2, 1, 3, 1): 2, (3, 3, 2, 1): 4,
-                                     (1, 3, 2, 2): 1})
-    kept = ((1, 1), (2, 3), ())
-    for i in range(1, 4):
-        image = bimodule.wedge_at(a, i).terms
-        assert image and kept not in image
-        key, c = next(iter(image.items()))
-        start = {key: field.neg(c), kept: field.one}
-        out = dict(start)
-        assert bimodule.wedge_at(a, i, out) is out
-        assert key not in out and out[kept] == field.one
-        assert out == collect(field, image.items(), dict(start))
-        assert len(out) == len(image)
 
 
 @pytest.mark.parametrize("m,n", [(3, 4), (2, 5), (3, 5)])

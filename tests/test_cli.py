@@ -613,6 +613,23 @@ def test_main_without_standalone_mode_returns_or_raises(capsys):
     assert cli.main.main is cli.main
 
 
+def test_a_digit_that_int_does_not_read_is_refused_with_the_package_message():
+    """'\u00b2' passes `str.isdigit`, but `int` refuses it: the letter and
+    the field name are refused by the package's own messages, exit 2."""
+    res = run("nf", "sprime", "--word", "1,\u00b2", "--m", "3")
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert res.output.splitlines()[-1] == \
+        "Error: expected a positive letter index, got '\u00b2' (at position 2)"
+    res = run("dims", "--m", "2", "--n-max", "3", "--field", "f\u00b2")
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert res.output.splitlines()[-1] == \
+        "Error: unknown field 'f\u00b2' (expected 'q' or 'f<prime>')"
+    # decimal digits of other scripts are read as before
+    assert run("nf", "sprime", "--word", "\u0661,2", "--m", "3").output == "(1,2) plain\n"
+    assert run("dims", "--m", "2", "--n-max", "3", "--field", "f\u0663").output == \
+        run("dims", "--m", "2", "--n-max", "3", "--field", "f3").output
+
+
 def test_nf_decimal_coefficient_over_a_prime_field_is_a_usage_error():
     res = run("nf", "m", "--element", "0.5*[|1,2|3]", "--m", "3", "--field", "f3")
     assert res.exit_code == 2 and res.stdout_bytes == b""

@@ -293,7 +293,7 @@ def test_relation_rref_matches_dense_oracle():
                               for k, c in bimodule.BimodElement(space, 5, g).terms.items()), amb)
             for g in bimodule.relation_generators(3, 5)]
     want, want_piv = dense_rref(QQ, gens, amb)
-    assert list(ctx.rel_pivots) == want_piv
+    assert list(ctx.rel_basis) == want_piv
     assert [_dense(QQ, row, amb) for row in ctx.rel_rows] == want
 
 

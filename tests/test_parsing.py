@@ -21,6 +21,25 @@ def test_parse_word():
         parsing.parse_word("1,-2")
 
 
+@pytest.mark.parametrize("text,position", [("1,\u00b2", 2), ("\u2460", 0), ("2, \u00b3", 2)],
+                         ids=["superscript", "circled", "spaced-superscript"])
+def test_a_digit_that_int_does_not_read_is_a_parse_error_at_its_position(text, position):
+    """'\u00b2' passes `str.isdigit` but `int` refuses it: the letter is
+    refused as any other non-index, at the position of its piece."""
+    with pytest.raises(ElementParseError) as exc:
+        parsing.parse_word(text)
+    piece = text.split(",")[-1]
+    assert str(exc.value) == \
+        f"expected a positive letter index, got {piece!r} (at position {position})"
+    assert exc.value.position == position
+
+
+def test_every_decimal_digit_that_int_reads_stays_a_letter():
+    # Arabic-Indic and fullwidth digits are decimal, and `int` reads them
+    assert parsing.parse_word("\u0661,2") == (1, 2)
+    assert parsing.parse_word("\uff13,\u0661\u0660") == (3, 10)
+
+
 def test_parse_word_combo():
     combo = parsing.parse_word_combo("2*1,2 + -1/3*2,1 + 1,1")
     assert combo == [("2", (1, 2)), ("-1/3", (2, 1)), ("1", (1, 1))]

@@ -140,27 +140,6 @@ def test_perm_word_passes_stop_at_the_last_swap_without_changing_the_word():
             assert perms.perm_word(t) == _full_pass_perm_word(t)
 
 
-def test_cached_perm_word_is_bounded_and_evicts_without_changing_a_word():
-    cache = perms.perm_word
-    maxsize = cache.cache_info().maxsize
-    small = [t for n in range(7) for t in all_perms(n)]
-    every = small + list(all_perms(7))
-    assert maxsize is not None and len(small) <= maxsize < len(every)
-    cache.cache_clear()
-    # 5,914 permutations through a cache of 1,024: most are evicted and
-    # factored again on the second pass
-    for _ in range(2):
-        for t in every:
-            assert cache(t) == _full_pass_perm_word(t)
-    assert cache.cache_info().currsize == maxsize
-    # every permutation of degree <= 6 stays cached once it is in
-    cache.cache_clear()
-    for _ in range(2):
-        for t in small:
-            assert cache(t) == _full_pass_perm_word(t)
-    assert cache.cache_info().misses == len(small)
-
-
 def test_adjacent_transpositions_of_a_degree_are_the_cached_transpositions():
     for n in range(8):
         swaps = perms._adjacent_transpositions(n)
@@ -177,7 +156,7 @@ def test_mover_moves_letters_as_apply_to_positions(monkeypatch):
     cache = perms._mover
     cache.cache_clear()
     # every permutation of degree <= 7 (5,914, of which 5,040 of degree 7)
-    # through a cache of 256: most movers are evicted, and are built and
+    # through a cache of 1,024: most movers are evicted, and are built and
     # checked again on the second pass
     for _ in range(2):
         for n in range(8):

@@ -168,8 +168,7 @@ def test_quotient_context_compares_by_identity():
     a, b = bimodule.build_context(space, 3), bimodule.build_context(space, 3)
     assert a == a and a != b and not a == b
     assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
-    names = ("space", "degree", "terms", "index", "rel_rows", "rel_pivots", "rel_basis",
-             "word_classes")
+    names = ("space", "degree", "terms", "index", "rel_basis", "word_classes")
     ref = _reference(bimodule.QuotientContext, [(n,) for n in names], eq=False)
     assert repr(a) == repr(ref(*(getattr(a, n) for n in names)))
     with pytest.raises(AttributeError):
